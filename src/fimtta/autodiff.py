@@ -277,13 +277,38 @@ def log_softmax(a: Tensor) -> Tensor:
     return _make(ls, (a,), vjp)
 
 
+NORM_EPS = 1e-5
+
+
+def normalize(
+    xd: np.ndarray,
+    mean: np.ndarray | None = None,
+    var: np.ndarray | None = None,
+    eps: float = NORM_EPS,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Standardize [n, f] values feature-wise: (xhat, inv_std, mean, var).
+
+    Without ``mean``/``var`` the batch's own statistics are used. The
+    tape op and the plain-array forward both go through here, so their
+    outputs agree bit for bit.
+    """
+    if mean is None:
+        mu = xd.mean(axis=0)
+        sig2 = xd.var(axis=0)
+    else:
+        mu = np.asarray(mean, dtype=np.float64)
+        sig2 = np.asarray(var, dtype=np.float64)
+    inv_std = 1.0 / np.sqrt(sig2 + eps)
+    return (xd - mu) * inv_std, inv_std, mu, sig2
+
+
 def batch_norm(
     x: Tensor,
     scale: Tensor,
     shift: Tensor,
     mean: np.ndarray | None = None,
     var: np.ndarray | None = None,
-    eps: float = 1e-5,
+    eps: float = NORM_EPS,
 ) -> Tensor:
     """Feature-wise normalization of [n, f] activations with affine.
 
@@ -297,18 +322,9 @@ def batch_norm(
     f = x.data.shape[1]
     if scale.data.shape != (f,) or shift.data.shape != (f,):
         raise _shape_fail("batch_norm", x.data.shape, scale.data.shape, shift.data.shape)
-    xd = x.data
-    n = xd.shape[0]
-    if mean is None:
-        mu = xd.mean(axis=0)
-        sig2 = xd.var(axis=0)
-        batch_stats = True
-    else:
-        mu = np.asarray(mean, dtype=np.float64)
-        sig2 = np.asarray(var, dtype=np.float64)
-        batch_stats = False
-    inv_std = 1.0 / np.sqrt(sig2 + eps)
-    xhat = (xd - mu) * inv_std
+    n = x.data.shape[0]
+    batch_stats = mean is None
+    xhat, inv_std, _, _ = normalize(x.data, mean, var, eps)
     scale_d = scale.data
 
     def vjp(g: np.ndarray):
@@ -367,11 +383,31 @@ def take_per_row(a: Tensor, indices) -> Tensor:
 # backward pass
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
+def backward(output: Tensor, seed: np.ndarray | None = None) -> None:
+    """Populate ``.grad`` on every differentiable leaf reachable from output.
+
+    Without a seed the output must be scalar (shape ``()``) and the pass
+    starts from 1.0; a seed of the output's shape starts the pass from an
+    arbitrary cotangent, such as a unit vector over a vector of
+    per-sample losses. Grad slots are overwritten, not accumulated, so
+    repeated calls from the same tape state agree.
+    """
+    if seed is None:
+        if output.data.shape != ():
+            raise ShapeError(
+                f"backward: output must be scalar, got shape {output.data.shape}"
+            )
+        seed_arr = np.ones(())
+    else:
+        seed_arr = np.asarray(seed, dtype=np.float64)
+        if seed_arr.shape != output.data.shape:
+            raise _shape_fail("backward seed", seed_arr.shape, output.data.shape)
+    if not output.requires_grad:
+        return
     # iterative post-order; the tape is acyclic by construction
     order: list[Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Tensor, bool]] = [(output, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -384,10 +420,6 @@ def _toposort(root: Tensor) -> list[Tensor]:
         for parent in node._parents:
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
-    return order
-
-
-def _backprop(order: list[Tensor], output: Tensor, seed_arr: np.ndarray) -> None:
     grads: dict[int, np.ndarray] = {id(output): seed_arr}
     for node in reversed(order):
         g = grads.pop(id(node), None)
@@ -402,30 +434,6 @@ def _backprop(order: list[Tensor], output: Tensor, seed_arr: np.ndarray) -> None
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
-
-
-def backward(output: Tensor, seed: np.ndarray | None = None) -> None:
-    """Populate ``.grad`` on every differentiable leaf reachable from output.
-
-    Without a seed the output must be scalar (shape ``()``) and the pass
-    starts from 1.0; a seed of the output's shape starts the pass from an
-    arbitrary cotangent, which is how per-sample gradients are extracted
-    from a vector of per-sample losses. Grad slots are overwritten, not
-    accumulated, so repeated calls from the same tape state agree.
-    """
-    if seed is None:
-        if output.data.shape != ():
-            raise ShapeError(
-                f"backward: output must be scalar, got shape {output.data.shape}"
-            )
-        seed_arr = np.ones(())
-    else:
-        seed_arr = np.asarray(seed, dtype=np.float64)
-        if seed_arr.shape != output.data.shape:
-            raise _shape_fail("backward seed", seed_arr.shape, output.data.shape)
-    if not output.requires_grad:
-        return
-    _backprop(_toposort(output), output, seed_arr)
 
 
 def grads_of(output: Tensor, leaves: Sequence[Tensor], seed: np.ndarray | None = None) -> list[np.ndarray]:

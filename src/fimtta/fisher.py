@@ -48,12 +48,10 @@ class FisherState:
         return cls(decay=decay, traces={n: 0.0 for n in names}, diagonals=diagonals)
 
 
-def _pseudo_loglik(model: Model, inputs, batch_stats: bool):
-    """Shared forward: per-sample log-likelihood of argmax pseudo-labels."""
-    logits = model.forward(inputs, batch_stats=batch_stats)
-    ls = ad.log_softmax(logits)
-    pseudo = ls.data.argmax(axis=1)
-    return ad.take_per_row(ls, pseudo), logits
+# Samples per chunk of the batched reverse pass are capped so that
+# chunk samples x batch rows stays at about this many; it bounds the
+# [samples, batch, features] cotangent temporaries.
+_CHUNK_ROWS = 512
 
 
 def score(model: Model, inputs, batch_stats: bool = True) -> dict[str, list[np.ndarray]]:
@@ -62,8 +60,8 @@ def score(model: Model, inputs, batch_stats: bool = True) -> dict[str, list[np.n
     Returned arrays match each layer's parameter shapes. Model
     parameters themselves are left untouched.
     """
-    ll_vec, _ = _pseudo_loglik(model, inputs, batch_stats)
-    ll_mean = ad.mean_all(ll_vec)
+    ls = ad.log_softmax(model.forward(inputs, batch_stats=batch_stats))
+    ll_mean = ad.mean_all(ad.take_per_row(ls, ls.data.argmax(axis=1)))
     out: dict[str, list[np.ndarray]] = {}
     for layer in model.weight_layers():
         out[layer.name] = ad.grads_of(ll_mean, layer.params)
@@ -74,36 +72,51 @@ def per_sample_scores(model: Model, inputs, batch_stats: bool = True) -> dict[st
     """Flattened per-sample scores, one [batch, param_count] array per layer.
 
     Sample i's row is the gradient of that sample's pseudo-label
-    log-likelihood, extracted by seeding the shared tape with the i-th
-    unit vector; with batch statistics in play this includes the paths
-    through the shared normalization moments.
+    log-likelihood. All rows come from one plain-array forward and one
+    reverse pass over the layer stack whose cotangent carries a leading
+    sample axis, [s, n, f]: slice i is seeded at the logits with
+    ``onehot(pseudo_i) - softmax_i`` in row i and zeros elsewhere, and
+    each weight layer writes its per-sample gradients straight into the
+    output rows. With batch statistics in play the norm backward couples
+    the rows, so the paths through the shared normalization moments are
+    included. Samples go through in chunks of ``_CHUNK_ROWS // n`` (at
+    least one), so s*n, and with it every temporary, stays bounded.
     """
-    ll_vec, _ = _pseudo_loglik(model, inputs, batch_stats)
-    n = ll_vec.data.shape[0]
-    layers = model.weight_layers()
+    logits, saved = model.forward_cached(inputs, batch_stats=batch_stats)
+    n = logits.shape[0]
+    ls = ad.log_softmax(ad.constant(logits)).data
+    seed = -np.exp(ls)
+    seed[np.arange(n), ls.argmax(axis=1)] += 1.0
     out = {
-        layer.name: np.empty((n, layer.param_count())) for layer in layers
+        layer.name: np.empty((n, layer.param_count())) for layer in model.weight_layers()
     }
-    params = [p for layer in layers for p in layer.params]
-    order = ad._toposort(ll_vec)  # one sort shared by all per-sample passes
-    seed = np.zeros(n)
-    for i in range(n):
-        seed[i] = 1.0
-        for p in params:
-            p.grad = None
-        ad._backprop(order, ll_vec, seed.copy())
-        for layer in layers:
-            row = out[layer.name][i]
-            offset = 0
-            for p in layer.params:
-                size = p.data.size
-                g = p.grad
-                if g is None:
-                    row[offset : offset + size] = 0.0
-                else:
-                    row[offset : offset + size] = g.ravel()
-                offset += size
-        seed[i] = 0.0
+    # nothing below the first weight layer needs a cotangent
+    first = next((i for i, layer in enumerate(model.layers) if layer.params), len(model.layers))
+    chunk = max(1, _CHUNK_ROWS // max(n, 1))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        g = np.zeros((stop - start, n, seed.shape[1]))
+        g[np.arange(stop - start), np.arange(start, stop)] = seed[start:stop]
+        for i in range(len(model.layers) - 1, first - 1, -1):
+            layer, kept = model.layers[i], saved[i]
+            if layer.kind == "relu":
+                g *= kept
+                continue
+            rows = out[layer.name][start:stop]
+            split = layer.params[0].data.size
+            if layer.kind == "dense":
+                rows[:, :split] = np.matmul(kept.T, g).reshape(stop - start, split)
+                np.einsum("snf->sf", g, out=rows[:, split:])
+                if i > first:
+                    g = g @ layer.params[0].data.T
+            else:  # norm
+                xhat, inv_std, _, _ = kept
+                g_scale = np.einsum("snf,nf->sf", g, xhat, out=rows[:, :split])
+                g_shift = np.einsum("snf->sf", g, out=rows[:, split:])
+                if i > first:
+                    if batch_stats:
+                        g -= (g_shift[:, None] + xhat * g_scale[:, None]) / n
+                    g *= layer.params[0].data * inv_std
     return out
 
 

@@ -60,6 +60,21 @@ class Model:
     def norm_layers(self) -> list[LayerParams]:
         return [layer for layer in self.layers if layer.kind == "norm"]
 
+    def _check_inputs(self, x: np.ndarray) -> None:
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ad.ShapeError(
+                f"forward: expected [batch, {self.input_dim}] inputs, got {x.shape}"
+            )
+
+    @staticmethod
+    def _fixed_stats(layer: LayerParams, batch_stats: bool):
+        """(mean, var) a norm layer normalizes with; (None, None) for the batch's."""
+        if batch_stats:
+            return None, None
+        if layer.source_mean is None:
+            raise RuntimeError(f"layer {layer.name}: no source statistics recorded")
+        return layer.source_mean, layer.source_var
+
     def forward(self, inputs, batch_stats: bool = True) -> Tensor:
         """Logits for a [batch, input_dim] array.
 
@@ -68,10 +83,7 @@ class Model:
         source statistics, which is the frozen-source prediction path.
         """
         x = inputs if isinstance(inputs, Tensor) else ad.constant(inputs)
-        if x.data.ndim != 2 or x.data.shape[1] != self.input_dim:
-            raise ad.ShapeError(
-                f"forward: expected [batch, {self.input_dim}] inputs, got {x.data.shape}"
-            )
+        self._check_inputs(x.data)
         out = x
         for layer in self.layers:
             if layer.kind == "dense":
@@ -79,21 +91,41 @@ class Model:
                 out = ad.add(ad.matmul(out, weight), bias)
             elif layer.kind == "norm":
                 scale, shift = layer.params
-                if batch_stats:
-                    out = ad.batch_norm(out, scale, shift)
-                else:
-                    if layer.source_mean is None:
-                        raise RuntimeError(
-                            f"layer {layer.name}: no source statistics recorded"
-                        )
-                    out = ad.batch_norm(
-                        out, scale, shift, mean=layer.source_mean, var=layer.source_var
-                    )
+                mean, var = self._fixed_stats(layer, batch_stats)
+                out = ad.batch_norm(out, scale, shift, mean=mean, var=var)
             elif layer.kind == "relu":
                 out = ad.relu(out)
             else:
                 raise ValueError(f"unknown layer kind {layer.kind!r}")
         return out
+
+    def forward_cached(self, inputs, batch_stats: bool = True) -> tuple[np.ndarray, list]:
+        """Plain-array forward that keeps what a reverse pass needs.
+
+        Returns the logits, bit-identical to ``forward(...).data`` (same
+        operations in the same order, no tape), and one saved entry per
+        layer: a dense layer's input, a norm layer's
+        ``(xhat, inv_std, mean, var)``, a ReLU's positive mask.
+        """
+        out = np.asarray(inputs, dtype=np.float64)
+        self._check_inputs(out)
+        saved: list = []
+        for layer in self.layers:
+            if layer.kind == "dense":
+                weight, bias = layer.params
+                saved.append(out)
+                out = out @ weight.data + bias.data
+            elif layer.kind == "norm":
+                scale, shift = layer.params
+                norm = ad.normalize(out, *self._fixed_stats(layer, batch_stats))
+                saved.append(norm)
+                out = norm[0] * scale.data + shift.data
+            elif layer.kind == "relu":
+                saved.append(out > 0.0)
+                out = np.maximum(out, 0.0)
+            else:
+                raise ValueError(f"unknown layer kind {layer.kind!r}")
+        return out, saved
 
     def clone(self) -> "Model":
         """Deep copy; parameters, flags and buffers are all duplicated."""
@@ -171,20 +203,10 @@ def record_source_stats(model: Model, inputs: np.ndarray) -> None:
     source set) and freezes the mean/variance every norm layer actually
     used, so the frozen-source prediction path reproduces that pass.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    out = x
-    for layer in model.layers:
-        if layer.kind == "dense":
-            weight, bias = layer.params
-            out = out @ weight.data + bias.data
-        elif layer.kind == "norm":
-            layer.source_mean = out.mean(axis=0)
-            layer.source_var = out.var(axis=0)
-            scale, shift = layer.params
-            out = (out - layer.source_mean) / np.sqrt(layer.source_var + 1e-5)
-            out = out * scale.data + shift.data
-        elif layer.kind == "relu":
-            out = np.where(out > 0.0, out, 0.0)
+    _, saved = model.forward_cached(inputs, batch_stats=True)
+    for layer, kept in zip(model.layers, saved):
+        if layer.kind == "norm":
+            _, _, layer.source_mean, layer.source_var = kept
 
 
 # ---------------------------------------------------------------------------

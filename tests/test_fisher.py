@@ -16,7 +16,7 @@ from fimtta.fisher import (
     score,
 )
 from fimtta.losses import nll_loss
-from fimtta.model import build_classifier
+from fimtta.model import build_classifier, record_source_stats
 
 
 def test_score_is_pseudo_label_likelihood_gradient():
@@ -85,6 +85,90 @@ def test_mean_of_per_sample_scores_equals_batch_score():
     for layer in m.weight_layers():
         flat = np.concatenate([g.ravel() for g in mean[layer.name]])
         assert np.allclose(per[layer.name].mean(axis=0), flat, rtol=1e-12, atol=1e-14)
+
+
+def _loop_scores(model, inputs, batch_stats):
+    """Reference per-sample scores: one tape replay per sample, seeded with e_i."""
+    ls = ad.log_softmax(model.forward(inputs, batch_stats=batch_stats))
+    ll_vec = ad.take_per_row(ls, ls.data.argmax(axis=1))
+    layers = model.weight_layers()
+    params = [p for layer in layers for p in layer.params]
+    n = ll_vec.data.shape[0]
+    out = {layer.name: np.empty((n, layer.param_count())) for layer in layers}
+    for i in range(n):
+        grads = iter(ad.grads_of(ll_vec, params, seed=np.eye(n)[i]))
+        for layer in layers:
+            out[layer.name][i] = np.concatenate([next(grads).ravel() for _ in layer.params])
+    return out
+
+
+def _random_model(rng):
+    """Classifier of random depth and widths, with every parameter perturbed."""
+    input_dim = int(rng.integers(1, 7))
+    hidden = [int(h) for h in rng.integers(1, 12, size=int(rng.integers(0, 4)))]
+    m = build_classifier(input_dim, hidden, int(rng.integers(2, 5)), seed=int(rng.integers(1000)))
+    for layer in m.weight_layers():
+        for p in layer.params:
+            p.data += 0.3 * rng.standard_normal(p.data.shape)
+    record_source_stats(m, 1.5 * rng.standard_normal((50, input_dim)) + 0.5)
+    return m
+
+
+def _assert_scores_match(got, ref):
+    assert got.keys() == ref.keys()
+    for name, r in ref.items():
+        assert got[name].shape == r.shape
+        # dense biases in front of batch-stat norm have analytically zero
+        # scores; on them both sides are rounding noise
+        tol = 1e-12 * max(float(np.linalg.norm(r)), 1e-3)
+        assert np.abs(got[name] - r).max() <= tol, name
+
+
+# With 512 chunk rows, 40 samples run as chunks of 12, 12, 12 and 4, and
+# the desk batch of 64 as eight chunks of 8.
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 64])
+@pytest.mark.parametrize("batch_stats", [True, False])
+def test_batched_per_sample_scores_match_per_sample_replay(n, batch_stats):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        m = _random_model(rng)
+        x = rng.standard_normal((n, m.input_dim))
+        _assert_scores_match(
+            per_sample_scores(m, x, batch_stats=batch_stats), _loop_scores(m, x, batch_stats)
+        )
+
+
+@pytest.mark.parametrize("chunk_rows", [7, 20])
+def test_batched_scores_independent_of_chunking(monkeypatch, chunk_rows):
+    # 7 samples in chunks of 1, and in chunks of 2, 2, 2, 1
+    rng = np.random.default_rng(11)
+    m = _random_model(rng)
+    x = rng.standard_normal((7, m.input_dim))
+    ref = _loop_scores(m, x, True)
+    monkeypatch.setattr(fisher, "_CHUNK_ROWS", chunk_rows)
+    _assert_scores_match(per_sample_scores(m, x), ref)
+
+
+def test_desk_model_batched_scores_match_per_sample_replay():
+    rng = np.random.default_rng(12)
+    m = build_classifier(16, [32, 32, 32, 32], 3, seed=4)
+    for layer in m.weight_layers():
+        for p in layer.params:
+            p.data += 0.1 * rng.standard_normal(p.data.shape)
+    x = rng.standard_normal((64, 16))
+    _assert_scores_match(per_sample_scores(m, x), _loop_scores(m, x, True))
+
+
+@pytest.mark.parametrize("batch_stats", [True, False])
+def test_nan_input_row_gives_non_finite_traces_in_both_paths(batch_stats):
+    rng = np.random.default_rng(13)
+    m = build_classifier(4, [6, 5], 3, seed=9)
+    record_source_stats(m, rng.standard_normal((30, 4)))
+    x = rng.standard_normal((9, 4))
+    x[3, 1] = np.nan
+    for scores in (per_sample_scores(m, x, batch_stats), _loop_scores(m, x, batch_stats)):
+        traces = layer_fim_trace(scores)
+        assert not any(np.isfinite(v) for v in traces.values()), traces
 
 
 def test_trace_of_single_vector():

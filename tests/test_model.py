@@ -173,3 +173,42 @@ def test_forward_output_shape_is_batch_by_classes():
     m = build_classifier(7, [5], 4, seed=2)
     out = m.forward(np.zeros((9, 7)))
     assert out.data.shape == (9, 4)
+
+
+def _perturbed_model(rng, input_dim=5, hidden=(8, 6, 7), class_count=4):
+    m = build_classifier(input_dim, list(hidden), class_count, seed=3)
+    for layer in m.weight_layers():
+        for p in layer.params:
+            p.data += 0.2 * rng.standard_normal(p.data.shape)
+    record_source_stats(m, rng.standard_normal((40, input_dim)) + 0.3)
+    return m
+
+
+@pytest.mark.parametrize("batch_stats", [True, False])
+def test_forward_cached_logits_equal_tape_forward(batch_stats):
+    rng = np.random.default_rng(20)
+    for m, n in ((_perturbed_model(rng), 9), (_perturbed_model(rng, 16, [32] * 4, 3), 64)):
+        x = rng.standard_normal((n, m.input_dim))
+        logits, saved = m.forward_cached(x, batch_stats=batch_stats)
+        assert np.array_equal(logits, m.forward(x, batch_stats=batch_stats).data)
+        assert len(saved) == len(m.layers)
+
+
+def test_recorded_source_stats_reproduce_the_batch_stat_pass():
+    rng = np.random.default_rng(21)
+    m = _perturbed_model(rng)
+    x = rng.standard_normal((32, 5))
+    record_source_stats(m, x)
+    assert np.array_equal(
+        m.forward(x, batch_stats=False).data, m.forward(x, batch_stats=True).data
+    )
+
+
+def test_forward_cached_and_source_stats_reject_dimension_mismatch():
+    m = build_classifier(4, [8], 2, seed=0)
+    for bad in (np.zeros((3, 5)), np.zeros(4)):
+        with pytest.raises(ad.ShapeError, match="forward"):
+            m.forward_cached(bad)
+        with pytest.raises(ad.ShapeError, match="forward"):
+            record_source_stats(m, bad)
+    assert m.norm_layers()[0].source_mean is None
