@@ -6,10 +6,10 @@ rates for entropy-based self-adaptation of a frozen-source classifier.
 """
 
 from .autodiff import ShapeError, Tensor, backward, constant, param
-from .fisher import FisherState, accumulate, fim_diagonal, layer_fim_trace, learning_weights, per_sample_scores, score
+from .fisher import FisherState, accumulate, fim_diagonal, layer_fim_trace, learning_weights, per_sample_scores
 from .harness import AdaptConfig, MetricsRecord, adapt_stream, pretrain, run_experiment
 from .losses import LossConfig, augment, consistency_loss, entropy_loss, nll_loss, total_loss
-from .model import Model, build_classifier, load_checkpoint, predict, save_checkpoint
+from .model import Model, build_classifier, load_checkpoint, save_checkpoint
 from .scheduler import AdamState, exp_minmax_scale, layer_rates, weighted_step
 from .stream import (
     CorruptionSpec,
@@ -56,11 +56,9 @@ __all__ = [
     "nll_loss",
     "param",
     "per_sample_scores",
-    "predict",
     "pretrain",
     "run_experiment",
     "save_checkpoint",
-    "score",
     "total_loss",
     "weighted_step",
 ]

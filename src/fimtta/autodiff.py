@@ -1,11 +1,11 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Covers exactly the operations the classifier and its adaptation losses
-need: matrix multiply, bias add, ReLU, batch normalization with a
-learnable affine, log-softmax, sigmoid/log-sigmoid, elementwise
-arithmetic and full reductions. Everything is float64 and eager; each
-operation records a tape node so a later ``backward`` call can replay
-the chain rule. Tapes are per-batch and never shared across threads.
+The library tapes only the loss heads, over logit leaves; the layer
+stack has its own backward (``Model.backward``). The layer ops (matrix
+multiply, bias add, ReLU, batch normalization with a learnable affine)
+serve the tape oracle the tests check that backward against. Everything
+is float64 and eager; each operation records a tape node so a later
+``backward`` call can replay the chain rule. Tapes are per-batch.
 """
 
 from __future__ import annotations
@@ -289,17 +289,21 @@ def normalize(
     """Standardize [n, f] values feature-wise: (xhat, inv_std, mean, var).
 
     Without ``mean``/``var`` the batch's own statistics are used. The
-    tape op and the plain-array forward both go through here, so their
-    outputs agree bit for bit.
+    tape op and ``Model.forward`` both go through here, so their outputs
+    agree bit for bit.
     """
     if mean is None:
-        mu = xd.mean(axis=0)
-        sig2 = xd.var(axis=0)
+        # the operations of xd.mean(0) and xd.var(0), without recentring twice
+        mu = xd.sum(axis=0) / xd.shape[0]
+        xhat = xd - mu
+        sig2 = (xhat * xhat).sum(axis=0) / xd.shape[0]
     else:
         mu = np.asarray(mean, dtype=np.float64)
         sig2 = np.asarray(var, dtype=np.float64)
+        xhat = xd - mu
     inv_std = 1.0 / np.sqrt(sig2 + eps)
-    return (xd - mu) * inv_std, inv_std, mu, sig2
+    xhat *= inv_std
+    return xhat, inv_std, mu, sig2
 
 
 def batch_norm(

@@ -54,35 +54,16 @@ class FisherState:
 _CHUNK_ROWS = 512
 
 
-def score(model: Model, inputs, batch_stats: bool = True) -> dict[str, list[np.ndarray]]:
-    """Batch-mean score per layer: gradient of the mean log-likelihood.
-
-    Returned arrays match each layer's parameter shapes. Model
-    parameters themselves are left untouched.
-    """
-    ls = ad.log_softmax(model.forward(inputs, batch_stats=batch_stats))
-    ll_mean = ad.mean_all(ad.take_per_row(ls, ls.data.argmax(axis=1)))
-    out: dict[str, list[np.ndarray]] = {}
-    for layer in model.weight_layers():
-        out[layer.name] = ad.grads_of(ll_mean, layer.params)
-    return out
-
-
-def per_sample_scores(model: Model, inputs, batch_stats: bool = True) -> dict[str, np.ndarray]:
+def per_sample_scores(model: Model, logits: np.ndarray, saved: list) -> dict[str, np.ndarray]:
     """Flattened per-sample scores, one [batch, param_count] array per layer.
 
-    Sample i's row is the gradient of that sample's pseudo-label
-    log-likelihood. All rows come from one plain-array forward and one
-    reverse pass over the layer stack whose cotangent carries a leading
-    sample axis, [s, n, f]: slice i is seeded at the logits with
-    ``onehot(pseudo_i) - softmax_i`` in row i and zeros elsewhere, and
-    each weight layer writes its per-sample gradients straight into the
-    output rows. With batch statistics in play the norm backward couples
-    the rows, so the paths through the shared normalization moments are
-    included. Samples go through in chunks of ``_CHUNK_ROWS // n`` (at
+    ``logits`` and ``saved`` are one ``model.forward`` of the batch (the
+    prediction pass). Sample i's row is the gradient of that sample's
+    pseudo-label log-likelihood: one ``model.backward`` whose cotangent
+    slice i is ``onehot(pseudo_i) - softmax_i`` in row i and zeros
+    elsewhere. Samples go through in chunks of ``_CHUNK_ROWS // n`` (at
     least one), so s*n, and with it every temporary, stays bounded.
     """
-    logits, saved = model.forward_cached(inputs, batch_stats=batch_stats)
     n = logits.shape[0]
     ls = ad.log_softmax(ad.constant(logits)).data
     seed = -np.exp(ls)
@@ -90,33 +71,12 @@ def per_sample_scores(model: Model, inputs, batch_stats: bool = True) -> dict[st
     out = {
         layer.name: np.empty((n, layer.param_count())) for layer in model.weight_layers()
     }
-    # nothing below the first weight layer needs a cotangent
-    first = next((i for i, layer in enumerate(model.layers) if layer.params), len(model.layers))
     chunk = max(1, _CHUNK_ROWS // max(n, 1))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         g = np.zeros((stop - start, n, seed.shape[1]))
         g[np.arange(stop - start), np.arange(start, stop)] = seed[start:stop]
-        for i in range(len(model.layers) - 1, first - 1, -1):
-            layer, kept = model.layers[i], saved[i]
-            if layer.kind == "relu":
-                g *= kept
-                continue
-            rows = out[layer.name][start:stop]
-            split = layer.params[0].data.size
-            if layer.kind == "dense":
-                rows[:, :split] = np.matmul(kept.T, g).reshape(stop - start, split)
-                np.einsum("snf->sf", g, out=rows[:, split:])
-                if i > first:
-                    g = g @ layer.params[0].data.T
-            else:  # norm
-                xhat, inv_std, _, _ = kept
-                g_scale = np.einsum("snf,nf->sf", g, xhat, out=rows[:, :split])
-                g_shift = np.einsum("snf->sf", g, out=rows[:, split:])
-                if i > first:
-                    if batch_stats:
-                        g -= (g_shift[:, None] + xhat * g_scale[:, None]) / n
-                    g *= layer.params[0].data * inv_std
+        model.backward(saved, g, {name: rows[start:stop] for name, rows in out.items()})
     return out
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fisher, losses, scheduler
-from .model import Model, predict, record_source_stats
+from .model import Model, record_source_stats
 from .stream import Dataset, DomainSchedule, ScheduleStream, SourceSpec
 
 logger = logging.getLogger(__name__)
@@ -111,32 +111,41 @@ def pretrain(
         order = rng.permutation(n)
         for start in range(0, n - batch_size + 1, batch_size):
             pick = order[start : start + batch_size]
-            logits = model.forward(source.inputs[pick], batch_stats=True)
-            loss = losses.nll_loss(logits, source.labels[pick])
+            logits, saved = model.forward(source.inputs[pick], batch_stats=True)
+            leaf = ad.param(logits)
+            loss = losses.nll_loss(leaf, source.labels[pick])
             last_loss = loss.item()
             if not np.isfinite(last_loss):
                 raise PretrainDiverged(
                     f"pretraining loss became {last_loss} at epoch step; aborting"
                 )
-            grads = collect_grads(model, loss)
+            grads = collect_grads(model, loss, [(leaf, saved)])
             scheduler.weighted_step(model, grads, uniform, optimizer=opt)
     record_source_stats(model, source.inputs)
-    logits = model.forward(source.inputs, batch_stats=False)
-    accuracy = float((logits.data.argmax(axis=1) == source.labels).mean())
+    logits, _ = model.forward(source.inputs, batch_stats=False)
+    accuracy = float((logits.argmax(axis=1) == source.labels).mean())
     return PretrainResult(model=model, accuracy=accuracy, final_loss=last_loss)
 
 
-def collect_grads(model: Model, loss: ad.Tensor) -> dict[str, list[np.ndarray]]:
-    """Backward pass and per-layer gradient harvest, in layer order."""
-    params = [p for layer in model.weight_layers() for p in layer.params]
-    ad.grads_of(loss, params)
-    return {
-        layer.name: [
-            p.grad if p.grad is not None else np.zeros(p.data.shape)
-            for p in layer.params
-        ]
-        for layer in model.weight_layers()
-    }
+def collect_grads(model: Model, loss: ad.Tensor, passes: list[tuple[ad.Tensor, list]]) -> dict[str, list[np.ndarray]]:
+    """Per-layer parameter gradients of a loss built on model logits.
+
+    ``passes`` pairs each logit leaf the loss reads with the cache of the
+    ``model.forward`` that produced it. The loss-head tape gives each
+    leaf's cotangent, one ``model.backward`` per forward turns it into
+    parameter gradients, and the forwards' shares are summed.
+    """
+    total = None
+    for (_, saved), g in zip(passes, ad.grads_of(loss, [leaf for leaf, _ in passes])):
+        rows = model.backward(saved, g[None])
+        total = rows if total is None else {name: total[name] + rows[name] for name in rows}
+    grads: dict[str, list[np.ndarray]] = {}
+    for layer in model.weight_layers():
+        flat, grads[layer.name] = total[layer.name][0], []
+        for p in layer.params:
+            grads[layer.name].append(flat[: p.data.size].reshape(p.data.shape))
+            flat = flat[p.data.size :]
+    return grads
 
 
 def adapt_stream(
@@ -165,10 +174,11 @@ def adapt_stream(
     for batch in stream:
         started = time.perf_counter()
         batch_stats = cfg.method != "source"
-        logits = predict(model, batch.inputs, batch_stats=batch_stats)
+        logits, saved = model.forward(batch.inputs, batch_stats=batch_stats)
         labels = stream.labels_for(batch.step)
-        error = float((logits.data.argmax(axis=1) != labels).mean())
-        ent = losses.entropy_loss(logits)
+        error = float((logits.argmax(axis=1) != labels).mean())
+        leaf = ad.param(logits)
+        ent = losses.entropy_loss(leaf)
         entropy_val = float(ent.data)
         consistency_val = 0.0
         w_raw: list[float] = []
@@ -177,16 +187,15 @@ def adapt_stream(
 
         if updating:
             if cfg.method in ("layerwise", "naive_eq6"):
-                sample_scores = fisher.per_sample_scores(
-                    model, batch.inputs, batch_stats=True
-                )
+                sample_scores = fisher.per_sample_scores(model, logits, saved)
                 traces = fisher.layer_fim_trace(sample_scores)
-                diag = (
-                    fisher.fim_diagonal(sample_scores)
-                    if cfg.track_diagonal
-                    else None
-                )
-                fisher.accumulate(state, traces, current_diagonal=diag)
+                if all(np.isfinite(v) for v in traces.values()):
+                    diag = fisher.fim_diagonal(sample_scores) if cfg.track_diagonal else None
+                    fisher.accumulate(state, traces, current_diagonal=diag)
+                else:
+                    logger.warning(
+                        "adapt_stream: step %d has non-finite traces, not accumulated", batch.step
+                    )
                 if state.diagonals is not None:
                     diag_snapshot = {k: v.copy() for k, v in state.diagonals.items()}
                 weights = fisher.learning_weights(state)
@@ -203,17 +212,18 @@ def adapt_stream(
                 w_bar = [1.0] * n_layers
             rates = scheduler.layer_rates(w_bar_arr, cfg.eta)
 
+            passes = [(leaf, saved)]
             if cfg.lam > 0.0:
                 augmented = losses.augment(batch.inputs, aug_rng, loss_cfg)
-                aug_logits = model.forward(augmented, batch_stats=True)
-                cons = losses.consistency_loss(
-                    logits, aug_logits, kind=cfg.consistency
-                )
+                aug_logits, aug_saved = model.forward(augmented, batch_stats=True)
+                aug_leaf = ad.param(aug_logits)
+                passes.append((aug_leaf, aug_saved))
+                cons = losses.consistency_loss(leaf, aug_leaf, kind=cfg.consistency)
                 consistency_val = float(cons.data)
                 total = ad.add(ent, cons * cfg.lam)
             else:
                 total = ent
-            grads = collect_grads(model, total)
+            grads = collect_grads(model, total, passes)
             applied = scheduler.weighted_step(model, grads, rates, optimizer=opt)
             if not applied:
                 logger.warning(
@@ -221,8 +231,8 @@ def adapt_stream(
                 )
 
         if cfg.error_post_update:
-            post = predict(model, batch.inputs, batch_stats=batch_stats)
-            error = float((post.data.argmax(axis=1) != labels).mean())
+            post, _ = model.forward(batch.inputs, batch_stats=batch_stats)
+            error = float((post.argmax(axis=1) != labels).mean())
         records.append(
             MetricsRecord(
                 step=batch.step,

@@ -31,10 +31,6 @@ class LayerParams:
     source_mean: np.ndarray | None = None
     source_var: np.ndarray | None = None
 
-    @property
-    def grads(self) -> list[np.ndarray | None]:
-        return [p.grad for p in self.params]
-
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params)
 
@@ -75,37 +71,16 @@ class Model:
             raise RuntimeError(f"layer {layer.name}: no source statistics recorded")
         return layer.source_mean, layer.source_var
 
-    def forward(self, inputs, batch_stats: bool = True) -> Tensor:
-        """Logits for a [batch, input_dim] array.
+    def forward(self, inputs, batch_stats: bool = True) -> tuple[np.ndarray, list]:
+        """Logits for a [batch, input_dim] array, plus what ``backward`` needs.
 
         ``batch_stats=True`` normalizes with the current batch statistics
         (the convention during adaptation); ``False`` uses the stored
         source statistics, which is the frozen-source prediction path.
-        """
-        x = inputs if isinstance(inputs, Tensor) else ad.constant(inputs)
-        self._check_inputs(x.data)
-        out = x
-        for layer in self.layers:
-            if layer.kind == "dense":
-                weight, bias = layer.params
-                out = ad.add(ad.matmul(out, weight), bias)
-            elif layer.kind == "norm":
-                scale, shift = layer.params
-                mean, var = self._fixed_stats(layer, batch_stats)
-                out = ad.batch_norm(out, scale, shift, mean=mean, var=var)
-            elif layer.kind == "relu":
-                out = ad.relu(out)
-            else:
-                raise ValueError(f"unknown layer kind {layer.kind!r}")
-        return out
-
-    def forward_cached(self, inputs, batch_stats: bool = True) -> tuple[np.ndarray, list]:
-        """Plain-array forward that keeps what a reverse pass needs.
-
-        Returns the logits, bit-identical to ``forward(...).data`` (same
-        operations in the same order, no tape), and one saved entry per
-        layer: a dense layer's input, a norm layer's
-        ``(xhat, inv_std, mean, var)``, a ReLU's positive mask.
+        The cache holds one entry per layer: a dense layer's input, a norm
+        layer's ``(xhat, inv_std, mean, var)`` (moments only when they are
+        the batch's own, so the backward flows through them), a ReLU's
+        positive mask.
         """
         out = np.asarray(inputs, dtype=np.float64)
         self._check_inputs(out)
@@ -118,7 +93,7 @@ class Model:
             elif layer.kind == "norm":
                 scale, shift = layer.params
                 norm = ad.normalize(out, *self._fixed_stats(layer, batch_stats))
-                saved.append(norm)
+                saved.append(norm if batch_stats else norm[:2] + (None, None))
                 out = norm[0] * scale.data + shift.data
             elif layer.kind == "relu":
                 saved.append(out > 0.0)
@@ -126,6 +101,43 @@ class Model:
             else:
                 raise ValueError(f"unknown layer kind {layer.kind!r}")
         return out, saved
+
+    def backward(self, saved: list, g: np.ndarray, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+        """Parameter gradients for a logit cotangent ``g`` of shape [s, n, C].
+
+        One reverse pass over the layer stack with a leading cotangent
+        axis: row k of ``out[name]`` ([s, param_count], the layer's
+        parameters flattened in order) is the gradient of
+        ``sum(g[k] * logits)``. s=1 gives batch gradients; s=n with slice
+        i seeded in row i gives per-sample gradients. Rows are allocated
+        when ``out`` is not given; ``g`` is overwritten.
+        """
+        s, n = g.shape[:2]
+        if out is None:
+            out = {layer.name: np.empty((s, layer.param_count())) for layer in self.weight_layers()}
+        # nothing below the first weight layer needs a cotangent
+        first = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
+        for i in range(len(self.layers) - 1, first - 1, -1):
+            layer, kept = self.layers[i], saved[i]
+            if layer.kind == "relu":
+                g *= kept
+                continue
+            rows = out[layer.name]
+            split = layer.params[0].data.size
+            if layer.kind == "dense":
+                rows[:, :split] = np.matmul(kept.T, g).reshape(s, split)
+                np.einsum("snf->sf", g, out=rows[:, split:])
+                if i > first:
+                    g = g @ layer.params[0].data.T
+            else:  # norm
+                xhat, inv_std, mean, _ = kept
+                g_scale = np.einsum("snf,nf->sf", g, xhat, out=rows[:, :split])
+                g_shift = np.einsum("snf->sf", g, out=rows[:, split:])
+                if i > first:
+                    if mean is not None:
+                        g -= (g_shift[:, None] + xhat * g_scale[:, None]) / n
+                    g *= layer.params[0].data * inv_std
+        return out
 
     def clone(self) -> "Model":
         """Deep copy; parameters, flags and buffers are all duplicated."""
@@ -191,11 +203,6 @@ def build_classifier(
     return Model(layers, input_dim, class_count)
 
 
-def predict(model: Model, inputs, batch_stats: bool = True) -> Tensor:
-    """Logits for a batch; softmax of these gives class probabilities."""
-    return model.forward(inputs, batch_stats=batch_stats)
-
-
 def record_source_stats(model: Model, inputs: np.ndarray) -> None:
     """Store each norm layer's observed input statistics on the given data.
 
@@ -203,7 +210,7 @@ def record_source_stats(model: Model, inputs: np.ndarray) -> None:
     source set) and freezes the mean/variance every norm layer actually
     used, so the frozen-source prediction path reproduces that pass.
     """
-    _, saved = model.forward_cached(inputs, batch_stats=True)
+    _, saved = model.forward(inputs, batch_stats=True)
     for layer, kept in zip(model.layers, saved):
         if layer.kind == "norm":
             _, _, layer.source_mean, layer.source_var = kept
@@ -256,8 +263,9 @@ def load_checkpoint(path) -> tuple[Model, dict[str, str]]:
     current: LayerParams | None = None
     i = 1
     while i < len(lines):
-        tokens = lines[i].split()
+        tokens = lines[i].split() or [""]
         kind = tokens[0]
+        where = f"{path}: line {i + 1}"
         if kind == "input_dim":
             input_dim = int(tokens[1])
         elif kind == "class_count":
@@ -271,16 +279,23 @@ def load_checkpoint(path) -> tuple[Model, dict[str, str]]:
                 trainable=bool(int(tokens[3].split("=")[1])),
             )
             layers.append(current)
-        elif kind == "param":
-            shape = tuple(int(t) for t in tokens[1:])
+        elif kind in ("param", "buffer"):
+            if current is None:
+                raise ValueError(f"{where}: {kind} line before any layer line")
+            if i + 1 == len(lines):
+                raise ValueError(f"{where}: {kind} line without its values line (truncated file)")
+            shape = tuple(int(t) for t in tokens[1 if kind == "param" else 2 :])
             i += 1
-            current.params.append(ad.param(_parse_vals(lines[i], shape)))
-        elif kind == "buffer":
-            shape = tuple(int(t) for t in tokens[2:])
-            i += 1
-            setattr(current, tokens[1], _parse_vals(lines[i], shape))
+            try:
+                vals = _parse_vals(lines[i], shape)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {i + 1}: bad {kind} values ({exc})") from None
+            if kind == "param":
+                current.params.append(ad.param(vals))
+            else:
+                setattr(current, tokens[1], vals)
         else:
-            raise ValueError(f"{path}: unrecognized checkpoint line {lines[i]!r}")
+            raise ValueError(f"{where}: unrecognized checkpoint line {lines[i]!r}")
         i += 1
     if input_dim is None or class_count is None:
         raise ValueError(f"{path}: checkpoint missing dimensions")

@@ -90,8 +90,9 @@ def weighted_step(
 
     ``rates`` aligns with ``model.weight_layers()``. Without an
     optimizer this is the plain per-layer SGD update; with one, the rate
-    multiplies the Adam step. A non-finite value in any gradient rejects
-    the whole step: the model is left untouched and the incident logged.
+    multiplies the Adam step. A non-finite rate, or a non-finite value in
+    any gradient, rejects the whole step: the model and the Adam moments
+    are left untouched and the incident logged.
     """
     layers = model.weight_layers()
     rate_arr = np.asarray(rates, dtype=np.float64)
@@ -99,6 +100,9 @@ def weighted_step(
         raise ValueError(
             f"weighted_step: expected {len(layers)} rates, got shape {rate_arr.shape}"
         )
+    if not np.isfinite(rate_arr).all():
+        logger.warning("weighted_step: non-finite rates %s; step rejected", rate_arr)
+        return False
     for layer in layers:
         if not layer.trainable:
             continue

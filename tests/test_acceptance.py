@@ -14,7 +14,7 @@ import pytest
 
 from conftest import finite_diff, max_rel_err
 from fimtta import autodiff as ad
-from fimtta import fisher, harness, losses, scheduler
+from fimtta import fisher, losses, scheduler
 from fimtta.harness import AdaptConfig, adapt_stream, run_experiment
 from fimtta.model import build_classifier
 from fimtta.stream import (
@@ -27,6 +27,7 @@ from fimtta.stream import (
     gen_source,
     make_schedule,
 )
+from oracle import batch_grads
 
 SEEDS = range(5)
 
@@ -71,25 +72,30 @@ def test_criterion_01_gradient_correctness():
         x = rng.standard_normal((n, d))
         labels = rng.integers(0, c, size=n)
         x_aug = x + 0.1 * rng.standard_normal(x.shape)
-        y_const = model.forward(x).data.copy()
-        params = [p for layer in model.weight_layers() for p in layer.params]
+        y_const = ad.constant(model.forward(x)[0])
 
+        # each loss as a function of its logits, and the batch they come from
         losses_under_test = [
-            (lambda: losses.entropy_loss(model.forward(x))),
-            (lambda: losses.nll_loss(model.forward(x), labels)),
-            (lambda: losses.consistency_loss(ad.constant(y_const), model.forward(x_aug))),
+            (losses.entropy_loss, x),
+            (lambda y: losses.nll_loss(y, labels), x),
+            (lambda y: losses.consistency_loss(y_const, y), x_aug),
         ]
-        for loss_fn in losses_under_test:
-            grads = ad.grads_of(loss_fn(), params)
-            for p, g in zip(params, grads):
-                fd = finite_diff(lambda: loss_fn().item(), p.data, h=1e-5)
-                assert max_rel_err(g, fd) < 1e-4
-                checked += 1
+        for loss_of, inputs in losses_under_test:
+            grads = batch_grads(model, loss_of, inputs)
+
+            def value():
+                return loss_of(ad.constant(model.forward(inputs)[0])).item()
+
+            for layer in model.weight_layers():
+                for p, g in zip(layer.params, grads[layer.name]):
+                    fd = finite_diff(value, p.data, h=1e-5)
+                    assert max_rel_err(g, fd) < 1e-4
+                    checked += 1
     elapsed = time.perf_counter() - started
     _report(
         1,
         elapsed < 30.0,
-        f"3 losses x 50 models, {checked} parameter tensors vs central "
+        f"3 losses x 50 models, {checked} collect_grads tensors vs central "
         f"differences at rel 1e-4, {elapsed:.1f}s",
     )
 
@@ -101,7 +107,7 @@ def test_criterion_02_fim_identities():
     worst = 0.0
     for _ in range(100):
         x = rng.standard_normal((int(rng.integers(4, 12)), 3))
-        per = fisher.per_sample_scores(model, x)
+        per = fisher.per_sample_scores(model, *model.forward(x))
         traces = fisher.layer_fim_trace(per)
         diags = fisher.fim_diagonal(per)
         for name, s in per.items():
@@ -165,13 +171,13 @@ def test_criterion_04_reduction_equivalence(desk_setup):
     recs = adapt_stream(ours, ScheduleStream(spec, fresh_schedule()), cfg)
     assert len(recs) == 50
 
+    # plain SGD on the library's batch gradients, bypassing the scheduler
     reference = model.clone()
-    ref_params = [p for layer in reference.weight_layers() for p in layer.params]
     for batch in ScheduleStream(spec, fresh_schedule()):
-        logits = reference.forward(batch.inputs, batch_stats=True)
-        ad.grads_of(losses.entropy_loss(logits), ref_params)
-        for p in ref_params:
-            p.data -= eta * p.grad
+        grads = batch_grads(reference, losses.entropy_loss, batch.inputs)
+        for layer in reference.weight_layers():
+            for p, g in zip(layer.params, grads[layer.name]):
+                p.data -= eta * g
 
     identical = True
     for a, b in zip(ours.weight_layers(), reference.weight_layers()):
@@ -192,8 +198,7 @@ def test_criterion_05_frozen_layer_guarantee(desk_setup):
     sched = make_schedule("continual", ["gaussian_noise", "feature_blur"], 50, 64, seed=1)
     count = 0
     for batch in ScheduleStream(spec, sched):
-        logits = work.forward(batch.inputs, batch_stats=True)
-        grads = harness.collect_grads(work, losses.entropy_loss(logits))
+        grads = batch_grads(work, losses.entropy_loss, batch.inputs)
         assert scheduler.weighted_step(work, grads, rates, optimizer=opt)
         count += 1
     assert count == 100

@@ -1,0 +1,91 @@
+"""Calls per batch through the attributes ``bench/run.py`` patches.
+
+The benchmark times the loop by replacing module and class attributes
+(``Model.forward``, ``harness.collect_grads``, ``fisher.*``,
+``losses.*``, ``scheduler.*``) and probes host speed on
+``collect_grads`` during pretraining. These tests patch the same names
+with counters, so a refactor that stops reaching one of them, or calls it
+a different number of times, fails here instead of silently blinding the
+benchmark.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from fimtta import fisher, harness, losses, scheduler
+from fimtta.harness import AdaptConfig, adapt_stream, pretrain
+from fimtta.model import Model, build_classifier
+from fimtta.stream import ScheduleStream, SourceSpec, gen_source, make_schedule
+
+TARGETS = [
+    (Model, "forward"),
+    (harness, "collect_grads"),
+    (fisher, "per_sample_scores"),
+    (fisher, "layer_fim_trace"),
+    (fisher, "fim_diagonal"),
+    (fisher, "accumulate"),
+    (fisher, "learning_weights"),
+    (losses, "augment"),
+    (losses, "entropy_loss"),
+    (losses, "consistency_loss"),
+    (scheduler, "exp_minmax_scale"),
+    (scheduler, "layer_rates"),
+    (scheduler, "weighted_step"),
+]
+
+
+def _count_calls(monkeypatch) -> Counter:
+    counts: Counter = Counter()
+
+    def counted(real, name):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for owner, attr in TARGETS:
+        monkeypatch.setattr(owner, attr, counted(getattr(owner, attr), attr))
+    return counts
+
+
+def _tiny_task():
+    spec = SourceSpec(input_dim=6, class_count=3, margin=5.0, seed=0)
+    return spec, gen_source(spec, 240), build_classifier(6, [8, 8], 3, seed=0)
+
+
+def test_pretrain_calls_collect_grads_once_per_step(monkeypatch):
+    _, source, model = _tiny_task()
+    counts = _count_calls(monkeypatch)
+    pretrain(model, source, epochs=2, seed=0, batch_size=32)
+    steps = 2 * (240 // 32)
+    assert counts["collect_grads"] == steps
+    # one forward per step, one to record source statistics, one for accuracy
+    assert counts["forward"] == steps + 2
+
+
+PER_BATCH = {
+    "uniform_tent": {
+        "forward": 2, "collect_grads": 1, "augment": 1, "entropy_loss": 1,
+        "consistency_loss": 1, "layer_rates": 1, "weighted_step": 1,
+    },
+    "layerwise": {
+        "forward": 2, "collect_grads": 1, "per_sample_scores": 1, "layer_fim_trace": 1,
+        "accumulate": 1, "learning_weights": 1, "exp_minmax_scale": 1, "augment": 1,
+        "entropy_loss": 1, "consistency_loss": 1, "layer_rates": 1, "weighted_step": 1,
+    },
+}
+
+
+@pytest.mark.parametrize("method", sorted(PER_BATCH))
+def test_adapt_stream_calls_per_batch(monkeypatch, method):
+    spec, source, model = _tiny_task()
+    pretrain(model, source, epochs=2, seed=0, batch_size=32)
+    schedule = make_schedule("continual", ["contrast_scale", "gaussian_noise"], 3, 16, seed=0)
+    counts = _count_calls(monkeypatch)
+    records = adapt_stream(model.clone(), ScheduleStream(spec, schedule), AdaptConfig(method=method))
+    assert len(records) == 6
+    assert {name: calls / 6 for name, calls in counts.items()} == PER_BATCH[method]

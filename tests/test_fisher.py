@@ -13,10 +13,14 @@ from fimtta.fisher import (
     layer_fim_trace,
     learning_weights,
     per_sample_scores,
-    score,
 )
 from fimtta.losses import nll_loss
 from fimtta.model import build_classifier, record_source_stats
+from oracle import score, tape_forward
+
+
+def _scores(model, inputs, batch_stats=True):
+    return per_sample_scores(model, *model.forward(inputs, batch_stats=batch_stats))
 
 
 def test_score_is_pseudo_label_likelihood_gradient():
@@ -24,8 +28,8 @@ def test_score_is_pseudo_label_likelihood_gradient():
     rng = np.random.default_rng(0)
     m = build_classifier(1, [], 2, seed=3)
     x = rng.standard_normal((8, 1)) + 2.0  # away from the decision boundary
-    logits = m.forward(x, batch_stats=True)
-    ls = ad.log_softmax(logits).data
+    logits, _ = m.forward(x, batch_stats=True)
+    ls = ad.log_softmax(ad.constant(logits)).data
     probs = np.exp(ls)
     pseudo = ls.argmax(axis=1)
     onehot = np.eye(2)[pseudo]
@@ -40,7 +44,7 @@ def test_score_is_pseudo_label_likelihood_gradient():
     params = m.weight_layers()[0].params
 
     def neg_ll():
-        return -nll_loss(m.forward(x, batch_stats=True), pseudo).item()
+        return -nll_loss(ad.constant(m.forward(x, batch_stats=True)[0]), pseudo).item()
 
     for p, g in zip(params, got["head"]):
         assert max_rel_err(g, finite_diff(neg_ll, p.data)) < 1e-4
@@ -69,7 +73,7 @@ def test_score_does_not_mutate_parameters():
     m = build_classifier(3, [5], 2, seed=7)
     before = m.param_snapshot()
     score(m, rng.standard_normal((6, 3)))
-    per_sample_scores(m, rng.standard_normal((6, 3)))
+    _scores(m, rng.standard_normal((6, 3)))
     after = m.param_snapshot()
     for name in before:
         for a, b in zip(before[name], after[name]):
@@ -80,7 +84,7 @@ def test_mean_of_per_sample_scores_equals_batch_score():
     rng = np.random.default_rng(4)
     m = build_classifier(4, [5], 3, seed=2)
     x = rng.standard_normal((7, 4))
-    per = per_sample_scores(m, x)
+    per = _scores(m, x)
     mean = score(m, x)
     for layer in m.weight_layers():
         flat = np.concatenate([g.ravel() for g in mean[layer.name]])
@@ -89,7 +93,7 @@ def test_mean_of_per_sample_scores_equals_batch_score():
 
 def _loop_scores(model, inputs, batch_stats):
     """Reference per-sample scores: one tape replay per sample, seeded with e_i."""
-    ls = ad.log_softmax(model.forward(inputs, batch_stats=batch_stats))
+    ls = ad.log_softmax(tape_forward(model, inputs, batch_stats=batch_stats))
     ll_vec = ad.take_per_row(ls, ls.data.argmax(axis=1))
     layers = model.weight_layers()
     params = [p for layer in layers for p in layer.params]
@@ -134,7 +138,7 @@ def test_batched_per_sample_scores_match_per_sample_replay(n, batch_stats):
         m = _random_model(rng)
         x = rng.standard_normal((n, m.input_dim))
         _assert_scores_match(
-            per_sample_scores(m, x, batch_stats=batch_stats), _loop_scores(m, x, batch_stats)
+            _scores(m, x, batch_stats=batch_stats), _loop_scores(m, x, batch_stats)
         )
 
 
@@ -146,7 +150,7 @@ def test_batched_scores_independent_of_chunking(monkeypatch, chunk_rows):
     x = rng.standard_normal((7, m.input_dim))
     ref = _loop_scores(m, x, True)
     monkeypatch.setattr(fisher, "_CHUNK_ROWS", chunk_rows)
-    _assert_scores_match(per_sample_scores(m, x), ref)
+    _assert_scores_match(_scores(m, x), ref)
 
 
 def test_desk_model_batched_scores_match_per_sample_replay():
@@ -156,7 +160,7 @@ def test_desk_model_batched_scores_match_per_sample_replay():
         for p in layer.params:
             p.data += 0.1 * rng.standard_normal(p.data.shape)
     x = rng.standard_normal((64, 16))
-    _assert_scores_match(per_sample_scores(m, x), _loop_scores(m, x, True))
+    _assert_scores_match(_scores(m, x), _loop_scores(m, x, True))
 
 
 @pytest.mark.parametrize("batch_stats", [True, False])
@@ -166,7 +170,7 @@ def test_nan_input_row_gives_non_finite_traces_in_both_paths(batch_stats):
     record_source_stats(m, rng.standard_normal((30, 4)))
     x = rng.standard_normal((9, 4))
     x[3, 1] = np.nan
-    for scores in (per_sample_scores(m, x, batch_stats), _loop_scores(m, x, batch_stats)):
+    for scores in (_scores(m, x, batch_stats), _loop_scores(m, x, batch_stats)):
         traces = layer_fim_trace(scores)
         assert not any(np.isfinite(v) for v in traces.values()), traces
 
@@ -194,7 +198,7 @@ def test_trace_identity_on_real_model_layers():
     rng = np.random.default_rng(6)
     m = build_classifier(3, [4], 2, seed=8)
     assert max(l.param_count() for l in m.weight_layers()) <= 32
-    per = per_sample_scores(m, rng.standard_normal((9, 3)))
+    per = _scores(m, rng.standard_normal((9, 3)))
     traces = layer_fim_trace(per)
     diags = fim_diagonal(per)
     for name, s in per.items():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fimtta import autodiff as ad
-from fimtta import harness, losses, scheduler
+from fimtta import fisher, harness, losses, scheduler
 from fimtta.harness import (
     AdaptConfig,
     PretrainDiverged,
@@ -17,6 +19,7 @@ from fimtta.harness import (
 )
 from fimtta.model import build_classifier, save_checkpoint
 from fimtta.stream import ScheduleStream, SourceSpec, gen_source, make_schedule
+from oracle import batch_grads
 
 TINY_KINDS = ["contrast_scale", "gaussian_noise"]
 
@@ -89,22 +92,23 @@ def test_pretrain_aborts_on_non_finite_loss():
 def test_collect_grads_matches_parameter_shapes():
     spec, model = tiny_setup()
     x = np.random.default_rng(0).standard_normal((8, 6))
-    grads = collect_grads(model, losses.entropy_loss(model.forward(x)))
+    logits, saved = model.forward(x)
+    leaf = ad.param(logits)
+    grads = collect_grads(model, losses.entropy_loss(leaf), [(leaf, saved)])
+    assert list(grads) == model.weight_layer_names()
     for layer in model.weight_layers():
         for p, g in zip(layer.params, grads[layer.name]):
             assert g.shape == p.data.shape
 
 
 def _hand_uniform_entropy_loop(model, spec, schedule, eta):
-    """Independent plain uniform-rate entropy-descent loop (no weighting)."""
+    """Plain uniform-rate SGD entropy-descent loop (no weighting, no scheduler)."""
     trajectory = []
     for batch in ScheduleStream(spec, schedule):
-        logits = model.forward(batch.inputs, batch_stats=True)
-        loss = losses.entropy_loss(logits)
-        params = [p for layer in model.weight_layers() for p in layer.params]
-        ad.grads_of(loss, params)
-        for p in params:
-            p.data -= eta * p.grad
+        grads = batch_grads(model, losses.entropy_loss, batch.inputs)
+        for layer in model.weight_layers():
+            for p, g in zip(layer.params, grads[layer.name]):
+                p.data -= eta * g
         trajectory.append(model.param_snapshot())
     return trajectory
 
@@ -328,3 +332,64 @@ def test_rejected_step_leaves_model_intact_and_continues(monkeypatch, caplog):
         )
     assert len(records) == 6  # the stream keeps going after the rejected step
     assert "rejected" in caplog.text
+
+
+class _NanAtStep:
+    """A stream whose batch at ``step`` has one NaN input element."""
+
+    def __init__(self, inner, step):
+        self.inner, self.step = inner, step
+
+    def labels_for(self, step):
+        return self.inner.labels_for(step)
+
+    def __iter__(self):
+        for batch in self.inner:
+            if batch.step == self.step:
+                inputs = batch.inputs.copy()
+                inputs[0, 0] = np.nan
+                batch = dataclasses.replace(batch, inputs=inputs)
+            yield batch
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_nan_batch_is_skipped_and_later_steps_apply(monkeypatch, caplog, optimizer):
+    import logging
+
+    spec, model = tiny_setup()
+    work = model.clone()
+    snapshots, folds = [], []
+    real_accumulate, real_step = fisher.accumulate, scheduler.weighted_step
+
+    def accumulate(state, traces, current_diagonal=None):
+        folds.append(traces)
+        return real_accumulate(state, traces, current_diagonal=current_diagonal)
+
+    def step(model_, grads, rates, optimizer=None):
+        applied = real_step(model_, grads, rates, optimizer=optimizer)
+        snapshots.append((applied, model_.param_snapshot()))
+        return applied
+
+    monkeypatch.setattr(harness.fisher, "accumulate", accumulate)
+    monkeypatch.setattr(harness.scheduler, "weighted_step", step)
+    cfg = AdaptConfig(seed=0, optimizer=optimizer, track_diagonal=True)
+    stream = _NanAtStep(ScheduleStream(spec, tiny_schedule(batches=4)), step=2)
+    with caplog.at_level(logging.WARNING), np.errstate(invalid="ignore"):
+        records = adapt_stream(work, stream, cfg)
+    assert len(records) == 8
+    assert "non-finite traces" in caplog.text and "rejected" in caplog.text
+    assert len(folds) == 7  # every batch but the NaN one is folded in
+    assert all(np.isfinite(list(traces.values())).all() for traces in folds)
+    assert [applied for applied, _ in snapshots] == [True, True, False] + [True] * 5
+    # the rejected step left the model as the step before it did ...
+    for name, params in snapshots[1][1].items():
+        for a, b in zip(params, snapshots[2][1][name]):
+            assert np.array_equal(a, b)
+    # ... and every later step still moved it
+    for (_, before), (_, after) in zip(snapshots[2:], snapshots[3:]):
+        assert not np.array_equal(before["dense1"][0], after["dense1"][0])
+    for rec in records:
+        assert np.isfinite(rec.w_raw).all() and np.isfinite(rec.w_bar).all()
+        assert all(np.isfinite(d).all() for d in rec.diag.values())
+    for layer in work.weight_layers():
+        assert all(np.isfinite(p.data).all() for p in layer.params)

@@ -10,10 +10,10 @@ from fimtta.model import (
     Model,
     build_classifier,
     load_checkpoint,
-    predict,
     record_source_stats,
     save_checkpoint,
 )
+from oracle import batch_grads, tape_forward
 
 
 def test_build_is_deterministic_per_seed():
@@ -35,7 +35,7 @@ def test_empty_hidden_dims_is_minimal_linear_classifier():
     m = build_classifier(4, [], 2, seed=0)
     assert len(m.weight_layers()) == 1
     assert m.weight_layers()[0].kind == "dense"
-    assert m.forward(np.zeros((3, 4))).data.shape == (3, 2)
+    assert m.forward(np.zeros((3, 4)))[0].shape == (3, 2)
 
 
 def test_layer_count_follows_construction_rule():
@@ -57,8 +57,8 @@ def test_zero_weight_head_gives_uniform_probabilities():
     head = m.weight_layers()[0]
     head.params[0].data[:] = 0.0
     head.params[1].data[:] = 0.0
-    logits = predict(m, np.random.default_rng(0).standard_normal((6, 4)))
-    probs = np.exp(ad.log_softmax(logits).data)
+    logits, _ = m.forward(np.random.default_rng(0).standard_normal((6, 4)))
+    probs = np.exp(ad.log_softmax(ad.constant(logits)).data)
     assert np.allclose(probs, 0.2, atol=1e-15)
 
 
@@ -67,8 +67,8 @@ def test_single_sample_matches_batch_row_under_fixed_stats():
     m = build_classifier(5, [8, 8], 3, seed=3)
     record_source_stats(m, rng.standard_normal((64, 5)))
     batch = rng.standard_normal((4, 5))
-    full = m.forward(batch, batch_stats=False).data
-    single = m.forward(batch[:1], batch_stats=False).data
+    full, _ = m.forward(batch, batch_stats=False)
+    single, _ = m.forward(batch[:1], batch_stats=False)
     assert np.allclose(single[0], full[0], rtol=1e-12, atol=1e-14)
 
 
@@ -110,11 +110,7 @@ def test_untrainable_layer_is_bit_identical_across_steps():
     before = [p.data.copy() for p in frozen.params]
     opt = scheduler.AdamState()
     for _ in range(5):
-        logits = m.forward(rng.standard_normal((8, 3)))
-        loss = ad.mean_all(ad.mul(logits, logits))
-        grads = {
-            layer.name: ad.grads_of(loss, layer.params) for layer in m.weight_layers()
-        }
+        grads = batch_grads(m, lambda y: ad.mean_all(ad.mul(y, y)), rng.standard_normal((8, 3)))
         assert scheduler.weighted_step(m, grads, np.full(3, 1e-2), optimizer=opt)
     for p, b in zip(frozen.params, before):
         assert np.array_equal(p.data, b)
@@ -169,10 +165,41 @@ def test_checkpoint_rejects_garbage_line(tmp_path):
         load_checkpoint(path)
 
 
+def _saved_checkpoint_lines(tmp_path):
+    m = build_classifier(2, [3], 2, seed=0)
+    record_source_stats(m, np.random.default_rng(0).standard_normal((8, 2)))
+    path = tmp_path / "model.txt"
+    save_checkpoint(m, path)
+    return path, path.read_text(encoding="utf-8").splitlines()
+
+
+def test_checkpoint_rejects_values_before_any_layer(tmp_path):
+    path, lines = _saved_checkpoint_lines(tmp_path)
+    first_layer = next(i for i, line in enumerate(lines) if line.startswith("layer "))
+    for kind in ("param", "buffer"):
+        at = next(i for i, line in enumerate(lines) if line.startswith(kind + " "))
+        moved = lines[:first_layer] + lines[at : at + 2] + lines[first_layer:at] + lines[at + 2 :]
+        path.write_text("\n".join(moved) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"model\.txt: line {first_layer + 1}: {kind} line before any layer"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_rejects_truncated_file(tmp_path):
+    path, lines = _saved_checkpoint_lines(tmp_path)
+    last = len(lines) - 1  # the head bias's values line
+    path.write_text("\n".join(lines[:last]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"model\.txt: line {last}: param line without its values"):
+        load_checkpoint(path)
+    cut = lines[:last] + [" ".join(lines[last].split()[:-1])]  # cut inside the values line
+    path.write_text("\n".join(cut) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"model\.txt: line {last + 1}: bad param values"):
+        load_checkpoint(path)
+
+
 def test_forward_output_shape_is_batch_by_classes():
     m = build_classifier(7, [5], 4, seed=2)
-    out = m.forward(np.zeros((9, 7)))
-    assert out.data.shape == (9, 4)
+    out, _ = m.forward(np.zeros((9, 7)))
+    assert out.shape == (9, 4)
 
 
 def _perturbed_model(rng, input_dim=5, hidden=(8, 6, 7), class_count=4):
@@ -185,12 +212,12 @@ def _perturbed_model(rng, input_dim=5, hidden=(8, 6, 7), class_count=4):
 
 
 @pytest.mark.parametrize("batch_stats", [True, False])
-def test_forward_cached_logits_equal_tape_forward(batch_stats):
+def test_forward_logits_equal_tape_oracle(batch_stats):
     rng = np.random.default_rng(20)
     for m, n in ((_perturbed_model(rng), 9), (_perturbed_model(rng, 16, [32] * 4, 3), 64)):
         x = rng.standard_normal((n, m.input_dim))
-        logits, saved = m.forward_cached(x, batch_stats=batch_stats)
-        assert np.array_equal(logits, m.forward(x, batch_stats=batch_stats).data)
+        logits, saved = m.forward(x, batch_stats=batch_stats)
+        assert np.array_equal(logits, tape_forward(m, x, batch_stats=batch_stats).data)
         assert len(saved) == len(m.layers)
 
 
@@ -199,16 +226,14 @@ def test_recorded_source_stats_reproduce_the_batch_stat_pass():
     m = _perturbed_model(rng)
     x = rng.standard_normal((32, 5))
     record_source_stats(m, x)
-    assert np.array_equal(
-        m.forward(x, batch_stats=False).data, m.forward(x, batch_stats=True).data
-    )
+    assert np.array_equal(m.forward(x, batch_stats=False)[0], m.forward(x, batch_stats=True)[0])
 
 
-def test_forward_cached_and_source_stats_reject_dimension_mismatch():
+def test_forward_and_source_stats_reject_dimension_mismatch():
     m = build_classifier(4, [8], 2, seed=0)
     for bad in (np.zeros((3, 5)), np.zeros(4)):
         with pytest.raises(ad.ShapeError, match="forward"):
-            m.forward_cached(bad)
+            m.forward(bad)
         with pytest.raises(ad.ShapeError, match="forward"):
             record_source_stats(m, bad)
     assert m.norm_layers()[0].source_mean is None

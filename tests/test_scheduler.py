@@ -8,6 +8,7 @@ import pytest
 from fimtta import autodiff as ad
 from fimtta.model import build_classifier
 from fimtta.scheduler import AdamState, exp_minmax_scale, layer_rates, weighted_step
+from oracle import tape_forward, tape_grads
 
 
 def test_linear_minmax_with_vanishing_eps():
@@ -109,11 +110,8 @@ def test_layer_rates_rejects_nonpositive_eta():
 
 
 def _grads_for(model, rng):
-    logits = model.forward(rng.standard_normal((6, model.input_dim)))
-    loss = ad.mean_all(ad.mul(logits, logits))
-    return {
-        layer.name: ad.grads_of(loss, layer.params) for layer in model.weight_layers()
-    }
+    logits = tape_forward(model, rng.standard_normal((6, model.input_dim)))
+    return tape_grads(model, ad.mean_all(ad.mul(logits, logits)))
 
 
 def test_uniform_rates_equal_plain_sgd_bit_for_bit():
@@ -185,6 +183,25 @@ def test_inf_gradient_rejected_before_adam_moments_change():
     grads["head"][1][0] = np.inf
     assert not weighted_step(m, grads, np.full(3, 1e-2), optimizer=opt)
     assert opt.step_count == 0 and not opt._m
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("use_adam", [True, False])
+def test_non_finite_rate_rejected_before_any_write(bad, use_adam, caplog):
+    m = build_classifier(3, [4], 2, seed=3)
+    before = m.param_snapshot()
+    opt = AdamState() if use_adam else None
+    grads = _grads_for(m, np.random.default_rng(0))
+    rates = np.full(3, 1e-2)
+    rates[1] = bad
+    with caplog.at_level(logging.WARNING):
+        assert not weighted_step(m, grads, rates, optimizer=opt)
+    assert "non-finite rates" in caplog.text
+    if use_adam:
+        assert opt.step_count == 0 and not opt._m
+    for name, params in m.param_snapshot().items():
+        for a, b in zip(params, before[name]):
+            assert np.array_equal(a, b)
 
 
 def test_rate_count_mismatch_rejected():
