@@ -5,11 +5,10 @@ an online stream of corrupted batches, drive bounded per-layer learning
 rates for entropy-based self-adaptation of a frozen-source classifier.
 """
 
-from .autodiff import ShapeError, Tensor, backward, constant, param
 from .fisher import FisherState, accumulate, fim_diagonal, layer_fim_trace, learning_weights, per_sample_scores
 from .harness import AdaptConfig, MetricsRecord, adapt_stream, pretrain, run_experiment
-from .losses import LossConfig, augment, consistency_loss, entropy_loss, nll_loss, total_loss
-from .model import Model, build_classifier, load_checkpoint, save_checkpoint
+from .losses import LossConfig, augment, consistency_loss, entropy_loss, nll_loss
+from .model import Model, ShapeError, build_classifier, load_checkpoint, save_checkpoint
 from .scheduler import AdamState, exp_minmax_scale, layer_rates, weighted_step
 from .stream import (
     CorruptionSpec,
@@ -35,14 +34,11 @@ __all__ = [
     "ScheduleStream",
     "ShapeError",
     "SourceSpec",
-    "Tensor",
     "accumulate",
     "adapt_stream",
     "augment",
-    "backward",
     "build_classifier",
     "consistency_loss",
-    "constant",
     "corrupt",
     "entropy_loss",
     "exp_minmax_scale",
@@ -54,11 +50,9 @@ __all__ = [
     "load_checkpoint",
     "make_schedule",
     "nll_loss",
-    "param",
     "per_sample_scores",
     "pretrain",
     "run_experiment",
     "save_checkpoint",
-    "total_loss",
     "weighted_step",
 ]

@@ -135,14 +135,16 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _run_adapt(args, config: AdaptConfig, tag: str) -> int:
+def cmd_run(args) -> int:
+    """``adapt`` and ``baseline``: one run of ``--method`` per seed."""
+    config = _config_from_args(args)
     model, source = _load_pretrained(args.checkpoint)
     schedule = parse_schedule_file(args.schedule)
     print(describe_schedule(schedule))
     summaries = []
     for offset in range(args.seeds):
         cfg = replace(config, seed=config.seed + offset)
-        run_tag = tag if args.seeds == 1 else f"{tag}_seed{cfg.seed}"
+        run_tag = args.method if args.seeds == 1 else f"{args.method}_seed{cfg.seed}"
         result = harness.run_experiment(
             model, source, schedule, cfg, args.out, tag=run_tag
         )
@@ -157,14 +159,6 @@ def _run_adapt(args, config: AdaptConfig, tag: str) -> int:
             f"mean over {args.seeds} seeds: {np.mean(errs):.4f} +/- {np.std(errs):.4f}"
         )
     return 0
-
-
-def cmd_adapt(args) -> int:
-    return _run_adapt(args, _config_from_args(args), tag=args.method)
-
-
-def cmd_baseline(args) -> int:
-    return _run_adapt(args, _config_from_args(args), tag=args.method)
 
 
 def cmd_dump_weights(args) -> int:
@@ -209,8 +203,8 @@ def cmd_ablate(args) -> int:
 
 COMMANDS = {
     "pretrain": cmd_pretrain,
-    "adapt": cmd_adapt,
-    "baseline": cmd_baseline,
+    "adapt": cmd_run,
+    "baseline": cmd_run,
     "ablate": cmd_ablate,
     "dump-weights": cmd_dump_weights,
 }

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import fisher, losses, scheduler
 from .model import Model, record_source_stats
 from .stream import Dataset, DomainSchedule, ScheduleStream, SourceSpec
@@ -43,23 +42,21 @@ class AdaptConfig:
     feature_scaling: bool = True
     seed: int = 0
     track_diagonal: bool = False
-    error_post_update: bool = False  # diagnostics only; online protocol is pre-update
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.lam < 0:
+            raise ValueError(f"consistency weight lam must be >= 0, got {self.lam}")
+        if self.consistency not in ("sigmoid", "softmax"):
+            raise ValueError(f"consistency must be sigmoid or softmax, got {self.consistency!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
 
     def loss_config(self) -> losses.LossConfig:
-        return losses.LossConfig(
-            lam=self.lam,
-            noise_scale=self.noise_scale,
-            feature_scaling=self.feature_scaling,
-            consistency_kind=self.consistency,
-        )
+        return losses.LossConfig(noise_scale=self.noise_scale, feature_scaling=self.feature_scaling)
 
 
 @dataclass
@@ -112,14 +109,12 @@ def pretrain(
         for start in range(0, n - batch_size + 1, batch_size):
             pick = order[start : start + batch_size]
             logits, saved = model.forward(source.inputs[pick], batch_stats=True)
-            leaf = ad.param(logits)
-            loss = losses.nll_loss(leaf, source.labels[pick])
-            last_loss = loss.item()
+            last_loss, g = losses.nll_loss(logits, source.labels[pick])
             if not np.isfinite(last_loss):
                 raise PretrainDiverged(
                     f"pretraining loss became {last_loss} at epoch step; aborting"
                 )
-            grads = collect_grads(model, loss, [(leaf, saved)])
+            grads = collect_grads(model, [(saved, g)])
             scheduler.weighted_step(model, grads, uniform, optimizer=opt)
     record_source_stats(model, source.inputs)
     logits, _ = model.forward(source.inputs, batch_stats=False)
@@ -127,24 +122,26 @@ def pretrain(
     return PretrainResult(model=model, accuracy=accuracy, final_loss=last_loss)
 
 
-def collect_grads(model: Model, loss: ad.Tensor, passes: list[tuple[ad.Tensor, list]]) -> dict[str, list[np.ndarray]]:
+def collect_grads(model: Model, passes: list[tuple[list, np.ndarray]]) -> dict[str, list[np.ndarray]]:
     """Per-layer parameter gradients of a loss built on model logits.
 
-    ``passes`` pairs each logit leaf the loss reads with the cache of the
-    ``model.forward`` that produced it. The loss-head tape gives each
-    leaf's cotangent, one ``model.backward`` per forward turns it into
-    parameter gradients, and the forwards' shares are summed.
+    ``passes`` pairs the cache of each ``model.forward`` the loss reads
+    with the loss's gradient with respect to that forward's [n, C]
+    logits (the second result of a ``losses`` function, scaled by its
+    weight in the loss). One ``model.backward`` per forward turns the
+    cotangent into parameter gradients, overwriting it, and the
+    forwards' shares are summed.
     """
     total = None
-    for (_, saved), g in zip(passes, ad.grads_of(loss, [leaf for leaf, _ in passes])):
+    for saved, g in passes:
         rows = model.backward(saved, g[None])
         total = rows if total is None else {name: total[name] + rows[name] for name in rows}
     grads: dict[str, list[np.ndarray]] = {}
     for layer in model.weight_layers():
         flat, grads[layer.name] = total[layer.name][0], []
         for p in layer.params:
-            grads[layer.name].append(flat[: p.data.size].reshape(p.data.shape))
-            flat = flat[p.data.size :]
+            grads[layer.name].append(flat[: p.size].reshape(p.shape))
+            flat = flat[p.size :]
     return grads
 
 
@@ -158,7 +155,10 @@ def adapt_stream(
     traces into bounded per-layer rates, then descend the total loss.
     Non-updating methods (source, bn1) skip everything after the
     prediction. A rejected update leaves the model at its pre-step state
-    and the loop continues.
+    and the loop continues. Every method but ``source`` normalizes with
+    the batch's own statistics, which a single row cannot supply (the
+    first norm layer would output its shift whatever the input), so
+    those methods reject a batch of fewer than 2 rows with ``ValueError``.
     """
     cfg = config
     loss_cfg = cfg.loss_config()
@@ -171,15 +171,18 @@ def adapt_stream(
     aug_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA06)))
     updating = cfg.method in ("layerwise", "naive_eq6", "uniform_tent")
     records: list[MetricsRecord] = []
+    batch_stats = cfg.method != "source"
     for batch in stream:
         started = time.perf_counter()
-        batch_stats = cfg.method != "source"
+        if batch_stats and len(batch.inputs) < 2:
+            raise ValueError(
+                f"adapt_stream: step {batch.step} has {len(batch.inputs)} row(s); method "
+                f"{cfg.method!r} normalizes with batch statistics and needs at least 2"
+            )
         logits, saved = model.forward(batch.inputs, batch_stats=batch_stats)
         labels = stream.labels_for(batch.step)
         error = float((logits.argmax(axis=1) != labels).mean())
-        leaf = ad.param(logits)
-        ent = losses.entropy_loss(leaf)
-        entropy_val = float(ent.data)
+        entropy_val, g = losses.entropy_loss(logits)
         consistency_val = 0.0
         w_raw: list[float] = []
         w_bar = [0.0] * n_layers
@@ -212,27 +215,20 @@ def adapt_stream(
                 w_bar = [1.0] * n_layers
             rates = scheduler.layer_rates(w_bar_arr, cfg.eta)
 
-            passes = [(leaf, saved)]
+            # entropy + lam * consistency; the clean pass carries entropy only
+            passes = [(saved, g)]
             if cfg.lam > 0.0:
                 augmented = losses.augment(batch.inputs, aug_rng, loss_cfg)
                 aug_logits, aug_saved = model.forward(augmented, batch_stats=True)
-                aug_leaf = ad.param(aug_logits)
-                passes.append((aug_leaf, aug_saved))
-                cons = losses.consistency_loss(leaf, aug_leaf, kind=cfg.consistency)
-                consistency_val = float(cons.data)
-                total = ad.add(ent, cons * cfg.lam)
-            else:
-                total = ent
-            grads = collect_grads(model, total, passes)
+                consistency_val, g_aug = losses.consistency_loss(logits, aug_logits, kind=cfg.consistency)
+                passes.append((aug_saved, cfg.lam * g_aug))
+            grads = collect_grads(model, passes)
             applied = scheduler.weighted_step(model, grads, rates, optimizer=opt)
             if not applied:
                 logger.warning(
                     "adapt_stream: step %d rejected, model unchanged", batch.step
                 )
 
-        if cfg.error_post_update:
-            post, _ = model.forward(batch.inputs, batch_stats=batch_stats)
-            error = float((post.argmax(axis=1) != labels).mean())
         records.append(
             MetricsRecord(
                 step=batch.step,

@@ -1,5 +1,11 @@
 """Adaptation objectives: Shannon entropy, augmentation consistency, NLL.
 
+Each loss takes plain [n, C] logit arrays and returns its value together
+with its gradient with respect to the logits, in closed form; that
+gradient is the cotangent ``Model.backward`` starts from. Each gradient
+is formed with respect to the log-probabilities the loss reads, then
+taken through the log-softmax (or log-sigmoid) Jacobian.
+
 The consistency term scores agreement between a batch's logits and the
 logits of a jittered copy, with the clean prediction detached as pseudo
 label. Its literal form applies an elementwise sigmoid to both logit
@@ -12,65 +18,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from .model import ShapeError
 
 
 @dataclass
 class LossConfig:
-    """Weights and augmentation knobs for the total adaptation loss."""
+    """Augmentation knobs for the consistency term's jittered copy."""
 
-    lam: float = 0.1
     noise_scale: float = 0.1
     feature_scaling: bool = True
     scale_low: float = 0.9
     scale_high: float = 1.1
-    consistency_kind: str = "sigmoid"  # sigmoid | softmax
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"consistency weight must be >= 0, got {self.lam}")
-        if self.consistency_kind not in ("sigmoid", "softmax"):
-            raise ValueError(f"unknown consistency kind {self.consistency_kind!r}")
 
 
-def entropy_loss(logits: Tensor) -> Tensor:
-    """Batch mean of the Shannon entropy of softmax(logits)."""
-    if logits.data.ndim != 2 or logits.data.shape[1] < 2:
-        raise ValueError(
-            f"entropy_loss: need [batch, C>=2] logits, got shape {logits.data.shape}"
-        )
-    n = logits.data.shape[0]
-    ls = ad.log_softmax(logits)
-    p = ad.exp(ls)
-    return ad.sum_all(ad.mul(p, ls)) * (-1.0 / n)
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of a [n, C] logit matrix."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def consistency_loss(logits: Tensor, aug_logits: Tensor, kind: str = "sigmoid") -> Tensor:
-    """Cross-entropy-style agreement between clean and augmented logits.
-
-    The clean logits act as pseudo label and are detached: no gradient
-    flows through them. ``kind="sigmoid"`` weighs each class term by
-    sigmoid(y_c) against log sigmoid(yhat_c); ``kind="softmax"`` uses the
-    conventional softmax/log-softmax pairing instead.
-    """
-    if logits.data.shape != aug_logits.data.shape:
-        raise ad.ShapeError(
-            f"consistency_loss: incompatible shapes {logits.data.shape} and "
-            f"{aug_logits.data.shape}"
-        )
-    n = logits.data.shape[0]
-    if kind == "sigmoid":
-        weights = ad.constant(_stable_sigmoid(logits.data))
-        log_term = ad.log_sigmoid(aug_logits)
-    elif kind == "softmax":
-        shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-        sm = np.exp(shifted)
-        weights = ad.constant(sm / sm.sum(axis=1, keepdims=True))
-        log_term = ad.log_softmax(aug_logits)
-    else:
-        raise ValueError(f"unknown consistency kind {kind!r}")
-    return ad.sum_all(ad.mul(weights, log_term)) * (-1.0 / n)
+def _through_log_softmax(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. z of sum(g * log_softmax(z)), where p = softmax(z)."""
+    return g - p * g.sum(axis=1, keepdims=True)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -82,12 +51,49 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def total_loss(logits: Tensor, aug_logits: Tensor | None, lam: float, kind: str = "sigmoid") -> Tensor:
-    """entropy + lam * consistency; lam = 0 is exactly the entropy term."""
-    ent = entropy_loss(logits)
-    if lam == 0.0 or aug_logits is None:
-        return ent
-    return ad.add(ent, consistency_loss(logits, aug_logits, kind=kind) * lam)
+def entropy_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch mean H of the Shannon entropy of softmax(logits), and dH/dlogits.
+
+    With ls = log_softmax(z) and p = exp(ls), H = -sum(p * ls) / n and
+    dH/dz = -p * (ls - sum_c p * ls) / n.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] < 2:
+        raise ValueError(f"entropy_loss: need [batch, C>=2] logits, got shape {z.shape}")
+    scale = -1.0 / z.shape[0]
+    ls = log_softmax(z)
+    p = np.exp(ls)
+    # dH/dls = scale * (p + ls * p), since dp/dls = p
+    return float((p * ls).sum() * scale), _through_log_softmax(scale * p + (scale * ls) * p, p)
+
+
+def consistency_loss(logits: np.ndarray, aug_logits: np.ndarray, kind: str = "sigmoid") -> tuple[float, np.ndarray]:
+    """Cross-entropy-style agreement L between clean and augmented logits,
+    and dL/d(aug_logits).
+
+    The clean logits z act as pseudo label and are detached: the loss is
+    differentiated only through the augmented logits zh. ``kind="sigmoid"``
+    weighs each class term by w = sigmoid(z) against log sigmoid(zh), so
+    dL/dzh = -w * (1 - sigmoid(zh)) / n; ``kind="softmax"`` pairs
+    w = softmax(z) with log_softmax(zh), so dL/dzh = -(w - softmax(zh) *
+    sum_c w) / n.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    zh = np.asarray(aug_logits, dtype=np.float64)
+    if z.shape != zh.shape:
+        raise ShapeError(f"consistency_loss: incompatible shapes {z.shape} and {zh.shape}")
+    scale = -1.0 / z.shape[0]
+    if kind == "sigmoid":
+        weights = _stable_sigmoid(z)
+        log_term = -np.logaddexp(0.0, -zh)
+        grad = (scale * weights) * (1.0 - _stable_sigmoid(zh))
+    elif kind == "softmax":
+        weights = np.exp(log_softmax(z))
+        log_term = log_softmax(zh)
+        grad = _through_log_softmax(scale * weights, np.exp(log_term))
+    else:
+        raise ValueError(f"unknown consistency kind {kind!r}")
+    return float((weights * log_term).sum() * scale), grad
 
 
 def augment(batch: np.ndarray, rng: np.random.Generator, cfg: LossConfig) -> np.ndarray:
@@ -108,15 +114,21 @@ def augment(batch: np.ndarray, rng: np.random.Generator, cfg: LossConfig) -> np.
     return out.copy() if out is x else out
 
 
-def nll_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer labels under softmax(logits)."""
+def nll_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean negative log-likelihood of integer labels under softmax(logits),
+    and its gradient (softmax(logits) - onehot(labels)) / n."""
+    z = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    c = logits.data.shape[1]
+    c = z.shape[1]
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
         raise ValueError(
             f"nll_loss: labels must lie in [0, {c}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    n = logits.data.shape[0]
-    ls = ad.log_softmax(logits)
-    return ad.sum_all(ad.take_per_row(ls, labels)) * (-1.0 / n)
+    n = z.shape[0]
+    scale = -1.0 / n
+    ls = log_softmax(z)
+    rows = np.arange(n)
+    g = np.zeros_like(z)
+    g[rows, labels] = scale
+    return float(ls[rows, labels].sum() * scale), _through_log_softmax(g, np.exp(ls))

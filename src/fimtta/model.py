@@ -13,26 +13,55 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
-
 CHECKPOINT_HEADER = "fimtta-checkpoint v1"
+NORM_EPS = 1e-5
+
+
+class ShapeError(ValueError):
+    """Raised when operand shapes do not conform for an operation."""
+
+
+def normalize(
+    xd: np.ndarray,
+    mean: np.ndarray | None = None,
+    var: np.ndarray | None = None,
+    eps: float = NORM_EPS,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Standardize [n, f] values feature-wise: (xhat, inv_std, mean, var).
+
+    Without ``mean``/``var`` the batch's own statistics are used. ``eps``
+    floors the variance so zero-variance features reduce to the affine
+    offset. The tests' tape oracle normalizes through here too, so its
+    forward agrees with ``Model.forward`` bit for bit.
+    """
+    if mean is None:
+        # the operations of xd.mean(0) and xd.var(0), without recentring twice
+        mu = xd.sum(axis=0) / xd.shape[0]
+        xhat = xd - mu
+        sig2 = (xhat * xhat).sum(axis=0) / xd.shape[0]
+    else:
+        mu = np.asarray(mean, dtype=np.float64)
+        sig2 = np.asarray(var, dtype=np.float64)
+        xhat = xd - mu
+    inv_std = 1.0 / np.sqrt(sig2 + eps)
+    xhat *= inv_std
+    return xhat, inv_std, mu, sig2
 
 
 @dataclass
 class LayerParams:
-    """One named layer: its kind, parameter tensors and buffers."""
+    """One named layer: its kind, parameter arrays and buffers."""
 
     name: str
     kind: str  # dense | norm | relu
-    params: list[Tensor] = field(default_factory=list)
+    params: list[np.ndarray] = field(default_factory=list)
     trainable: bool = True
     # frozen-source normalization statistics (norm layers only)
     source_mean: np.ndarray | None = None
     source_var: np.ndarray | None = None
 
     def param_count(self) -> int:
-        return sum(p.data.size for p in self.params)
+        return sum(p.size for p in self.params)
 
 
 class Model:
@@ -58,7 +87,7 @@ class Model:
 
     def _check_inputs(self, x: np.ndarray) -> None:
         if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ad.ShapeError(
+            raise ShapeError(
                 f"forward: expected [batch, {self.input_dim}] inputs, got {x.shape}"
             )
 
@@ -89,12 +118,12 @@ class Model:
             if layer.kind == "dense":
                 weight, bias = layer.params
                 saved.append(out)
-                out = out @ weight.data + bias.data
+                out = out @ weight + bias
             elif layer.kind == "norm":
                 scale, shift = layer.params
-                norm = ad.normalize(out, *self._fixed_stats(layer, batch_stats))
+                norm = normalize(out, *self._fixed_stats(layer, batch_stats))
                 saved.append(norm if batch_stats else norm[:2] + (None, None))
-                out = norm[0] * scale.data + shift.data
+                out = norm[0] * scale + shift
             elif layer.kind == "relu":
                 saved.append(out > 0.0)
                 out = np.maximum(out, 0.0)
@@ -123,12 +152,12 @@ class Model:
                 g *= kept
                 continue
             rows = out[layer.name]
-            split = layer.params[0].data.size
+            split = layer.params[0].size
             if layer.kind == "dense":
                 rows[:, :split] = np.matmul(kept.T, g).reshape(s, split)
                 np.einsum("snf->sf", g, out=rows[:, split:])
                 if i > first:
-                    g = g @ layer.params[0].data.T
+                    g = g @ layer.params[0].T
             else:  # norm
                 xhat, inv_std, mean, _ = kept
                 g_scale = np.einsum("snf,nf->sf", g, xhat, out=rows[:, :split])
@@ -136,7 +165,7 @@ class Model:
                 if i > first:
                     if mean is not None:
                         g -= (g_shift[:, None] + xhat * g_scale[:, None]) / n
-                    g *= layer.params[0].data * inv_std
+                    g *= layer.params[0] * inv_std
         return out
 
     def clone(self) -> "Model":
@@ -147,7 +176,7 @@ class Model:
                 LayerParams(
                     name=layer.name,
                     kind=layer.kind,
-                    params=[ad.param(p.data.copy()) for p in layer.params],
+                    params=[p.copy() for p in layer.params],
                     trainable=layer.trainable,
                     source_mean=None if layer.source_mean is None else layer.source_mean.copy(),
                     source_var=None if layer.source_var is None else layer.source_var.copy(),
@@ -157,7 +186,7 @@ class Model:
 
     def param_snapshot(self) -> dict[str, list[np.ndarray]]:
         return {
-            layer.name: [p.data.copy() for p in layer.params] for layer in self.layers
+            layer.name: [p.copy() for p in layer.params] for layer in self.layers
         }
 
 
@@ -180,14 +209,14 @@ def build_classifier(
             LayerParams(
                 name=f"dense{i}",
                 kind="dense",
-                params=[ad.param(weight), ad.param(np.zeros(hidden))],
+                params=[weight, np.zeros(hidden)],
             )
         )
         layers.append(
             LayerParams(
                 name=f"norm{i}",
                 kind="norm",
-                params=[ad.param(np.ones(hidden)), ad.param(np.zeros(hidden))],
+                params=[np.ones(hidden), np.zeros(hidden)],
             )
         )
         layers.append(LayerParams(name=f"relu{i}", kind="relu"))
@@ -197,7 +226,7 @@ def build_classifier(
         LayerParams(
             name="head",
             kind="dense",
-            params=[ad.param(head), ad.param(np.zeros(class_count))],
+            params=[head, np.zeros(class_count)],
         )
     )
     return Model(layers, input_dim, class_count)
@@ -241,8 +270,8 @@ def save_checkpoint(model: Model, path, meta: dict[str, str] | None = None) -> N
             f"layer {layer.name} {layer.kind} trainable={int(layer.trainable)}"
         )
         for p in layer.params:
-            lines.append("param " + " ".join(str(d) for d in p.data.shape))
-            lines.append(_fmt_vals(p.data))
+            lines.append("param " + " ".join(str(d) for d in p.shape))
+            lines.append(_fmt_vals(p))
         for buf_name in ("source_mean", "source_var"):
             buf = getattr(layer, buf_name)
             if buf is not None:
@@ -291,7 +320,7 @@ def load_checkpoint(path) -> tuple[Model, dict[str, str]]:
             except ValueError as exc:
                 raise ValueError(f"{path}: line {i + 1}: bad {kind} values ({exc})") from None
             if kind == "param":
-                current.params.append(ad.param(vals))
+                current.params.append(vals)
             else:
                 setattr(current, tokens[1], vals)
         else:

@@ -123,10 +123,10 @@ def weighted_step(
             if rate == 0.0:
                 continue
             for p, g in zip(layer.params, layer_grads):
-                p.data -= rate * g
+                p -= rate * g
         else:
             for idx, (p, g) in enumerate(zip(layer.params, layer_grads)):
                 direction = optimizer.update((layer.name, idx), g)
                 if rate != 0.0:
-                    p.data -= rate * direction
+                    p -= rate * direction
     return True

@@ -199,6 +199,11 @@ def make_schedule(
     severity ramp per kind, shifting domains at the low end."""
     if len(corruption_kinds) < 2:
         raise ValueError("a meaningful sequence needs >= 2 corruption kinds")
+    if batches_per_segment < 1 or batch_size < 1:
+        raise ValueError(
+            f"need >= 1 batches per segment and batch_size >= 1, got "
+            f"{batches_per_segment} and {batch_size}"
+        )
     if kind == "continual":
         segments = [
             Segment(CorruptionSpec(c, 5), batches_per_segment)
@@ -297,22 +302,33 @@ def write_schedule_file(path, kind: str, kinds: list[str], batches: int, batch_s
 
 
 def parse_schedule_file(path) -> DomainSchedule:
-    fields: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    """Read a key=value schedule file; errors name the file and line."""
+    fields: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"{path}: line {number}: expected key=value, got {line!r}")
+        fields[key.strip()] = (value.strip(), number)
     missing = {"kind", "kinds", "batches", "batch_size", "seed"} - set(fields)
     if missing:
         raise ValueError(f"{path}: schedule file missing keys {sorted(missing)}")
+
+    def integer(key: str) -> int:
+        value, number = fields[key]
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"{path}: line {number}: {key} must be an integer, got {value!r}") from None
+
     return make_schedule(
-        kind=fields["kind"],
-        corruption_kinds=[k.strip() for k in fields["kinds"].split(",") if k.strip()],
-        batches_per_segment=int(fields["batches"]),
-        batch_size=int(fields["batch_size"]),
-        seed=int(fields["seed"]),
+        kind=fields["kind"][0],
+        corruption_kinds=[k.strip() for k in fields["kinds"][0].split(",") if k.strip()],
+        batches_per_segment=integer("batches"),
+        batch_size=integer("batch_size"),
+        seed=integer("seed"),
     )
 
 

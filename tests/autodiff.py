@@ -1,11 +1,12 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-The library tapes only the loss heads, over logit leaves; the layer
-stack has its own backward (``Model.backward``). The layer ops (matrix
-multiply, bias add, ReLU, batch normalization with a learnable affine)
-serve the tape oracle the tests check that backward against. Everything
-is float64 and eager; each operation records a tape node so a later
-``backward`` call can replay the chain rule. Tapes are per-batch.
+The engine of the tests' gradient oracle (``oracle.py``): the layer ops
+(matrix multiply, bias add, ReLU, batch normalization with a learnable
+affine) and the loss-head ops (log-softmax, log-sigmoid, elementwise
+arithmetic, reductions) differentiate by a generic tape, independently
+of the library's closed-form loss gradients and ``Model.backward``.
+Everything is float64 and eager; each operation records a tape node so a
+later ``backward`` call can replay the chain rule. Tapes are per-batch.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-
-class ShapeError(ValueError):
-    """Raised when operand shapes do not conform for an operation."""
+from fimtta.model import NORM_EPS, ShapeError, normalize
 
 
 def _shape_fail(op: str, *shapes: tuple[int, ...]) -> ShapeError:
@@ -68,25 +67,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def param(data) -> Tensor:
@@ -275,35 +259,6 @@ def log_softmax(a: Tensor) -> Tensor:
         return (g - sm * g.sum(axis=1, keepdims=True),)
 
     return _make(ls, (a,), vjp)
-
-
-NORM_EPS = 1e-5
-
-
-def normalize(
-    xd: np.ndarray,
-    mean: np.ndarray | None = None,
-    var: np.ndarray | None = None,
-    eps: float = NORM_EPS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Standardize [n, f] values feature-wise: (xhat, inv_std, mean, var).
-
-    Without ``mean``/``var`` the batch's own statistics are used. The
-    tape op and ``Model.forward`` both go through here, so their outputs
-    agree bit for bit.
-    """
-    if mean is None:
-        # the operations of xd.mean(0) and xd.var(0), without recentring twice
-        mu = xd.sum(axis=0) / xd.shape[0]
-        xhat = xd - mu
-        sig2 = (xhat * xhat).sum(axis=0) / xd.shape[0]
-    else:
-        mu = np.asarray(mean, dtype=np.float64)
-        sig2 = np.asarray(var, dtype=np.float64)
-        xhat = xd - mu
-    inv_std = 1.0 / np.sqrt(sig2 + eps)
-    xhat *= inv_std
-    return xhat, inv_std, mu, sig2
 
 
 def batch_norm(

@@ -1,33 +1,40 @@
-"""Tape references for the model's plain-array forward and layer backward.
+"""Tape references for the model's forward, layer backward and loss heads.
 
-``tape_forward`` records the generic autodiff tape through every layer,
-so ``ad.grads_of`` on any loss of its logits gives gradients that share
-no code with ``Model.backward``. ``score`` is the batch-mean pseudo-label
-score taken from that tape. ``batch_grads`` is the library's own path:
-``Model.forward`` per input batch, the loss over logit leaves, and
-``harness.collect_grads``.
+``tape_forward`` records the generic autodiff tape (``autodiff.py``)
+through every layer over leaves that wrap the model's parameter arrays,
+and the ``tape_*_loss`` heads differentiate the three losses by the same
+tape, so ``tape_grads`` of any loss of its logits gives gradients that
+share no code with ``Model.backward`` or the closed-form gradients in
+``fimtta.losses``. ``score`` is the batch-mean pseudo-label score taken
+from that tape. ``batch_grads`` is the library's own path: one
+``Model.forward``, a closed-form loss head and ``harness.collect_grads``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fimtta import autodiff as ad
+import autodiff as ad
 from fimtta import harness
 from fimtta.model import Model
 
 
-def tape_forward(model: Model, inputs, batch_stats: bool = True) -> ad.Tensor:
-    """Logits as a tape over the model's parameters; values equal ``model.forward``."""
+def tape_params(model: Model) -> dict[str, list[ad.Tensor]]:
+    """One differentiable leaf per parameter array, sharing its memory."""
+    return {layer.name: [ad.param(p) for p in layer.params] for layer in model.weight_layers()}
+
+
+def tape_forward(model: Model, inputs, leaves: dict[str, list[ad.Tensor]], batch_stats: bool = True) -> ad.Tensor:
+    """Logits as a tape over ``leaves``; values equal ``model.forward``."""
     x = ad.constant(inputs)
     model._check_inputs(x.data)
     out = x
     for layer in model.layers:
         if layer.kind == "dense":
-            weight, bias = layer.params
+            weight, bias = leaves[layer.name]
             out = ad.add(ad.matmul(out, weight), bias)
         elif layer.kind == "norm":
-            scale, shift = layer.params
+            scale, shift = leaves[layer.name]
             mean, var = model._fixed_stats(layer, batch_stats)
             out = ad.batch_norm(out, scale, shift, mean=mean, var=var)
         else:
@@ -35,21 +42,45 @@ def tape_forward(model: Model, inputs, batch_stats: bool = True) -> ad.Tensor:
     return out
 
 
-def tape_grads(model: Model, loss: ad.Tensor) -> dict[str, list[np.ndarray]]:
+def tape_grads(leaves: dict[str, list[ad.Tensor]], loss: ad.Tensor, seed=None) -> dict[str, list[np.ndarray]]:
     """Per-layer gradients of a loss built on ``tape_forward`` logits."""
-    return {layer.name: ad.grads_of(loss, layer.params) for layer in model.weight_layers()}
+    grads = iter(ad.grads_of(loss, [p for params in leaves.values() for p in params], seed=seed))
+    return {name: [next(grads) for _ in params] for name, params in leaves.items()}
+
+
+def tape_entropy_loss(logits: ad.Tensor) -> ad.Tensor:
+    """Batch mean of the Shannon entropy of softmax(logits)."""
+    ls = ad.log_softmax(logits)
+    return ad.sum_all(ad.mul(ad.exp(ls), ls)) * (-1.0 / logits.data.shape[0])
+
+
+def tape_consistency_loss(logits: ad.Tensor, aug_logits: ad.Tensor, kind: str = "sigmoid") -> ad.Tensor:
+    """Consistency of ``aug_logits`` with the detached clean ``logits``."""
+    if kind == "sigmoid":
+        weights = ad.sigmoid(logits.detach())
+        log_term = ad.log_sigmoid(aug_logits)
+    else:
+        weights = ad.exp(ad.log_softmax(logits.detach()))
+        log_term = ad.log_softmax(aug_logits)
+    return ad.sum_all(ad.mul(weights, log_term)) * (-1.0 / logits.data.shape[0])
+
+
+def tape_nll_loss(logits: ad.Tensor, labels) -> ad.Tensor:
+    """Mean negative log-likelihood of integer labels under softmax(logits)."""
+    ls = ad.log_softmax(logits)
+    return ad.sum_all(ad.take_per_row(ls, labels)) * (-1.0 / logits.data.shape[0])
 
 
 def score(model: Model, inputs, batch_stats: bool = True) -> dict[str, list[np.ndarray]]:
     """Batch-mean score per layer: gradient of the mean pseudo-label log-likelihood."""
-    ls = ad.log_softmax(tape_forward(model, inputs, batch_stats=batch_stats))
-    return tape_grads(model, ad.mean_all(ad.take_per_row(ls, ls.data.argmax(axis=1))))
+    leaves = tape_params(model)
+    logits = tape_forward(model, inputs, leaves, batch_stats=batch_stats)
+    pseudo = logits.data.argmax(axis=1)
+    return tape_grads(leaves, tape_nll_loss(logits, pseudo) * -1.0)
 
 
-def batch_grads(model: Model, make_loss, *inputs, batch_stats: bool = True):
-    """``collect_grads`` of ``make_loss(*logit_leaves)``, one forward per input batch."""
-    passes = []
-    for x in inputs:
-        logits, saved = model.forward(x, batch_stats=batch_stats)
-        passes.append((ad.param(logits), saved))
-    return harness.collect_grads(model, make_loss(*(leaf for leaf, _ in passes)), passes)
+def batch_grads(model: Model, loss_of, inputs, batch_stats: bool = True) -> dict[str, list[np.ndarray]]:
+    """``collect_grads`` of ``loss_of(logits) -> (value, d value / d logits)``
+    over one forward of ``inputs``."""
+    logits, saved = model.forward(inputs, batch_stats=batch_stats)
+    return harness.collect_grads(model, [(saved, loss_of(logits)[1])])

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from conftest import finite_diff, max_rel_err
-from fimtta import autodiff as ad
 from fimtta import fisher, losses, scheduler
 from fimtta.harness import AdaptConfig, adapt_stream, run_experiment
 from fimtta.model import build_classifier
@@ -72,7 +71,7 @@ def test_criterion_01_gradient_correctness():
         x = rng.standard_normal((n, d))
         labels = rng.integers(0, c, size=n)
         x_aug = x + 0.1 * rng.standard_normal(x.shape)
-        y_const = ad.constant(model.forward(x)[0])
+        y_const = model.forward(x)[0]
 
         # each loss as a function of its logits, and the batch they come from
         losses_under_test = [
@@ -84,11 +83,11 @@ def test_criterion_01_gradient_correctness():
             grads = batch_grads(model, loss_of, inputs)
 
             def value():
-                return loss_of(ad.constant(model.forward(inputs)[0])).item()
+                return loss_of(model.forward(inputs)[0])[0]
 
             for layer in model.weight_layers():
                 for p, g in zip(layer.params, grads[layer.name]):
-                    fd = finite_diff(value, p.data, h=1e-5)
+                    fd = finite_diff(value, p, h=1e-5)
                     assert max_rel_err(g, fd) < 1e-4
                     checked += 1
     elapsed = time.perf_counter() - started
@@ -177,12 +176,12 @@ def test_criterion_04_reduction_equivalence(desk_setup):
         grads = batch_grads(reference, losses.entropy_loss, batch.inputs)
         for layer in reference.weight_layers():
             for p, g in zip(layer.params, grads[layer.name]):
-                p.data -= eta * g
+                p -= eta * g
 
     identical = True
     for a, b in zip(ours.weight_layers(), reference.weight_layers()):
         for pa, pb in zip(a.params, b.params):
-            identical &= bool(np.array_equal(pa.data, pb.data))
+            identical &= bool(np.array_equal(pa, pb))
     _report(4, identical, "forced all-ones weights + lambda 0 + sgd == plain uniform loop, bit-identical after 50 batches")
 
 
@@ -191,7 +190,7 @@ def test_criterion_05_frozen_layer_guarantee(desk_setup):
     work = model.clone()
     layers = work.weight_layers()
     frozen_index = 3  # norm2
-    frozen_before = [p.data.copy() for p in layers[frozen_index].params]
+    frozen_before = [p.copy() for p in layers[frozen_index].params]
     rates = np.full(len(layers), 5e-3)
     rates[frozen_index] = 0.0
     opt = scheduler.AdamState()
@@ -203,11 +202,11 @@ def test_criterion_05_frozen_layer_guarantee(desk_setup):
         count += 1
     assert count == 100
     frozen_ok = all(
-        np.array_equal(p.data, b)
+        np.array_equal(p, b)
         for p, b in zip(layers[frozen_index].params, frozen_before)
     )
     others_moved = not np.array_equal(
-        layers[0].params[0].data, model.weight_layers()[0].params[0].data
+        layers[0].params[0], model.weight_layers()[0].params[0]
     )
     _report(
         5,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_diff, max_rel_err
-from fimtta import autodiff as ad
+import autodiff as ad
 
 
 def _p(rng, *shape):

@@ -1,9 +1,10 @@
 """Batch gradients from the layer-stack backward against the tape oracle.
 
-``harness.collect_grads`` seeds ``Model.backward`` with the loss-head
-cotangents of each forward's logits; ``oracle.tape_forward`` builds the
-generic tape through every layer instead. On random models, batches and
-losses the two must agree to rounding.
+``harness.collect_grads`` seeds ``Model.backward`` with the closed-form
+loss-head cotangents of each forward's logits; the oracle builds the
+generic tape through every layer and through the loss head instead
+(``tape_forward`` plus the ``tape_*_loss`` heads). On random models,
+batches and losses the two must agree to rounding.
 """
 
 from __future__ import annotations
@@ -12,9 +13,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fimtta import losses
+from fimtta import harness, losses
 from fimtta.model import build_classifier, record_source_stats
-from oracle import batch_grads, tape_forward, tape_grads
+from oracle import (
+    tape_consistency_loss,
+    tape_entropy_loss,
+    tape_forward,
+    tape_grads,
+    tape_nll_loss,
+    tape_params,
+)
 
 RTOL = 1e-12
 # dense biases in front of batch-stat norms have analytically zero
@@ -44,22 +52,28 @@ def test_collect_grads_matches_tape_oracle(case):
     model = build_classifier(input_dim, hidden, class_count, seed=seed)
     for layer in model.weight_layers():
         for p in layer.params:
-            p.data += 0.3 * rng.standard_normal(p.data.shape)
+            p += 0.3 * rng.standard_normal(p.shape)
     record_source_stats(model, 1.5 * rng.standard_normal((40, input_dim)) + 0.5)
     x = rng.standard_normal((n, input_dim))
     x_aug = x + 0.1 * rng.standard_normal(x.shape)
     labels = rng.integers(0, class_count, size=n)
 
+    (y, saved), (y_aug, saved_aug) = (model.forward(b, batch_stats=batch_stats) for b in (x, x_aug))
+    leaves = tape_params(model)
+    tape_y, tape_y_aug = (tape_forward(model, b, leaves, batch_stats=batch_stats) for b in (x, x_aug))
     if loss == "entropy":
-        make_loss, inputs = losses.entropy_loss, (x,)
+        passes = [(saved, losses.entropy_loss(y)[1])]
+        tape_loss = tape_entropy_loss(tape_y)
     elif loss == "nll":
-        make_loss, inputs = (lambda y: losses.nll_loss(y, labels)), (x,)
-    else:
-        make_loss, inputs = (lambda y, y_aug: losses.total_loss(y, y_aug, lam, kind=kind)), (x, x_aug)
+        passes = [(saved, losses.nll_loss(y, labels)[1])]
+        tape_loss = tape_nll_loss(tape_y, labels)
+    else:  # entropy + lam * consistency, composed as the online loop does
+        g_aug = losses.consistency_loss(y, y_aug, kind=kind)[1]
+        passes = [(saved, losses.entropy_loss(y)[1]), (saved_aug, lam * g_aug)]
+        tape_loss = tape_entropy_loss(tape_y) + tape_consistency_loss(tape_y, tape_y_aug, kind) * lam
 
-    got = batch_grads(model, make_loss, *inputs, batch_stats=batch_stats)
-    tape_logits = [tape_forward(model, batch, batch_stats=batch_stats) for batch in inputs]
-    ref = tape_grads(model, make_loss(*tape_logits))
+    got = harness.collect_grads(model, passes)
+    ref = tape_grads(leaves, tape_loss)
     assert list(got) == model.weight_layer_names()
     for name, ref_grads in ref.items():
         g = np.concatenate([a.ravel() for a in got[name]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_diff, max_rel_err
-from fimtta import autodiff as ad
+import autodiff as ad
 from fimtta import fisher
 from fimtta.fisher import (
     FisherState,
@@ -14,9 +14,9 @@ from fimtta.fisher import (
     learning_weights,
     per_sample_scores,
 )
-from fimtta.losses import nll_loss
+from fimtta.losses import log_softmax, nll_loss
 from fimtta.model import build_classifier, record_source_stats
-from oracle import score, tape_forward
+from oracle import score, tape_forward, tape_grads, tape_params
 
 
 def _scores(model, inputs, batch_stats=True):
@@ -29,7 +29,7 @@ def test_score_is_pseudo_label_likelihood_gradient():
     m = build_classifier(1, [], 2, seed=3)
     x = rng.standard_normal((8, 1)) + 2.0  # away from the decision boundary
     logits, _ = m.forward(x, batch_stats=True)
-    ls = ad.log_softmax(ad.constant(logits)).data
+    ls = log_softmax(logits)
     probs = np.exp(ls)
     pseudo = ls.argmax(axis=1)
     onehot = np.eye(2)[pseudo]
@@ -44,10 +44,10 @@ def test_score_is_pseudo_label_likelihood_gradient():
     params = m.weight_layers()[0].params
 
     def neg_ll():
-        return -nll_loss(ad.constant(m.forward(x, batch_stats=True)[0]), pseudo).item()
+        return -nll_loss(m.forward(x, batch_stats=True)[0], pseudo)[0]
 
     for p, g in zip(params, got["head"]):
-        assert max_rel_err(g, finite_diff(neg_ll, p.data)) < 1e-4
+        assert max_rel_err(g, finite_diff(neg_ll, p)) < 1e-4
 
 
 def test_score_of_weight_matrix_is_zero_for_zero_inputs():
@@ -93,16 +93,14 @@ def test_mean_of_per_sample_scores_equals_batch_score():
 
 def _loop_scores(model, inputs, batch_stats):
     """Reference per-sample scores: one tape replay per sample, seeded with e_i."""
-    ls = ad.log_softmax(tape_forward(model, inputs, batch_stats=batch_stats))
+    leaves = tape_params(model)
+    ls = ad.log_softmax(tape_forward(model, inputs, leaves, batch_stats=batch_stats))
     ll_vec = ad.take_per_row(ls, ls.data.argmax(axis=1))
-    layers = model.weight_layers()
-    params = [p for layer in layers for p in layer.params]
     n = ll_vec.data.shape[0]
-    out = {layer.name: np.empty((n, layer.param_count())) for layer in layers}
+    out = {layer.name: np.empty((n, layer.param_count())) for layer in model.weight_layers()}
     for i in range(n):
-        grads = iter(ad.grads_of(ll_vec, params, seed=np.eye(n)[i]))
-        for layer in layers:
-            out[layer.name][i] = np.concatenate([next(grads).ravel() for _ in layer.params])
+        for name, grads in tape_grads(leaves, ll_vec, seed=np.eye(n)[i]).items():
+            out[name][i] = np.concatenate([g.ravel() for g in grads])
     return out
 
 
@@ -113,7 +111,7 @@ def _random_model(rng):
     m = build_classifier(input_dim, hidden, int(rng.integers(2, 5)), seed=int(rng.integers(1000)))
     for layer in m.weight_layers():
         for p in layer.params:
-            p.data += 0.3 * rng.standard_normal(p.data.shape)
+            p += 0.3 * rng.standard_normal(p.shape)
     record_source_stats(m, 1.5 * rng.standard_normal((50, input_dim)) + 0.5)
     return m
 
@@ -158,7 +156,7 @@ def test_desk_model_batched_scores_match_per_sample_replay():
     m = build_classifier(16, [32, 32, 32, 32], 3, seed=4)
     for layer in m.weight_layers():
         for p in layer.params:
-            p.data += 0.1 * rng.standard_normal(p.data.shape)
+            p += 0.1 * rng.standard_normal(p.shape)
     x = rng.standard_normal((64, 16))
     _assert_scores_match(_scores(m, x), _loop_scores(m, x, True))
 

@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fimtta import autodiff as ad
 from fimtta import fisher, harness, losses, scheduler
 from fimtta.harness import (
     AdaptConfig,
@@ -53,7 +52,7 @@ def test_pretrain_zero_epochs_returns_initialization():
     result = pretrain(model, source, epochs=0, seed=0)
     for a, b in zip(result.model.weight_layers(), reference.weight_layers()):
         for pa, pb in zip(a.params, b.params):
-            assert np.array_equal(pa.data, pb.data)
+            assert np.array_equal(pa, pb)
     assert model.norm_layers()[0].source_mean is not None
 
 
@@ -84,7 +83,7 @@ def test_pretrain_solves_planar_three_blob_task():
 def test_pretrain_aborts_on_non_finite_loss():
     spec = SourceSpec(input_dim=6, class_count=3, margin=5.0, seed=0)
     model = build_classifier(6, [8], 3, seed=0)
-    model.weight_layers()[0].params[0].data[0, 0] = np.nan
+    model.weight_layers()[0].params[0][0, 0] = np.nan
     with pytest.raises(PretrainDiverged):
         pretrain(model, gen_source(spec, 240), epochs=1, seed=0)
 
@@ -93,24 +92,35 @@ def test_collect_grads_matches_parameter_shapes():
     spec, model = tiny_setup()
     x = np.random.default_rng(0).standard_normal((8, 6))
     logits, saved = model.forward(x)
-    leaf = ad.param(logits)
-    grads = collect_grads(model, losses.entropy_loss(leaf), [(leaf, saved)])
+    grads = collect_grads(model, [(saved, losses.entropy_loss(logits)[1])])
     assert list(grads) == model.weight_layer_names()
     for layer in model.weight_layers():
         for p, g in zip(layer.params, grads[layer.name]):
-            assert g.shape == p.data.shape
+            assert g.shape == p.shape
 
 
 def _hand_uniform_entropy_loop(model, spec, schedule, eta):
-    """Plain uniform-rate SGD entropy-descent loop (no weighting, no scheduler)."""
-    trajectory = []
-    for batch in ScheduleStream(spec, schedule):
+    """Plain uniform-rate SGD entropy-descent loop (no weighting, no scheduler).
+
+    Returns the parameters after each step and, per batch, the error of
+    the model on that batch before and after its step.
+    """
+    trajectory, errors = [], []
+    stream = ScheduleStream(spec, schedule)
+    for batch in stream:
+        labels = stream.labels_for(batch.step)
+
+        def error():
+            return float((model.forward(batch.inputs)[0].argmax(axis=1) != labels).mean())
+
+        before = error()
         grads = batch_grads(model, losses.entropy_loss, batch.inputs)
         for layer in model.weight_layers():
             for p, g in zip(layer.params, grads[layer.name]):
-                p.data -= eta * g
+                p -= eta * g
         trajectory.append(model.param_snapshot())
-    return trajectory
+        errors.append((before, error()))
+    return trajectory, errors
 
 
 @pytest.mark.parametrize("method,extra", [
@@ -124,7 +134,7 @@ def test_reduction_to_uniform_entropy_descent_is_bit_identical(method, extra):
     ours = model.clone()
     records = adapt_stream(ours, ScheduleStream(spec, tiny_schedule(batches=5)), cfg)
     reference = model.clone()
-    trajectory = _hand_uniform_entropy_loop(
+    trajectory, _ = _hand_uniform_entropy_loop(
         reference, spec, tiny_schedule(batches=5), eta
     )
     assert len(records) == 10
@@ -178,25 +188,20 @@ def test_layerwise_records_carry_weights_and_rates_shape():
         assert rec.wall_seconds > 0.0
     # parameters actually moved
     assert not np.array_equal(
-        work.weight_layers()[0].params[0].data,
-        model.weight_layers()[0].params[0].data,
+        work.weight_layers()[0].params[0],
+        model.weight_layers()[0].params[0],
     )
 
 
 def test_online_error_uses_pre_update_model():
-    # with a huge rate the post-update flag must generally disagree with the
-    # online protocol on at least some batches
+    # record k's error is that of the model after k steps, not k + 1; with a
+    # huge rate the two differ on some batches, so the check can tell them apart
     spec, model = tiny_setup()
-    sched = tiny_schedule(batches=4)
-    cfg = AdaptConfig(method="uniform_tent", eta=0.5, lam=0.0, seed=0)
-    pre = adapt_stream(model.clone(), ScheduleStream(spec, sched), cfg)
-    sched2 = tiny_schedule(batches=4)
-    post = adapt_stream(
-        model.clone(),
-        ScheduleStream(spec, sched2),
-        AdaptConfig(method="uniform_tent", eta=0.5, lam=0.0, seed=0, error_post_update=True),
-    )
-    assert [r.error for r in pre] != [r.error for r in post]
+    cfg = AdaptConfig(method="uniform_tent", eta=0.5, lam=0.0, optimizer="sgd", seed=0)
+    records = adapt_stream(model.clone(), ScheduleStream(spec, tiny_schedule(batches=4)), cfg)
+    _, errors = _hand_uniform_entropy_loop(model.clone(), spec, tiny_schedule(batches=4), 0.5)
+    assert [r.error for r in records] == [before for before, _ in errors]
+    assert [before for before, _ in errors] != [after for _, after in errors]
 
 
 def test_naive_mode_records_raw_weights_and_unbounded_rates():
@@ -334,6 +339,41 @@ def test_rejected_step_leaves_model_intact_and_continues(monkeypatch, caplog):
     assert "rejected" in caplog.text
 
 
+class _OneRowAtStep:
+    """A stream whose batch at ``step`` is cut to its first row."""
+
+    def __init__(self, inner, step):
+        self.inner, self.step = inner, step
+
+    def labels_for(self, step):
+        labels = self.inner.labels_for(step)
+        return labels[:1] if step == self.step else labels
+
+    def __iter__(self):
+        for batch in self.inner:
+            if batch.step == self.step:
+                batch = dataclasses.replace(batch, inputs=batch.inputs[:1])
+            yield batch
+
+
+@pytest.mark.parametrize("method", ["layerwise", "naive_eq6", "uniform_tent", "bn1"])
+def test_batch_statistics_methods_reject_single_row_batch(method):
+    # one row has no batch statistics: the first norm layer would output its
+    # shift whatever the input
+    spec, model = tiny_setup()
+    stream = _OneRowAtStep(ScheduleStream(spec, tiny_schedule()), step=2)
+    with pytest.raises(ValueError, match=rf"step 2 has 1 row.*{method}"):
+        adapt_stream(model.clone(), stream, AdaptConfig(method=method, seed=0))
+
+
+def test_source_method_runs_single_row_batches():
+    spec, model = tiny_setup()
+    stream = ScheduleStream(spec, tiny_schedule(batch_size=1))
+    records = adapt_stream(model.clone(), stream, AdaptConfig(method="source"))
+    assert len(records) == 6
+    assert all(rec.error in (0.0, 1.0) for rec in records)
+
+
 class _NanAtStep:
     """A stream whose batch at ``step`` has one NaN input element."""
 
@@ -392,4 +432,4 @@ def test_nan_batch_is_skipped_and_later_steps_apply(monkeypatch, caplog, optimiz
         assert np.isfinite(rec.w_raw).all() and np.isfinite(rec.w_bar).all()
         assert all(np.isfinite(d).all() for d in rec.diag.values())
     for layer in work.weight_layers():
-        assert all(np.isfinite(p.data).all() for p in layer.params)
+        assert all(np.isfinite(p).all() for p in layer.params)

@@ -3,17 +3,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fimtta import autodiff as ad
 from fimtta import scheduler
+from fimtta.losses import entropy_loss, log_softmax
 from fimtta.model import (
     LayerParams,
     Model,
+    ShapeError,
     build_classifier,
     load_checkpoint,
     record_source_stats,
     save_checkpoint,
 )
-from oracle import batch_grads, tape_forward
+from oracle import batch_grads, tape_forward, tape_params
 
 
 def test_build_is_deterministic_per_seed():
@@ -22,13 +23,13 @@ def test_build_is_deterministic_per_seed():
     for la, lb in zip(a.layers, b.layers):
         assert la.name == lb.name and la.kind == lb.kind
         for pa, pb in zip(la.params, lb.params):
-            assert np.array_equal(pa.data, pb.data)
+            assert np.array_equal(pa, pb)
 
 
 def test_different_seeds_differ():
     a = build_classifier(2, [8], 3, seed=0)
     b = build_classifier(2, [8], 3, seed=1)
-    assert not np.array_equal(a.layers[0].params[0].data, b.layers[0].params[0].data)
+    assert not np.array_equal(a.layers[0].params[0], b.layers[0].params[0])
 
 
 def test_empty_hidden_dims_is_minimal_linear_classifier():
@@ -55,10 +56,10 @@ def test_layer_enumeration_order_is_stable():
 def test_zero_weight_head_gives_uniform_probabilities():
     m = build_classifier(4, [], 5, seed=0)
     head = m.weight_layers()[0]
-    head.params[0].data[:] = 0.0
-    head.params[1].data[:] = 0.0
+    head.params[0][:] = 0.0
+    head.params[1][:] = 0.0
     logits, _ = m.forward(np.random.default_rng(0).standard_normal((6, 4)))
-    probs = np.exp(ad.log_softmax(ad.constant(logits)).data)
+    probs = np.exp(log_softmax(logits))
     assert np.allclose(probs, 0.2, atol=1e-15)
 
 
@@ -74,9 +75,9 @@ def test_single_sample_matches_batch_row_under_fixed_stats():
 
 def test_forward_rejects_dimension_mismatch():
     m = build_classifier(4, [8], 2, seed=0)
-    with pytest.raises(ad.ShapeError, match="forward"):
+    with pytest.raises(ShapeError, match="forward"):
         m.forward(np.zeros((3, 5)))
-    with pytest.raises(ad.ShapeError):
+    with pytest.raises(ShapeError):
         m.forward(np.zeros(4))
 
 
@@ -88,7 +89,7 @@ def test_frozen_source_path_requires_recorded_stats():
 
 def test_duplicate_layer_names_rejected():
     layers = [
-        LayerParams(name="a", kind="dense", params=[ad.param(np.ones((2, 2))), ad.param(np.zeros(2))]),
+        LayerParams(name="a", kind="dense", params=[np.ones((2, 2)), np.zeros(2)]),
         LayerParams(name="a", kind="relu"),
     ]
     with pytest.raises(ValueError, match="duplicate"):
@@ -107,22 +108,22 @@ def test_untrainable_layer_is_bit_identical_across_steps():
     m = build_classifier(3, [6], 2, seed=5)
     frozen = m.weight_layers()[1]
     frozen.trainable = False
-    before = [p.data.copy() for p in frozen.params]
+    before = [p.copy() for p in frozen.params]
     opt = scheduler.AdamState()
     for _ in range(5):
-        grads = batch_grads(m, lambda y: ad.mean_all(ad.mul(y, y)), rng.standard_normal((8, 3)))
+        grads = batch_grads(m, entropy_loss, rng.standard_normal((8, 3)))
         assert scheduler.weighted_step(m, grads, np.full(3, 1e-2), optimizer=opt)
     for p, b in zip(frozen.params, before):
-        assert np.array_equal(p.data, b)
-    assert not np.array_equal(m.weight_layers()[0].params[0].data.copy(), np.zeros((3, 6)))
+        assert np.array_equal(p, b)
+    assert not np.array_equal(m.weight_layers()[0].params[0].copy(), np.zeros((3, 6)))
 
 
 def test_clone_is_independent():
     m = build_classifier(3, [4], 2, seed=1)
     c = m.clone()
-    c.weight_layers()[0].params[0].data[:] = 99.0
+    c.weight_layers()[0].params[0][:] = 99.0
     assert not np.array_equal(
-        m.weight_layers()[0].params[0].data, c.weight_layers()[0].params[0].data
+        m.weight_layers()[0].params[0], c.weight_layers()[0].params[0]
     )
 
 
@@ -139,8 +140,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     for la, lb in zip(m.layers, loaded.layers):
         assert (la.name, la.kind, la.trainable) == (lb.name, lb.kind, lb.trainable)
         for pa, pb in zip(la.params, lb.params):
-            assert pa.data.shape == pb.data.shape
-            assert np.array_equal(pa.data, pb.data)
+            assert pa.shape == pb.shape
+            assert np.array_equal(pa, pb)
         for buf in ("source_mean", "source_var"):
             a, b = getattr(la, buf), getattr(lb, buf)
             assert (a is None) == (b is None)
@@ -206,7 +207,7 @@ def _perturbed_model(rng, input_dim=5, hidden=(8, 6, 7), class_count=4):
     m = build_classifier(input_dim, list(hidden), class_count, seed=3)
     for layer in m.weight_layers():
         for p in layer.params:
-            p.data += 0.2 * rng.standard_normal(p.data.shape)
+            p += 0.2 * rng.standard_normal(p.shape)
     record_source_stats(m, rng.standard_normal((40, input_dim)) + 0.3)
     return m
 
@@ -217,7 +218,7 @@ def test_forward_logits_equal_tape_oracle(batch_stats):
     for m, n in ((_perturbed_model(rng), 9), (_perturbed_model(rng, 16, [32] * 4, 3), 64)):
         x = rng.standard_normal((n, m.input_dim))
         logits, saved = m.forward(x, batch_stats=batch_stats)
-        assert np.array_equal(logits, tape_forward(m, x, batch_stats=batch_stats).data)
+        assert np.array_equal(logits, tape_forward(m, x, tape_params(m), batch_stats=batch_stats).data)
         assert len(saved) == len(m.layers)
 
 
@@ -232,8 +233,8 @@ def test_recorded_source_stats_reproduce_the_batch_stat_pass():
 def test_forward_and_source_stats_reject_dimension_mismatch():
     m = build_classifier(4, [8], 2, seed=0)
     for bad in (np.zeros((3, 5)), np.zeros(4)):
-        with pytest.raises(ad.ShapeError, match="forward"):
+        with pytest.raises(ShapeError, match="forward"):
             m.forward(bad)
-        with pytest.raises(ad.ShapeError, match="forward"):
+        with pytest.raises(ShapeError, match="forward"):
             record_source_stats(m, bad)
     assert m.norm_layers()[0].source_mean is None

@@ -270,3 +270,46 @@ def test_describe_schedule_lists_segments():
     assert "continual schedule" in text
     assert text.count("severity=5") == 2
     assert "gaussian_noise" in text and "feature_blur" in text
+
+
+def _schedule_text(**changes) -> str:
+    fields = {
+        "kind": "continual",
+        "kinds": "gaussian_noise,feature_blur",
+        "batches": "3",
+        "batch_size": "16",
+        "seed": "0",
+    } | changes
+    return "".join(f"{key}={value}\n" for key, value in fields.items())
+
+
+def test_schedule_with_zero_batches_rejected(tmp_path):
+    # an empty run would summarize to a NaN mean error
+    path = tmp_path / "sched.txt"
+    path.write_text(_schedule_text(batches="0"), encoding="utf-8")
+    with pytest.raises(ValueError, match=">= 1 batches per segment"):
+        parse_schedule_file(path)
+    with pytest.raises(ValueError, match=">= 1 batches per segment"):
+        make_schedule("continual", ["gaussian_noise", "feature_blur"], -1, 16, seed=0)
+
+
+def test_schedule_with_zero_batch_size_rejected(tmp_path):
+    path = tmp_path / "sched.txt"
+    path.write_text(_schedule_text(batch_size="0"), encoding="utf-8")
+    with pytest.raises(ValueError, match="batch_size >= 1"):
+        parse_schedule_file(path)
+
+
+def test_schedule_line_without_equals_rejected(tmp_path):
+    path = tmp_path / "sched.txt"
+    path.write_text("# a comment\n" + _schedule_text() + "batches 2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"sched\.txt: line 7: expected key=value, got 'batches 2'"):
+        parse_schedule_file(path)
+
+
+@pytest.mark.parametrize("key,line", [("batches", 3), ("batch_size", 4), ("seed", 5)])
+def test_schedule_non_integer_field_rejected(tmp_path, key, line):
+    path = tmp_path / "sched.txt"
+    path.write_text(_schedule_text(**{key: "2.5"}), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"sched\.txt: line {line}: {key} must be an integer, got '2.5'"):
+        parse_schedule_file(path)
