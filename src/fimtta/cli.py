@@ -19,7 +19,13 @@ from .stream import SourceSpec, describe_schedule, gen_source, parse_schedule_fi
 logger = logging.getLogger(__name__)
 
 
-def _add_adapt_flags(p: argparse.ArgumentParser) -> None:
+def _seed_count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 seed, got {text}")
+    return int(text)
+
+
+def _add_adapt_flags(p: argparse.ArgumentParser, seeds: bool = False) -> None:
     p.add_argument("--checkpoint", required=True, help="pretrained model checkpoint")
     p.add_argument("--schedule", required=True, help="schedule description file")
     p.add_argument("--eta", type=float, default=5e-3)
@@ -32,7 +38,8 @@ def _add_adapt_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--opt", choices=["adam", "sgd"], default="adam")
     p.add_argument("--consistency", choices=["sigmoid", "softmax"], default="sigmoid")
     p.add_argument("--noise-scale", type=float, default=0.1)
-    p.add_argument("--seeds", type=int, default=1, help="repeat with seed offsets and report mean/std")
+    if seeds:
+        p.add_argument("--seeds", type=_seed_count, default=1, help="repeat with seed offsets and report mean/std")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,11 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("adapt", help="run the layer-wise weighted adaptation")
-    _add_adapt_flags(p)
+    _add_adapt_flags(p, seeds=True)
     p.add_argument("--method", choices=["layerwise", "naive_eq6"], default="layerwise")
 
     p = sub.add_parser("baseline", help="run a non-weighted reference method")
-    _add_adapt_flags(p)
+    _add_adapt_flags(p, seeds=True)
     p.add_argument("--method", choices=["source", "bn1", "uniform_tent"], required=True)
 
     p = sub.add_parser("ablate", help="factorial sweep over tau, lambda, gamma")

@@ -114,35 +114,30 @@ def pretrain(
                 raise PretrainDiverged(
                     f"pretraining loss became {last_loss} at epoch step; aborting"
                 )
-            grads = collect_grads(model, [(saved, g)])
-            scheduler.weighted_step(model, grads, uniform, optimizer=opt)
+            grad = collect_grads(model, [(saved, g)])
+            scheduler.weighted_step(model, grad, uniform, optimizer=opt)
     record_source_stats(model, source.inputs)
     logits, _ = model.forward(source.inputs, batch_stats=False)
     accuracy = float((logits.argmax(axis=1) == source.labels).mean())
     return PretrainResult(model=model, accuracy=accuracy, final_loss=last_loss)
 
 
-def collect_grads(model: Model, passes: list[tuple[list, np.ndarray]]) -> dict[str, list[np.ndarray]]:
-    """Per-layer parameter gradients of a loss built on model logits.
+def collect_grads(model: Model, passes: list[tuple[list, np.ndarray]]) -> np.ndarray:
+    """Flat [P] parameter gradient of a loss built on model logits.
 
     ``passes`` pairs the cache of each ``model.forward`` the loss reads
     with the loss's gradient with respect to that forward's [n, C]
     logits (the second result of a ``losses`` function, scaled by its
     weight in the loss). One ``model.backward`` per forward turns the
-    cotangent into parameter gradients, overwriting it, and the
-    forwards' shares are summed.
+    cotangent into a [1, P] gradient row laid out like ``model.theta``,
+    overwriting the cotangent, and the forwards' rows are summed.
     """
     total = None
     for saved, g in passes:
-        rows = model.backward(saved, g[None])
-        total = rows if total is None else {name: total[name] + rows[name] for name in rows}
-    grads: dict[str, list[np.ndarray]] = {}
-    for layer in model.weight_layers():
-        flat, grads[layer.name] = total[layer.name][0], []
-        for p in layer.params:
-            grads[layer.name].append(flat[: p.size].reshape(p.shape))
-            flat = flat[p.size :]
-    return grads
+        rows = np.empty((1, model.theta.size))
+        model.backward(saved, g[None], {name: rows[:, cols] for name, cols in model.slices.items()})
+        total = rows if total is None else total + rows
+    return total[0]
 
 
 def adapt_stream(
@@ -222,8 +217,8 @@ def adapt_stream(
                 aug_logits, aug_saved = model.forward(augmented, batch_stats=True)
                 consistency_val, g_aug = losses.consistency_loss(logits, aug_logits, kind=cfg.consistency)
                 passes.append((aug_saved, cfg.lam * g_aug))
-            grads = collect_grads(model, passes)
-            applied = scheduler.weighted_step(model, grads, rates, optimizer=opt)
+            grad = collect_grads(model, passes)
+            applied = scheduler.weighted_step(model, grad, rates, optimizer=opt)
             if not applied:
                 logger.warning(
                     "adapt_stream: step %d rejected, model unchanged", batch.step

@@ -65,7 +65,11 @@ class LayerParams:
 
 
 class Model:
-    """Ordered stack of layers mapping [batch, input_dim] to [batch, C]."""
+    """Ordered stack of layers mapping [batch, input_dim] to [batch, C].
+
+    Parameters live in one float64 vector ``theta`` ([P], also the gradient
+    layout): layer ``name`` owns ``theta[slices[name]]``, its params are
+    C-contiguous views of it."""
 
     def __init__(self, layers: list[LayerParams], input_dim: int, class_count: int):
         names = [layer.name for layer in layers]
@@ -74,6 +78,17 @@ class Model:
         self.layers = layers
         self.input_dim = input_dim
         self.class_count = class_count
+        self.theta = np.empty(sum(layer.param_count() for layer in layers))
+        self.slices: dict[str, slice] = {}
+        start = 0
+        for layer in self.weight_layers():
+            self.slices[layer.name] = slice(start, start + layer.param_count())
+            params, layer.params = layer.params, []
+            for p in params:
+                view = self.theta[start : start + p.size].reshape(p.shape)
+                view[...] = p
+                layer.params.append(view)
+                start += p.size
 
     def weight_layers(self) -> list[LayerParams]:
         """Parameter-bearing layers in forward order; defines the layer index."""
@@ -82,8 +97,16 @@ class Model:
     def weight_layer_names(self) -> list[str]:
         return [layer.name for layer in self.weight_layers()]
 
-    def norm_layers(self) -> list[LayerParams]:
-        return [layer for layer in self.layers if layer.kind == "norm"]
+    def trainable_runs(self) -> list[slice]:
+        """Maximal ranges of ``theta`` whose layers are all trainable."""
+        runs: list[slice] = []
+        for layer in self.weight_layers():
+            cols = self.slices[layer.name]
+            if layer.trainable and runs and runs[-1].stop == cols.start:
+                runs[-1] = slice(runs[-1].start, cols.stop)
+            elif layer.trainable:
+                runs.append(cols)
+        return runs
 
     def _check_inputs(self, x: np.ndarray) -> None:
         if x.ndim != 2 or x.shape[1] != self.input_dim:
@@ -131,19 +154,16 @@ class Model:
                 raise ValueError(f"unknown layer kind {layer.kind!r}")
         return out, saved
 
-    def backward(self, saved: list, g: np.ndarray, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    def backward(self, saved: list, g: np.ndarray, out: dict[str, np.ndarray]) -> None:
         """Parameter gradients for a logit cotangent ``g`` of shape [s, n, C].
 
         One reverse pass over the layer stack with a leading cotangent
         axis: row k of ``out[name]`` ([s, param_count], the layer's
-        parameters flattened in order) is the gradient of
+        parameters flattened in order) is set to the gradient of
         ``sum(g[k] * logits)``. s=1 gives batch gradients; s=n with slice
-        i seeded in row i gives per-sample gradients. Rows are allocated
-        when ``out`` is not given; ``g`` is overwritten.
+        i seeded in row i gives per-sample gradients. ``g`` is overwritten.
         """
         s, n = g.shape[:2]
-        if out is None:
-            out = {layer.name: np.empty((s, layer.param_count())) for layer in self.weight_layers()}
         # nothing below the first weight layer needs a cotangent
         first = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
         for i in range(len(self.layers) - 1, first - 1, -1):
@@ -166,28 +186,22 @@ class Model:
                     if mean is not None:
                         g -= (g_shift[:, None] + xhat * g_scale[:, None]) / n
                     g *= layer.params[0] * inv_std
-        return out
 
     def clone(self) -> "Model":
-        """Deep copy; parameters, flags and buffers are all duplicated."""
+        """Deep copy: parameters packed into a new ``theta``, buffers duplicated."""
         layers = []
         for layer in self.layers:
             layers.append(
                 LayerParams(
                     name=layer.name,
                     kind=layer.kind,
-                    params=[p.copy() for p in layer.params],
+                    params=list(layer.params),
                     trainable=layer.trainable,
                     source_mean=None if layer.source_mean is None else layer.source_mean.copy(),
                     source_var=None if layer.source_var is None else layer.source_var.copy(),
                 )
             )
         return Model(layers, self.input_dim, self.class_count)
-
-    def param_snapshot(self) -> dict[str, list[np.ndarray]]:
-        return {
-            layer.name: [p.copy() for p in layer.params] for layer in self.layers
-        }
 
 
 def build_classifier(

@@ -48,7 +48,8 @@ def layer_rates(w_bar, eta: float) -> np.ndarray:
 
 
 class AdamState:
-    """Per-parameter Adam moments; the per-layer rate is the step size.
+    """Adam moments ``m``, ``v`` ([P], laid out like ``Model.theta`` and
+    allocated at the first step); the per-layer rate is the step size.
 
     Moments keep accumulating for zero-rate layers so a layer that
     unfreezes later steps with its full history; buffers persist across
@@ -60,39 +61,40 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m: dict[tuple[str, int], np.ndarray] = {}
-        self._v: dict[tuple[str, int], np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def update(self, key: tuple[str, int], grad: np.ndarray) -> np.ndarray:
-        """Fold in a gradient and return the unit-rate step direction."""
-        m = self._m.get(key)
-        if m is None:
-            m = np.zeros_like(grad)
-            v = np.zeros_like(grad)
-        else:
-            v = self._v[key]
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-        self._m[key] = m
-        self._v[key] = v
-        m_hat = m / (1.0 - self.beta1**self.step_count)
-        v_hat = v / (1.0 - self.beta2**self.step_count)
-        return m_hat / (np.sqrt(v_hat) + self.eps)
+    def update(self, grad: np.ndarray, cols: slice) -> np.ndarray:
+        """Fold ``grad[cols]`` of a flat gradient into the moments of those
+        columns and return their unit-rate step direction."""
+        if self.m is None:
+            self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
+        g, m, v = grad[cols], self.m[cols], self.v[cols]
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        denom = np.sqrt(v / (1.0 - self.beta2**self.step_count))
+        denom += self.eps
+        return np.divide(m / (1.0 - self.beta1**self.step_count), denom, out=denom)
 
 
 def weighted_step(
     model: Model,
-    grads: dict[str, list[np.ndarray]],
+    grad: np.ndarray,
     rates,
     optimizer: AdamState | None = None,
 ) -> bool:
     """Descend each trainable layer by its own rate; True if applied.
 
+    ``grad`` is a flat [P] gradient laid out like ``model.theta`` and
     ``rates`` aligns with ``model.weight_layers()``. Without an
     optimizer this is the plain per-layer SGD update; with one, the rate
-    multiplies the Adam step. A non-finite rate, or a non-finite value in
-    any gradient, rejects the whole step: the model and the Adam moments
-    are left untouched and the incident logged.
+    multiplies the Adam step. Zero-rate layers keep their parameters but
+    still fold their gradients into the Adam moments; untrainable layers
+    are left alone. A non-finite rate, or a non-finite gradient value of
+    a trainable layer, rejects the whole step: the model and the Adam
+    moments are left untouched and the incident logged.
     """
     layers = model.weight_layers()
     rate_arr = np.asarray(rates, dtype=np.float64)
@@ -100,33 +102,22 @@ def weighted_step(
         raise ValueError(
             f"weighted_step: expected {len(layers)} rates, got shape {rate_arr.shape}"
         )
+    if grad.shape != model.theta.shape:
+        raise ValueError(f"weighted_step: expected a {model.theta.shape} gradient, got {grad.shape}")
     if not np.isfinite(rate_arr).all():
         logger.warning("weighted_step: non-finite rates %s; step rejected", rate_arr)
         return False
-    for layer in layers:
-        if not layer.trainable:
-            continue
-        for g in grads[layer.name]:
-            if not np.isfinite(g).all():
-                logger.warning(
-                    "weighted_step: non-finite gradient in layer %s; step rejected",
-                    layer.name,
-                )
-                return False
+    runs = model.trainable_runs()
+    if not all(np.isfinite(grad[cols]).all() for cols in runs):
+        bad = [name for name, cols in model.slices.items() if not np.isfinite(grad[cols]).all()]
+        logger.warning("weighted_step: non-finite gradient in layers %s; step rejected", bad)
+        return False
     if optimizer is not None:
         optimizer.step_count += 1
-    for rate, layer in zip(rate_arr, layers):
-        if not layer.trainable:
-            continue
-        layer_grads = grads[layer.name]
-        if optimizer is None:
-            if rate == 0.0:
-                continue
-            for p, g in zip(layer.params, layer_grads):
-                p -= rate * g
-        else:
-            for idx, (p, g) in enumerate(zip(layer.params, layer_grads)):
-                direction = optimizer.update((layer.name, idx), g)
-                if rate != 0.0:
-                    p -= rate * direction
+    counts = [cols.stop - cols.start for cols in model.slices.values()]
+    elem_rates = np.repeat(rate_arr, counts)
+    for cols in runs:
+        direction = grad[cols] if optimizer is None else optimizer.update(grad, cols)
+        rate, theta = elem_rates[cols], model.theta[cols]
+        np.subtract(theta, rate * direction, out=theta, where=rate != 0.0)
     return True

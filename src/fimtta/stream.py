@@ -188,6 +188,14 @@ class DomainSchedule:
 GRADUAL_RAMP = (1, 2, 3, 4, 5, 4, 3, 2, 1)
 
 
+class ScheduleError(ValueError):
+    """A schedule argument out of range; ``key`` names it as a schedule file does."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 def make_schedule(
     kind: str,
     corruption_kinds: list[str],
@@ -198,28 +206,21 @@ def make_schedule(
     """Continual: one severity-5 segment per kind. Gradual: a 1..5..1
     severity ramp per kind, shifting domains at the low end."""
     if len(corruption_kinds) < 2:
-        raise ValueError("a meaningful sequence needs >= 2 corruption kinds")
-    if batches_per_segment < 1 or batch_size < 1:
-        raise ValueError(
-            f"need >= 1 batches per segment and batch_size >= 1, got "
-            f"{batches_per_segment} and {batch_size}"
-        )
-    if kind == "continual":
-        segments = [
-            Segment(CorruptionSpec(c, 5), batches_per_segment)
-            for c in corruption_kinds
-        ]
-    elif kind == "gradual":
-        segments = [
-            Segment(CorruptionSpec(c, sev), batches_per_segment)
-            for c in corruption_kinds
-            for sev in GRADUAL_RAMP
-        ]
-    else:
-        raise ValueError(f"schedule kind must be continual or gradual, got {kind!r}")
+        raise ScheduleError("kinds", "a meaningful sequence needs >= 2 corruption kinds")
+    if batches_per_segment < 1:
+        raise ScheduleError("batches", f"need >= 1 batches per segment, got {batches_per_segment}")
+    if batch_size < 1:
+        raise ScheduleError("batch_size", f"need batch_size >= 1, got {batch_size}")
+    if kind not in ("continual", "gradual"):
+        raise ScheduleError("kind", f"schedule kind must be continual or gradual, got {kind!r}")
+    severities = (5,) if kind == "continual" else GRADUAL_RAMP
     return DomainSchedule(
         kind=kind,
-        segments=segments,
+        segments=[
+            Segment(CorruptionSpec(c, sev), batches_per_segment)
+            for c in corruption_kinds
+            for sev in severities
+        ],
         batch_size=batch_size,
         seed=seed,
         corruption_kinds=list(corruption_kinds),
@@ -290,17 +291,6 @@ class ScheduleStream:
 # schedule description files (plain key=value text)
 
 
-def write_schedule_file(path, kind: str, kinds: list[str], batches: int, batch_size: int, seed: int) -> None:
-    text = (
-        f"kind={kind}\n"
-        f"kinds={','.join(kinds)}\n"
-        f"batches={batches}\n"
-        f"batch_size={batch_size}\n"
-        f"seed={seed}\n"
-    )
-    Path(path).write_text(text, encoding="utf-8")
-
-
 def parse_schedule_file(path) -> DomainSchedule:
     """Read a key=value schedule file; errors name the file and line."""
     fields: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
@@ -323,13 +313,17 @@ def parse_schedule_file(path) -> DomainSchedule:
         except ValueError:
             raise ValueError(f"{path}: line {number}: {key} must be an integer, got {value!r}") from None
 
-    return make_schedule(
-        kind=fields["kind"][0],
-        corruption_kinds=[k.strip() for k in fields["kinds"][0].split(",") if k.strip()],
-        batches_per_segment=integer("batches"),
-        batch_size=integer("batch_size"),
-        seed=integer("seed"),
-    )
+    batches, batch_size, seed = integer("batches"), integer("batch_size"), integer("seed")
+    try:
+        return make_schedule(
+            kind=fields["kind"][0],
+            corruption_kinds=[k.strip() for k in fields["kinds"][0].split(",") if k.strip()],
+            batches_per_segment=batches,
+            batch_size=batch_size,
+            seed=seed,
+        )
+    except ValueError as exc:  # without a key: CorruptionSpec's unknown corruption kind
+        raise ValueError(f"{path}: line {fields[getattr(exc, 'key', 'kinds')][1]}: {exc}") from None
 
 
 def describe_schedule(schedule: DomainSchedule) -> str:

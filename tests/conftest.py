@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,15 @@ def max_rel_err(analytic, reference) -> float:
     reference = np.asarray(reference, dtype=np.float64)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(reference)))
     return float((np.abs(analytic - reference) / denom).max())
+
+
+def write_schedule_file(path, kind: str, kinds: list[str], batches: int, batch_size: int, seed: int) -> None:
+    """A key=value schedule file that ``parse_schedule_file`` reads back."""
+    text = (
+        f"kind={kind}\n"
+        f"kinds={','.join(kinds)}\n"
+        f"batches={batches}\n"
+        f"batch_size={batch_size}\n"
+        f"seed={seed}\n"
+    )
+    Path(path).write_text(text, encoding="utf-8")

@@ -7,7 +7,9 @@ tape, so ``tape_grads`` of any loss of its logits gives gradients that
 share no code with ``Model.backward`` or the closed-form gradients in
 ``fimtta.losses``. ``score`` is the batch-mean pseudo-label score taken
 from that tape. ``batch_grads`` is the library's own path: one
-``Model.forward``, a closed-form loss head and ``harness.collect_grads``.
+``Model.forward``, a closed-form loss head and ``harness.collect_grads``;
+``layer_grads`` splits its flat gradient back into per-layer arrays, and
+``param_snapshot`` copies every layer's parameters.
 """
 
 from __future__ import annotations
@@ -79,8 +81,24 @@ def score(model: Model, inputs, batch_stats: bool = True) -> dict[str, list[np.n
     return tape_grads(leaves, tape_nll_loss(logits, pseudo) * -1.0)
 
 
-def batch_grads(model: Model, loss_of, inputs, batch_stats: bool = True) -> dict[str, list[np.ndarray]]:
-    """``collect_grads`` of ``loss_of(logits) -> (value, d value / d logits)``
+def batch_grads(model: Model, loss_of, inputs, batch_stats: bool = True) -> np.ndarray:
+    """Flat ``collect_grads`` of ``loss_of(logits) -> (value, d value / d logits)``
     over one forward of ``inputs``."""
     logits, saved = model.forward(inputs, batch_stats=batch_stats)
     return harness.collect_grads(model, [(saved, loss_of(logits)[1])])
+
+
+def layer_grads(model: Model, grad: np.ndarray) -> dict[str, list[np.ndarray]]:
+    """A flat gradient as per-layer views shaped like each layer's ``params``."""
+    out: dict[str, list[np.ndarray]] = {}
+    for layer in model.weight_layers():
+        flat, out[layer.name] = grad[model.slices[layer.name]], []
+        for p in layer.params:
+            out[layer.name].append(flat[: p.size].reshape(p.shape))
+            flat = flat[p.size :]
+    return out
+
+
+def param_snapshot(model: Model) -> dict[str, list[np.ndarray]]:
+    """Copies of every layer's parameter arrays, keyed by layer name."""
+    return {layer.name: [p.copy() for p in layer.params] for layer in model.layers}

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from fimtta.cli import main
-from fimtta.stream import write_schedule_file
+from conftest import write_schedule_file
 
 
 @pytest.fixture()
@@ -89,6 +89,35 @@ def test_seeds_flag_reports_mean_and_std(pretrained, tmp_path, capsys):
     assert "mean over 2 seeds" in text
     assert (out / "layerwise_seed0_metrics.csv").exists()
     assert (out / "layerwise_seed1_metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command,method", [("adapt", "layerwise"), ("baseline", "bn1")])
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_seeds_below_one_rejected(pretrained, tmp_path, capsys, command, method, seeds):
+    ckpt, sched = pretrained
+    out = tmp_path / "none"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            command, "--checkpoint", str(ckpt), "--schedule", str(sched),
+            "--method", method, "--seeds", seeds, "--out", str(out),
+        ])
+    assert exc.value.code != 0
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ablate", "dump-weights"])
+def test_seeds_flag_refused_where_it_would_be_ignored(pretrained, tmp_path, capsys, command):
+    ckpt, sched = pretrained
+    out = tmp_path / "none"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            command, "--checkpoint", str(ckpt), "--schedule", str(sched),
+            "--seeds", "3", "--out", str(out),
+        ])
+    assert exc.value.code != 0
+    assert "unrecognized arguments: --seeds 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ablate_writes_sorted_table(pretrained, tmp_path, capsys):

@@ -18,7 +18,7 @@ from fimtta.harness import (
 )
 from fimtta.model import build_classifier, save_checkpoint
 from fimtta.stream import ScheduleStream, SourceSpec, gen_source, make_schedule
-from oracle import batch_grads
+from oracle import batch_grads, param_snapshot
 
 TINY_KINDS = ["contrast_scale", "gaussian_noise"]
 
@@ -53,7 +53,7 @@ def test_pretrain_zero_epochs_returns_initialization():
     for a, b in zip(result.model.weight_layers(), reference.weight_layers()):
         for pa, pb in zip(a.params, b.params):
             assert np.array_equal(pa, pb)
-    assert model.norm_layers()[0].source_mean is not None
+    assert model.layers[1].kind == "norm" and model.layers[1].source_mean is not None
 
 
 def test_pretrain_same_seed_gives_bit_identical_checkpoints(tmp_path):
@@ -92,11 +92,16 @@ def test_collect_grads_matches_parameter_shapes():
     spec, model = tiny_setup()
     x = np.random.default_rng(0).standard_normal((8, 6))
     logits, saved = model.forward(x)
-    grads = collect_grads(model, [(saved, losses.entropy_loss(logits)[1])])
-    assert list(grads) == model.weight_layer_names()
+    grad = collect_grads(model, [(saved, losses.entropy_loss(logits)[1])])
+    assert grad.shape == model.theta.shape
+    # layers own consecutive column ranges, in layer order
+    assert list(model.slices) == model.weight_layer_names()
+    stop = 0
     for layer in model.weight_layers():
-        for p, g in zip(layer.params, grads[layer.name]):
-            assert g.shape == p.shape
+        cols = model.slices[layer.name]
+        assert (cols.start, cols.stop) == (stop, stop + layer.param_count())
+        stop = cols.stop
+    assert stop == grad.size
 
 
 def _hand_uniform_entropy_loop(model, spec, schedule, eta):
@@ -114,11 +119,8 @@ def _hand_uniform_entropy_loop(model, spec, schedule, eta):
             return float((model.forward(batch.inputs)[0].argmax(axis=1) != labels).mean())
 
         before = error()
-        grads = batch_grads(model, losses.entropy_loss, batch.inputs)
-        for layer in model.weight_layers():
-            for p, g in zip(layer.params, grads[layer.name]):
-                p -= eta * g
-        trajectory.append(model.param_snapshot())
+        model.theta -= eta * batch_grads(model, losses.entropy_loss, batch.inputs)
+        trajectory.append(param_snapshot(model))
         errors.append((before, error()))
     return trajectory, errors
 
@@ -138,7 +140,7 @@ def test_reduction_to_uniform_entropy_descent_is_bit_identical(method, extra):
         reference, spec, tiny_schedule(batches=5), eta
     )
     assert len(records) == 10
-    ours_final = ours.param_snapshot()
+    ours_final = param_snapshot(ours)
     ref_final = trajectory[-1]
     for name in ours_final:
         for a, b in zip(ours_final[name], ref_final[name]):
@@ -148,16 +150,17 @@ def test_reduction_to_uniform_entropy_descent_is_bit_identical(method, extra):
 def test_source_method_changes_nothing():
     spec, model = tiny_setup()
     work = model.clone()
-    before = work.param_snapshot()
-    stats_before = [l.source_mean.copy() for l in work.norm_layers()]
+    before = param_snapshot(work)
+    norms = [l for l in work.layers if l.kind == "norm"]
+    stats_before = [l.source_mean.copy() for l in norms]
     records = adapt_stream(
         work, ScheduleStream(spec, tiny_schedule()), AdaptConfig(method="source")
     )
-    after = work.param_snapshot()
+    after = param_snapshot(work)
     for name in before:
         for a, b in zip(before[name], after[name]):
             assert np.array_equal(a, b)
-    for l, sb in zip(work.norm_layers(), stats_before):
+    for l, sb in zip(norms, stats_before):
         assert np.array_equal(l.source_mean, sb)
     assert len(records) == 6
     assert all(rec.w_bar == [0.0] * len(work.weight_layers()) for rec in records)
@@ -166,9 +169,9 @@ def test_source_method_changes_nothing():
 def test_bn1_takes_no_gradient_steps():
     spec, model = tiny_setup()
     work = model.clone()
-    before = work.param_snapshot()
+    before = param_snapshot(work)
     adapt_stream(work, ScheduleStream(spec, tiny_schedule()), AdaptConfig(method="bn1"))
-    after = work.param_snapshot()
+    after = param_snapshot(work)
     for name in before:
         for a, b in zip(before[name], after[name]):
             assert np.array_equal(a, b)
@@ -323,12 +326,11 @@ def test_rejected_step_leaves_model_intact_and_continues(monkeypatch, caplog):
     real_step = scheduler.weighted_step
     calls = {"n": 0}
 
-    def sabotage(model_, grads, rates, optimizer=None):
+    def sabotage(model_, grad, rates, optimizer=None):
         calls["n"] += 1
         if calls["n"] == 2:
-            name = model_.weight_layer_names()[0]
-            grads[name][0][0] = np.nan
-        return real_step(model_, grads, rates, optimizer=optimizer)
+            grad[0] = np.nan  # first weight of the first layer
+        return real_step(model_, grad, rates, optimizer=optimizer)
 
     monkeypatch.setattr(harness.scheduler, "weighted_step", sabotage)
     with caplog.at_level(logging.WARNING):
@@ -405,9 +407,9 @@ def test_nan_batch_is_skipped_and_later_steps_apply(monkeypatch, caplog, optimiz
         folds.append(traces)
         return real_accumulate(state, traces, current_diagonal=current_diagonal)
 
-    def step(model_, grads, rates, optimizer=None):
-        applied = real_step(model_, grads, rates, optimizer=optimizer)
-        snapshots.append((applied, model_.param_snapshot()))
+    def step(model_, grad, rates, optimizer=None):
+        applied = real_step(model_, grad, rates, optimizer=optimizer)
+        snapshots.append((applied, param_snapshot(model_)))
         return applied
 
     monkeypatch.setattr(harness.fisher, "accumulate", accumulate)

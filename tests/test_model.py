@@ -14,6 +14,8 @@ from fimtta.model import (
     record_source_stats,
     save_checkpoint,
 )
+from fimtta.harness import pretrain
+from fimtta.stream import SourceSpec, gen_source
 from oracle import batch_grads, tape_forward, tape_params
 
 
@@ -111,8 +113,8 @@ def test_untrainable_layer_is_bit_identical_across_steps():
     before = [p.copy() for p in frozen.params]
     opt = scheduler.AdamState()
     for _ in range(5):
-        grads = batch_grads(m, entropy_loss, rng.standard_normal((8, 3)))
-        assert scheduler.weighted_step(m, grads, np.full(3, 1e-2), optimizer=opt)
+        grad = batch_grads(m, entropy_loss, rng.standard_normal((8, 3)))
+        assert scheduler.weighted_step(m, grad, np.full(3, 1e-2), optimizer=opt)
     for p, b in zip(frozen.params, before):
         assert np.array_equal(p, b)
     assert not np.array_equal(m.weight_layers()[0].params[0].copy(), np.zeros((3, 6)))
@@ -125,6 +127,44 @@ def test_clone_is_independent():
     assert not np.array_equal(
         m.weight_layers()[0].params[0], c.weight_layers()[0].params[0]
     )
+
+
+def _assert_params_are_views_of_theta(model):
+    """Every parameter is a C-contiguous view of the model's own ``theta``,
+    and together, in layer order, they tile it exactly."""
+    base = model.theta.__array_interface__["data"][0]
+    offset = 0
+    for layer in model.weight_layers():
+        assert model.slices[layer.name].start == offset
+        for p in layer.params:
+            assert p.base is model.theta and p.flags.c_contiguous
+            assert p.__array_interface__["data"][0] == base + 8 * offset
+            offset += p.size
+        assert model.slices[layer.name].stop == offset
+    assert offset == model.theta.size
+
+
+def test_parameters_are_views_of_one_flat_vector(tmp_path):
+    spec = SourceSpec(input_dim=6, class_count=3, margin=5.0, seed=0)
+    built = build_classifier(6, [8, 5], 3, seed=0)
+    _assert_params_are_views_of_theta(built)
+    pretrain(built, gen_source(spec, 96), epochs=1, seed=0, batch_size=32)
+    _assert_params_are_views_of_theta(built)
+    clone = built.clone()
+    _assert_params_are_views_of_theta(clone)
+    assert np.array_equal(clone.theta, built.theta)
+    assert not np.shares_memory(clone.theta, built.theta)
+    path = tmp_path / "model.txt"
+    save_checkpoint(built, path)
+    loaded, _ = load_checkpoint(path)
+    _assert_params_are_views_of_theta(loaded)
+    assert np.array_equal(loaded.theta, built.theta)
+    # writes through a view land in theta, and in no other model
+    head_bias = loaded.weight_layers()[-1].params[1]
+    head_bias[0] = 7.0
+    assert loaded.theta[loaded.slices["head"].stop - head_bias.size] == 7.0
+    clone.weight_layers()[0].params[0][0, 0] = -3.0
+    assert clone.theta[0] == -3.0 and built.theta[0] != -3.0
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
@@ -237,4 +277,4 @@ def test_forward_and_source_stats_reject_dimension_mismatch():
             m.forward(bad)
         with pytest.raises(ShapeError, match="forward"):
             record_source_stats(m, bad)
-    assert m.norm_layers()[0].source_mean is None
+    assert all(l.source_mean is None for l in m.layers if l.kind == "norm")

@@ -4,11 +4,13 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fimtta.losses import entropy_loss
 from fimtta.model import build_classifier
 from fimtta.scheduler import AdamState, exp_minmax_scale, layer_rates, weighted_step
-from oracle import batch_grads
+from oracle import batch_grads, layer_grads, param_snapshot
 
 
 def test_linear_minmax_with_vanishing_eps():
@@ -117,11 +119,12 @@ def test_uniform_rates_equal_plain_sgd_bit_for_bit():
     rng = np.random.default_rng(3)
     m = build_classifier(3, [4], 2, seed=1)
     ref = m.clone()
-    grads = _grads_for(m, np.random.default_rng(10))
+    grad = _grads_for(m, np.random.default_rng(10))
     eta = 1e-2
-    assert weighted_step(m, grads, np.full(3, eta))
+    assert weighted_step(m, grad, np.full(3, eta))
+    per_layer = layer_grads(m, grad)
     for layer in ref.weight_layers():
-        for p, g in zip(layer.params, grads[layer.name]):
+        for p, g in zip(layer.params, per_layer[layer.name]):
             p -= eta * g
     for a, b in zip(m.weight_layers(), ref.weight_layers()):
         for pa, pb in zip(a.params, b.params):
@@ -134,8 +137,8 @@ def test_zero_rate_layer_is_bit_identical():
     for opt in (None, AdamState()):
         work = m.clone()
         for step in range(3):
-            grads = _grads_for(work, np.random.default_rng(step))
-            assert weighted_step(work, grads, [1e-2, 0.0, 1e-2], optimizer=opt)
+            grad = _grads_for(work, np.random.default_rng(step))
+            assert weighted_step(work, grad, [1e-2, 0.0, 1e-2], optimizer=opt)
         for p, b in zip(work.weight_layers()[1].params, frozen_before):
             assert np.array_equal(p, b)
 
@@ -145,11 +148,7 @@ def test_sequential_disjoint_steps_equal_joint_step():
     # rate r equals one step moving them all, since layers are disjoint
     seq = build_classifier(3, [2], 2, seed=6)
     joint = seq.clone()
-    rng = np.random.default_rng(7)
-    fixed = {
-        layer.name: [rng.standard_normal(p.shape) for p in layer.params]
-        for layer in seq.weight_layers()
-    }
+    fixed = np.random.default_rng(7).standard_normal(seq.theta.size)
     r = 0.05
     weighted_step(seq, fixed, [r, 0.0, 0.0])
     weighted_step(seq, fixed, [0.0, r, 0.0])
@@ -162,14 +161,14 @@ def test_sequential_disjoint_steps_equal_joint_step():
 
 def test_nan_gradient_rejects_step_and_logs(caplog):
     m = build_classifier(3, [4], 2, seed=3)
-    before = m.param_snapshot()
-    grads = _grads_for(m, np.random.default_rng(0))
-    grads["norm1"][0][1] = np.nan
+    before = param_snapshot(m)
+    grad = _grads_for(m, np.random.default_rng(0))
+    layer_grads(m, grad)["norm1"][0][1] = np.nan
     with caplog.at_level(logging.WARNING):
-        applied = weighted_step(m, grads, np.full(3, 1e-2))
+        applied = weighted_step(m, grad, np.full(3, 1e-2))
     assert not applied
-    assert "rejected" in caplog.text
-    after = m.param_snapshot()
+    assert "non-finite gradient in layers ['norm1']; step rejected" in caplog.text
+    after = param_snapshot(m)
     for name in before:
         for a, b in zip(before[name], after[name]):
             assert np.array_equal(a, b)
@@ -178,40 +177,44 @@ def test_nan_gradient_rejects_step_and_logs(caplog):
 def test_inf_gradient_rejected_before_adam_moments_change():
     m = build_classifier(3, [4], 2, seed=3)
     opt = AdamState()
-    grads = _grads_for(m, np.random.default_rng(0))
-    grads["head"][1][0] = np.inf
-    assert not weighted_step(m, grads, np.full(3, 1e-2), optimizer=opt)
-    assert opt.step_count == 0 and not opt._m
+    grad = _grads_for(m, np.random.default_rng(0))
+    layer_grads(m, grad)["head"][1][0] = np.inf
+    assert not weighted_step(m, grad, np.full(3, 1e-2), optimizer=opt)
+    assert opt.step_count == 0 and opt.m is None and opt.v is None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("use_adam", [True, False])
 def test_non_finite_rate_rejected_before_any_write(bad, use_adam, caplog):
     m = build_classifier(3, [4], 2, seed=3)
-    before = m.param_snapshot()
+    before = param_snapshot(m)
     opt = AdamState() if use_adam else None
-    grads = _grads_for(m, np.random.default_rng(0))
+    grad = _grads_for(m, np.random.default_rng(0))
     rates = np.full(3, 1e-2)
     rates[1] = bad
     with caplog.at_level(logging.WARNING):
-        assert not weighted_step(m, grads, rates, optimizer=opt)
+        assert not weighted_step(m, grad, rates, optimizer=opt)
     assert "non-finite rates" in caplog.text
     if use_adam:
-        assert opt.step_count == 0 and not opt._m
-    for name, params in m.param_snapshot().items():
+        assert opt.step_count == 0 and opt.m is None and opt.v is None
+    for name, params in param_snapshot(m).items():
         for a, b in zip(params, before[name]):
             assert np.array_equal(a, b)
 
 
 def test_rate_count_mismatch_rejected():
     m = build_classifier(3, [4], 2, seed=3)
-    grads = _grads_for(m, np.random.default_rng(0))
+    grad = _grads_for(m, np.random.default_rng(0))
     with pytest.raises(ValueError, match="expected 3 rates"):
-        weighted_step(m, grads, [1e-2, 1e-2])
+        weighted_step(m, grad, [1e-2, 1e-2])
+    with pytest.raises(ValueError, match="gradient"):
+        weighted_step(m, grad[:-1], np.full(3, 1e-2))
 
 
 def test_adam_matches_reference_implementation():
-    rng = np.random.default_rng(11)
+    # per-tensor Adam in the operation order of the update, against the
+    # flat step over the whole parameter vector: equal bit for bit,
+    # zero-rate layer included
     m = build_classifier(2, [3], 2, seed=9)
     ref = {
         (layer.name, i): p.copy()
@@ -221,25 +224,90 @@ def test_adam_matches_reference_implementation():
     mom = {k: np.zeros_like(v) for k, v in ref.items()}
     vel = {k: np.zeros_like(v) for k, v in ref.items()}
     opt = AdamState()
-    rates = [2e-3, 1e-3, 5e-4]
+    b1, b2 = 0.9, 0.999
     for t in range(1, 8):
-        grads = _grads_for(m, np.random.default_rng(100 + t))
+        rates = [2e-3, 1e-3, 5e-4] if t % 3 else [2e-3, 0.0, 5e-4]
+        grad = _grads_for(m, np.random.default_rng(100 + t))
+        per_layer = layer_grads(m, grad)
         grad_map = {
-            (layer.name, i): g
+            (layer.name, i): g.copy()
             for layer in m.weight_layers()
-            for i, g in enumerate(grads[layer.name])
+            for i, g in enumerate(per_layer[layer.name])
         }
-        assert weighted_step(m, grads, rates, optimizer=opt)
+        assert weighted_step(m, grad, rates, optimizer=opt)
         for li, layer in enumerate(m.weight_layers()):
             for i in range(len(layer.params)):
                 key = (layer.name, i)
                 g = grad_map[key]
-                mom[key] = 0.9 * mom[key] + 0.1 * g
-                vel[key] = 0.999 * vel[key] + 0.001 * g * g
-                m_hat = mom[key] / (1 - 0.9**t)
-                v_hat = vel[key] / (1 - 0.999**t)
+                mom[key] = b1 * mom[key] + (1.0 - b1) * g
+                vel[key] = b2 * vel[key] + (1.0 - b2) * g * g
+                m_hat = mom[key] / (1.0 - b1**t)
+                v_hat = vel[key] / (1.0 - b2**t)
                 if rates[li] != 0.0:
-                    ref[key] = ref[key] - rates[li] * m_hat / (np.sqrt(v_hat) + 1e-8)
+                    ref[key] -= rates[li] * (m_hat / (np.sqrt(v_hat) + 1e-8))
     for layer in m.weight_layers():
         for i, p in enumerate(layer.params):
-            assert np.allclose(p, ref[(layer.name, i)], rtol=1e-12, atol=1e-15)
+            assert np.array_equal(p, ref[(layer.name, i)])
+
+
+@st.composite
+def step_sequences(draw):
+    """A small model, an optimizer kind, a trainable mask and a sequence of
+    (gradient, rates) steps, some of them carrying non-finite values."""
+    hidden = draw(st.sampled_from([[], [3], [4, 2]]))
+    layers = 1 + 2 * len(hidden)
+    trainable = draw(st.lists(st.booleans(), min_size=layers, max_size=layers))
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        rates = draw(st.lists(st.sampled_from([0.0, 1e-3, 5e-2, 0.5]), min_size=layers, max_size=layers))
+        poison = draw(st.sampled_from([None, "grad", "rate"]))
+        bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        steps.append((draw(st.integers(0, 2**32 - 1)), rates, poison, bad))
+    return hidden, draw(st.booleans()), trainable, steps
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(step_sequences())
+def test_steps_keep_state_finite_and_rejections_write_nothing(case):
+    hidden, use_adam, trainable, steps = case
+    model = build_classifier(3, hidden, 2, seed=0)
+    for layer, flag in zip(model.weight_layers(), trainable):
+        layer.trainable = flag
+    # negative zeros: a zero-rate update that subtracts 0 * direction flips them
+    model.theta[np.random.default_rng(len(steps)).random(model.theta.size) < 0.3] = -0.0
+    opt = AdamState() if use_adam else None
+    for seed, rates, poison, bad in steps:
+        rng = np.random.default_rng(seed)
+        grad = rng.standard_normal(model.theta.size) * rng.choice([1e-3, 1.0, 1e3])
+        rates = np.array(rates)
+        runs = model.trainable_runs()
+        if poison == "grad" and runs:  # only a trainable layer's gradient is read
+            grad[rng.integers(runs[0].start, runs[0].stop)] = bad
+        elif poison == "rate":
+            rates[rng.integers(rates.size)] = bad
+        rejected = poison == "rate" or (poison == "grad" and bool(runs))
+        before = _state(model, opt)
+        assert weighted_step(model, grad, rates, optimizer=opt) == (not rejected)
+        after = _state(model, opt)
+        if rejected:
+            assert _bits(after) == _bits(before)
+        # untrainable and zero-rate layers keep their parameters bit for bit
+        for layer, rate in zip(model.weight_layers(), rates):
+            if not layer.trainable or rate == 0.0:
+                cols = model.slices[layer.name]
+                assert after[0][cols].tobytes() == before[0][cols].tobytes()
+        assert np.isfinite(model.theta).all()
+        if opt is not None and opt.m is not None:
+            assert np.isfinite(opt.m).all() and np.isfinite(opt.v).all()
+
+
+def _state(model, opt):
+    """Copies of everything a step may write: theta, and Adam's m, v and step count."""
+    if opt is None:
+        return [model.theta.copy()]
+    copies = [None if a is None else a.copy() for a in (opt.m, opt.v)]
+    return [model.theta.copy(), *copies, opt.step_count]
+
+
+def _bits(state):
+    return [a if a is None or isinstance(a, int) else a.tobytes() for a in state]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import write_schedule_file
 from fimtta import stream
 from fimtta.stream import (
     CORRUPTION_KINDS,
@@ -15,7 +16,6 @@ from fimtta.stream import (
     gen_source,
     make_schedule,
     parse_schedule_file,
-    write_schedule_file,
 )
 
 
@@ -312,4 +312,19 @@ def test_schedule_non_integer_field_rejected(tmp_path, key, line):
     path = tmp_path / "sched.txt"
     path.write_text(_schedule_text(**{key: "2.5"}), encoding="utf-8")
     with pytest.raises(ValueError, match=rf"sched\.txt: line {line}: {key} must be an integer, got '2.5'"):
+        parse_schedule_file(path)
+
+
+@pytest.mark.parametrize("key,value,line,message", [
+    ("batches", "0", 3, ">= 1 batches per segment, got 0"),
+    ("batch_size", "0", 4, "batch_size >= 1, got 0"),
+    ("kind", "weekly", 1, "continual or gradual, got 'weekly'"),
+    ("kinds", "gaussian_noise", 2, ">= 2 corruption kinds"),
+    ("kinds", "gaussian_noise,frost", 2, "unknown corruption kind 'frost'"),
+])
+def test_schedule_value_rejected_with_file_and_line(tmp_path, key, value, line, message):
+    # values make_schedule rejects are reported at the line of their key
+    path = tmp_path / "sched.txt"
+    path.write_text(_schedule_text(**{key: value}), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"sched\.txt: line {line}: .*{message}"):
         parse_schedule_file(path)
