@@ -16,21 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import log_softmax
-from .model import Model
+from .model import Model, row_writer
 
 
 @dataclass
 class FisherState:
-    """Per-layer accumulated traces with decay, plus an optional diagonal.
+    """Accumulated per-layer traces [L] with decay, plus an optional
+    diagonal [P] laid out like ``Model.theta``.
 
     ``decay`` = 1 accumulates over the whole stream (traces never
     decrease); ``decay`` = 0 keeps only the current batch.
     """
 
     decay: float
-    traces: dict[str, float]
+    traces: np.ndarray
     step: int = 0
-    diagonals: dict[str, np.ndarray] | None = None
+    diagonals: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.decay <= 1.0:
@@ -38,61 +39,53 @@ class FisherState:
 
     @classmethod
     def for_model(cls, model: Model, decay: float = 1.0, track_diagonal: bool = False) -> "FisherState":
-        names = model.weight_layer_names()
-        diagonals = None
-        if track_diagonal:
-            diagonals = {
-                layer.name: np.zeros(layer.param_count())
-                for layer in model.weight_layers()
-            }
-        return cls(decay=decay, traces={n: 0.0 for n in names}, diagonals=diagonals)
+        diagonals = np.zeros(model.theta.size) if track_diagonal else None
+        return cls(decay=decay, traces=np.zeros(len(model.slices)), diagonals=diagonals)
 
 
-# Samples per chunk of the batched reverse pass are capped so that
-# chunk samples x batch rows stays at about this many; it bounds the
-# [samples, batch, features] cotangent temporaries.
+# cap on chunk samples x batch rows in the row-coupled part of the per-sample pass
 _CHUNK_ROWS = 512
 
 
-def per_sample_scores(model: Model, logits: np.ndarray, saved: list) -> dict[str, np.ndarray]:
-    """Flattened per-sample scores, one [batch, param_count] array per layer.
-
-    ``logits`` and ``saved`` are one ``model.forward`` of the batch (the
-    prediction pass). Sample i's row is the gradient of that sample's
-    pseudo-label log-likelihood: one ``model.backward`` whose cotangent
-    slice i is ``onehot(pseudo_i) - softmax_i`` in row i and zeros
-    elsewhere. Samples go through in chunks of ``_CHUNK_ROWS // n`` (at
-    least one), so s*n, and with it every temporary, stays bounded.
-    """
+def _score_pass(model: Model, logits: np.ndarray, saved: list, sink) -> None:
+    """Per-sample ``model.backward``: sample i's seed is the gradient of its
+    pseudo-label log-likelihood w.r.t. its logits, onehot(argmax) - softmax."""
     n = logits.shape[0]
     ls = log_softmax(logits)
     seed = -np.exp(ls)
     seed[np.arange(n), ls.argmax(axis=1)] += 1.0
-    out = {
-        layer.name: np.empty((n, layer.param_count())) for layer in model.weight_layers()
-    }
-    chunk = max(1, _CHUNK_ROWS // max(n, 1))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        g = np.zeros((stop - start, n, seed.shape[1]))
-        g[np.arange(stop - start), np.arange(start, stop)] = seed[start:stop]
-        model.backward(saved, g, {name: rows[start:stop] for name, rows in out.items()})
-    return out
+    model.backward(saved, seed, sink, chunk=max(1, _CHUNK_ROWS // max(n, 1)))
 
 
-def layer_fim_trace(scores_per_sample: dict[str, np.ndarray]) -> dict[str, float]:
-    """Mean squared norm of each layer's per-sample scores.
+def per_sample_scores(model: Model, logits: np.ndarray, saved: list) -> dict[str, np.ndarray]:
+    """Per-sample scores, one [batch, param_count] array per layer, over one
+    ``model.forward`` of the batch: the matrix ``layer_fim_trace`` never forms."""
+    out = np.empty((logits.shape[0], model.theta.size))
+    _score_pass(model, logits, saved, row_writer(out))
+    return {name: out[:, cols] for name, cols in model.slices.items()}
 
-    Equals the trace of the empirical second-moment matrix of the
-    flattened scores without ever forming it.
-    """
-    out = {}
-    for name, scores in scores_per_sample.items():
-        arr = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-        if arr.shape[0] == 0:
-            raise ValueError(f"layer_fim_trace: no sample scores for layer {name!r}")
-        out[name] = float((arr * arr).sum(axis=1).mean())
-    return out
+
+def layer_fim_trace(
+    model: Model, logits: np.ndarray, saved: list, diagonal: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-layer traces [L] of the per-sample scores' second-moment matrix,
+    and its diagonal [P] when ``diagonal``, over one ``model.forward`` of the
+    batch. Score blocks are squared as the reverse pass hands them over, so
+    neither the [n, P] score matrix nor a [P, P] matrix is formed."""
+    n = logits.shape[0]
+    if n == 0:
+        raise ValueError("layer_fim_trace: no sample scores in an empty batch")
+    sums = np.zeros(model.theta.size)
+
+    def square(row: int, col: int, block: np.ndarray) -> None:
+        if diagonal:
+            sums[col : col + block.shape[1]] += np.einsum("ij,ij->j", block, block)
+        else:  # reduceat below adds up each layer's columns
+            sums[col] += np.vdot(block, block)
+
+    _score_pass(model, logits, saved, square)
+    sums /= n
+    return np.add.reduceat(sums, [cols.start for cols in model.slices.values()]), (sums if diagonal else None)
 
 
 def fim_diagonal(scores_per_sample: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -108,27 +101,25 @@ def fim_diagonal(scores_per_sample: dict[str, np.ndarray]) -> dict[str, np.ndarr
 
 def accumulate(
     state: FisherState,
-    current: dict[str, float],
-    current_diagonal: dict[str, np.ndarray] | None = None,
+    current: np.ndarray,
+    current_diagonal: np.ndarray | None = None,
 ) -> FisherState:
     """Fold a batch's traces into the running state: new = decay*old + batch."""
-    if set(current) != set(state.traces):
+    if current.shape != state.traces.shape:
         raise ValueError(
-            f"accumulate: layer mismatch, state has {sorted(state.traces)}, "
-            f"batch has {sorted(current)}"
+            f"accumulate: layer mismatch, state has {state.traces.shape[0]} layers, "
+            f"batch has {current.shape}"
         )
-    for name, value in current.items():
-        state.traces[name] = state.decay * state.traces[name] + value
+    state.traces = state.decay * state.traces + current
     if state.diagonals is not None and current_diagonal is not None:
-        for name, diag in current_diagonal.items():
-            state.diagonals[name] = state.decay * state.diagonals[name] + diag
+        state.diagonals = state.decay * state.diagonals + current_diagonal
     state.step += 1
     return state
 
 
-def learning_weights(state: FisherState) -> dict[str, float]:
-    """Raw per-layer weight: square root of the accumulated trace."""
-    return {name: float(np.sqrt(value)) for name, value in state.traces.items()}
+def learning_weights(state: FisherState) -> np.ndarray:
+    """Raw per-layer weights [L]: square roots of the accumulated traces."""
+    return np.sqrt(state.traces)
 
 
 def dump_record(

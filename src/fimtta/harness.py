@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fisher, losses, scheduler
-from .model import Model, record_source_stats
+from .model import Model, record_source_stats, row_writer
 from .stream import Dataset, DomainSchedule, ScheduleStream, SourceSpec
 
 logger = logging.getLogger(__name__)
@@ -54,6 +54,12 @@ class AdaptConfig:
             raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        if not self.eta > 0:
+            raise ValueError(f"base rate eta must be > 0, got {self.eta}")
+        if not self.tau >= 0:
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
     def loss_config(self) -> losses.LossConfig:
         return losses.LossConfig(noise_scale=self.noise_scale, feature_scaling=self.feature_scaling)
@@ -135,7 +141,7 @@ def collect_grads(model: Model, passes: list[tuple[list, np.ndarray]]) -> np.nda
     total = None
     for saved, g in passes:
         rows = np.empty((1, model.theta.size))
-        model.backward(saved, g[None], {name: rows[:, cols] for name, cols in model.slices.items()})
+        model.backward(saved, g[None], row_writer(rows))
         total = rows if total is None else total + rows
     return total[0]
 
@@ -157,11 +163,8 @@ def adapt_stream(
     """
     cfg = config
     loss_cfg = cfg.loss_config()
-    layer_names = model.weight_layer_names()
-    n_layers = len(layer_names)
-    state = fisher.FisherState.for_model(
-        model, decay=cfg.gamma, track_diagonal=cfg.track_diagonal
-    )
+    n_layers = len(model.slices)
+    state = fisher.FisherState.for_model(model, decay=cfg.gamma, track_diagonal=cfg.track_diagonal)
     opt = scheduler.AdamState() if cfg.optimizer == "adam" else None
     aug_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA06)))
     updating = cfg.method in ("layerwise", "naive_eq6", "uniform_tent")
@@ -184,31 +187,22 @@ def adapt_stream(
         diag_snapshot = None
 
         if updating:
+            w_bar = [1.0] * n_layers  # uniform_tent
             if cfg.method in ("layerwise", "naive_eq6"):
-                sample_scores = fisher.per_sample_scores(model, logits, saved)
-                traces = fisher.layer_fim_trace(sample_scores)
-                if all(np.isfinite(v) for v in traces.values()):
-                    diag = fisher.fim_diagonal(sample_scores) if cfg.track_diagonal else None
+                traces, diag = fisher.layer_fim_trace(model, logits, saved, diagonal=cfg.track_diagonal)
+                if np.isfinite(traces).all():
                     fisher.accumulate(state, traces, current_diagonal=diag)
                 else:
                     logger.warning(
                         "adapt_stream: step %d has non-finite traces, not accumulated", batch.step
                     )
                 if state.diagonals is not None:
-                    diag_snapshot = {k: v.copy() for k, v in state.diagonals.items()}
-                weights = fisher.learning_weights(state)
-                w_raw = [weights[name] for name in layer_names]
+                    diag_snapshot = {name: state.diagonals[cols].copy() for name, cols in model.slices.items()}
+                w_raw = fisher.learning_weights(state).tolist()
+                w_bar = list(w_raw)  # unbounded naive weighting
                 if cfg.method == "layerwise":
-                    w_bar_arr = scheduler.exp_minmax_scale(
-                        w_raw, tau=cfg.tau, eps=cfg.epsilon
-                    )
-                else:
-                    w_bar_arr = np.asarray(w_raw)  # unbounded naive weighting
-                w_bar = [float(v) for v in w_bar_arr]
-            else:  # uniform_tent
-                w_bar_arr = np.ones(n_layers)
-                w_bar = [1.0] * n_layers
-            rates = scheduler.layer_rates(w_bar_arr, cfg.eta)
+                    w_bar = scheduler.exp_minmax_scale(w_raw, tau=cfg.tau, eps=cfg.epsilon).tolist()
+            rates = scheduler.layer_rates(w_bar, cfg.eta)
 
             # entropy + lam * consistency; the clean pass carries entropy only
             passes = [(saved, g)]
@@ -218,11 +212,8 @@ def adapt_stream(
                 consistency_val, g_aug = losses.consistency_loss(logits, aug_logits, kind=cfg.consistency)
                 passes.append((aug_saved, cfg.lam * g_aug))
             grad = collect_grads(model, passes)
-            applied = scheduler.weighted_step(model, grad, rates, optimizer=opt)
-            if not applied:
-                logger.warning(
-                    "adapt_stream: step %d rejected, model unchanged", batch.step
-                )
+            if not scheduler.weighted_step(model, grad, rates, optimizer=opt):
+                logger.warning("adapt_stream: step %d rejected, model unchanged", batch.step)
 
         records.append(
             MetricsRecord(
@@ -352,15 +343,13 @@ def ablate(
     a fresh schedule so every point consumes an identical stream."""
     if not taus or not lams or not gammas:
         raise ValueError("ablate: every grid axis needs at least one value")
+    # every grid point is validated before the first run
+    configs = [
+        replace(base, tau=tau, lam=lam, gamma=gamma) for tau in taus for lam in lams for gamma in gammas
+    ]
     rows = []
-    for tau in taus:
-        for lam in lams:
-            for gamma in gammas:
-                cfg = replace(base, tau=tau, lam=lam, gamma=gamma)
-                work = model.clone()
-                records = adapt_stream(
-                    work, ScheduleStream(source, schedule_factory()), cfg
-                )
-                rows.append(summarize(records, cfg))
+    for cfg in configs:
+        records = adapt_stream(model.clone(), ScheduleStream(source, schedule_factory()), cfg)
+        rows.append(summarize(records, cfg))
     rows.sort(key=lambda r: r["mean_error"])
     return rows

@@ -154,38 +154,85 @@ class Model:
                 raise ValueError(f"unknown layer kind {layer.kind!r}")
         return out, saved
 
-    def backward(self, saved: list, g: np.ndarray, out: dict[str, np.ndarray]) -> None:
-        """Parameter gradients for a logit cotangent ``g`` of shape [s, n, C].
+    def backward(self, saved: list, g: np.ndarray, sink, chunk: int = 1) -> None:
+        """Gradients for a logit cotangent ``g``, handed to ``sink`` in blocks.
 
-        One reverse pass over the layer stack with a leading cotangent
-        axis: row k of ``out[name]`` ([s, param_count], the layer's
-        parameters flattened in order) is set to the gradient of
-        ``sum(g[k] * logits)``. s=1 gives batch gradients; s=n with slice
-        i seeded in row i gives per-sample gradients. ``g`` is overwritten.
+        ``g`` is [s, n, C] for the s sums ``sum(g[k] * logits)`` (s=1: the
+        batch gradient), or a per-sample seed [n, C] for the n cotangents
+        whose slice k is row k of the seed alone. Per parameter array the
+        pass calls ``sink(row, col, block)``: ``block[j]`` is the gradient of
+        ``theta[col:col + block.shape[1]]`` for slice row + j (read it, do not
+        keep it). A seed stays [n, f] down to the first batch-statistic norm
+        from the top; that norm's row coupling is expanded in [chunk, n, f]
+        slices. ``g`` is overwritten.
         """
-        s, n = g.shape[:2]
         # nothing below the first weight layer needs a cotangent
         first = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
+
+        def dense_pass(g, top, row, scale=None):
+            # [s, n, f] from layer top down. ``scale`` (a norm's scale * inv_std)
+            # is still owed by g; the next dense layer folds it into its products
+            s, n = g.shape[:2]
+            ones = np.ones(n)
+            for i in range(top, first - 1, -1):
+                layer, kept = self.layers[i], saved[i]
+                if layer.kind == "relu":
+                    g *= kept  # commutes with the owed scale
+                    continue
+                col, size = self.slices[layer.name].start, layer.params[0].size
+                if layer.kind == "dense":
+                    grad_w, grad_b = np.matmul(kept.T, g), ones @ g
+                    if scale is not None:
+                        grad_w *= scale
+                        grad_b *= scale
+                    sink(row, col, grad_w.reshape(s, size))
+                    sink(row, col + size, grad_b)
+                    if i > first:  # a contiguous transpose carries the owed scale down
+                        g = g @ np.multiply(layer.params[0].T, 1.0 if scale is None else scale[:, None], order="C")
+                    scale = None
+                    continue
+                if scale is not None:
+                    g *= scale
+                xhat, inv_std, mean, _ = kept
+                g_scale, g_shift = np.einsum("snf,nf->sf", g, xhat), ones @ g
+                sink(row, col, g_scale)
+                sink(row, col + size, g_shift)
+                if mean is not None and i > first:
+                    coupled = xhat * (g_scale / n)[:, None]
+                    coupled += (g_shift / n)[:, None]
+                    g -= coupled
+                scale = layer.params[0] * inv_std
+
+        if g.ndim == 3:
+            return dense_pass(g, len(self.layers) - 1, 0)
+        n = g.shape[0]
         for i in range(len(self.layers) - 1, first - 1, -1):
             layer, kept = self.layers[i], saved[i]
             if layer.kind == "relu":
-                g *= kept
+                g = g * kept
                 continue
-            rows = out[layer.name]
-            split = layer.params[0].size
+            col, size = self.slices[layer.name].start, layer.params[0].size
             if layer.kind == "dense":
-                rows[:, :split] = np.matmul(kept.T, g).reshape(s, split)
-                np.einsum("snf->sf", g, out=rows[:, split:])
-                if i > first:
-                    g = g @ layer.params[0].T
-            else:  # norm
-                xhat, inv_std, mean, _ = kept
-                g_scale = np.einsum("snf,nf->sf", g, xhat, out=rows[:, :split])
-                g_shift = np.einsum("snf->sf", g, out=rows[:, split:])
-                if i > first:
-                    if mean is not None:
-                        g -= (g_shift[:, None] + xhat * g_scale[:, None]) / n
-                    g *= layer.params[0] * inv_std
+                sink(0, col, (kept[:, :, None] * g[:, None, :]).reshape(n, size))
+                sink(0, col + size, g)
+                g = g @ layer.params[0].T
+                continue
+            xhat, inv_std, mean, _ = kept
+            g_scale, scale = g * xhat, layer.params[0] * inv_std
+            sink(0, col, g_scale)
+            sink(0, col + size, g)
+            if mean is None or i == first:
+                g = g * scale
+                continue
+            buf = np.empty((min(chunk, n), n, size))
+            for row in range(0, n, chunk):
+                k = min(chunk, n - row)
+                # slice j: its own row minus (shift score + xhat * scale score) / n
+                coupled = np.multiply(xhat, g_scale[row : row + k, None] / -n, out=buf[:k])
+                coupled -= g[row : row + k, None] / n
+                coupled[np.arange(k), np.arange(row, row + k)] += g[row : row + k]
+                dense_pass(coupled, i - 1, row, scale)
+            return
 
     def clone(self) -> "Model":
         """Deep copy: parameters packed into a new ``theta``, buffers duplicated."""
@@ -202,6 +249,15 @@ class Model:
                 )
             )
         return Model(layers, self.input_dim, self.class_count)
+
+
+def row_writer(out: np.ndarray):
+    """A ``Model.backward`` sink that writes each block into ``out`` [rows, P]."""
+
+    def write(row: int, col: int, block: np.ndarray) -> None:
+        out[row : row + len(block), col : col + block.shape[1]] = block
+
+    return write
 
 
 def build_classifier(

@@ -293,16 +293,20 @@ class ScheduleStream:
 
 def parse_schedule_file(path) -> DomainSchedule:
     """Read a key=value schedule file; errors name the file and line."""
+    keys = ("kind", "kinds", "batches", "batch_size", "seed")
     fields: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
     for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, eq, value = line.partition("=")
+        key, eq, value = (part.strip() for part in line.partition("="))
         if not eq:
             raise ValueError(f"{path}: line {number}: expected key=value, got {line!r}")
-        fields[key.strip()] = (value.strip(), number)
-    missing = {"kind", "kinds", "batches", "batch_size", "seed"} - set(fields)
+        if key in fields or key not in keys:
+            what = "repeated" if key in fields else f"unknown (expected one of {keys})"
+            raise ValueError(f"{path}: line {number}: key {key!r} is {what}")
+        fields[key] = (value, number)
+    missing = set(keys) - set(fields)
     if missing:
         raise ValueError(f"{path}: schedule file missing keys {sorted(missing)}")
 

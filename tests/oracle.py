@@ -6,7 +6,8 @@ and the ``tape_*_loss`` heads differentiate the three losses by the same
 tape, so ``tape_grads`` of any loss of its logits gives gradients that
 share no code with ``Model.backward`` or the closed-form gradients in
 ``fimtta.losses``. ``score`` is the batch-mean pseudo-label score taken
-from that tape. ``batch_grads`` is the library's own path: one
+from that tape, and ``replay_scores`` the per-sample scores, one tape
+replay per sample. ``batch_grads`` is the library's own path: one
 ``Model.forward``, a closed-form loss head and ``harness.collect_grads``;
 ``layer_grads`` splits its flat gradient back into per-layer arrays, and
 ``param_snapshot`` copies every layer's parameters.
@@ -79,6 +80,19 @@ def score(model: Model, inputs, batch_stats: bool = True) -> dict[str, list[np.n
     logits = tape_forward(model, inputs, leaves, batch_stats=batch_stats)
     pseudo = logits.data.argmax(axis=1)
     return tape_grads(leaves, tape_nll_loss(logits, pseudo) * -1.0)
+
+
+def replay_scores(model: Model, inputs, batch_stats: bool = True) -> dict[str, np.ndarray]:
+    """Per-sample scores [n, param_count] per layer: one tape replay per sample, seeded with e_i."""
+    leaves = tape_params(model)
+    ls = ad.log_softmax(tape_forward(model, inputs, leaves, batch_stats=batch_stats))
+    ll_vec = ad.take_per_row(ls, ls.data.argmax(axis=1))
+    n = ll_vec.data.shape[0]
+    out = {layer.name: np.empty((n, layer.param_count())) for layer in model.weight_layers()}
+    for i in range(n):
+        for name, grads in tape_grads(leaves, ll_vec, seed=np.eye(n)[i]).items():
+            out[name][i] = np.concatenate([g.ravel() for g in grads])
+    return out
 
 
 def batch_grads(model: Model, loss_of, inputs, batch_stats: bool = True) -> np.ndarray:

@@ -67,13 +67,15 @@ def test_pretrain_calls_collect_grads_once_per_step(monkeypatch):
     assert counts["forward"] == steps + 2
 
 
+# Exact call counts: a name missing here is never called, so a layerwise
+# batch streams its traces without the explicit per_sample_scores matrix.
 PER_BATCH = {
     "uniform_tent": {
         "forward": 2, "collect_grads": 1, "augment": 1, "entropy_loss": 1,
         "consistency_loss": 1, "layer_rates": 1, "weighted_step": 1,
     },
     "layerwise": {
-        "forward": 2, "collect_grads": 1, "per_sample_scores": 1, "layer_fim_trace": 1,
+        "forward": 2, "collect_grads": 1, "layer_fim_trace": 1,
         "accumulate": 1, "learning_weights": 1, "exp_minmax_scale": 1, "augment": 1,
         "entropy_loss": 1, "consistency_loss": 1, "layer_rates": 1, "weighted_step": 1,
     },

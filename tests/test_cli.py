@@ -147,6 +147,18 @@ def test_dump_weights_emits_diagonals(pretrained, tmp_path):
     assert "diag" in rec and "w" in rec and "w_bar" in rec
 
 
+@pytest.mark.parametrize("flag,value", [("--tau", "-1"), ("--eta", "0"), ("--epsilon", "-1e-8")])
+def test_bad_rate_setting_aborts_before_any_artifact(pretrained, tmp_path, flag, value):
+    ckpt, sched = pretrained
+    out = tmp_path / "run"
+    code = main([
+        "adapt", "--checkpoint", str(ckpt), "--schedule", str(sched),
+        "--out", str(out), f"{flag}={value}",
+    ])
+    assert code == 1
+    assert not out.exists()
+
+
 def test_missing_checkpoint_aborts_nonzero(pretrained, tmp_path):
     _, sched = pretrained
     code = main([

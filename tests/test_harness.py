@@ -44,6 +44,28 @@ def test_adapt_config_validation():
         AdaptConfig(gamma=1.5)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("eta", 0.0), ("eta", -1.0), ("tau", -0.5), ("epsilon", 0.0), ("epsilon", -1e-8),
+])
+@pytest.mark.parametrize("method", ["layerwise", "bn1"])
+def test_adapt_config_rejects_bad_rate_settings_at_construction(method, field, value):
+    # these used to fail only at the first updating batch, or never under bn1
+    with pytest.raises(ValueError, match=field):
+        AdaptConfig(method=method, **{field: value})
+
+
+def test_ablate_validates_every_grid_point_before_the_first_run(monkeypatch):
+    spec, model = tiny_setup()
+    runs = []
+    monkeypatch.setattr(harness, "adapt_stream", lambda *args: runs.append(args) or [])
+    with pytest.raises(ValueError, match="tau"):
+        harness.ablate(
+            model, spec, schedule_factory=lambda: tiny_schedule(batches=2),
+            base=AdaptConfig(seed=0), taus=[1.0, -1.0], lams=[0.1], gammas=[1.0],
+        )
+    assert runs == []
+
+
 def test_pretrain_zero_epochs_returns_initialization():
     spec = SourceSpec(input_dim=6, class_count=3, margin=5.0, seed=0)
     source = gen_source(spec, 240)
@@ -421,7 +443,7 @@ def test_nan_batch_is_skipped_and_later_steps_apply(monkeypatch, caplog, optimiz
     assert len(records) == 8
     assert "non-finite traces" in caplog.text and "rejected" in caplog.text
     assert len(folds) == 7  # every batch but the NaN one is folded in
-    assert all(np.isfinite(list(traces.values())).all() for traces in folds)
+    assert all(np.isfinite(traces).all() for traces in folds)
     assert [applied for applied, _ in snapshots] == [True, True, False] + [True] * 5
     # the rejected step left the model as the step before it did ...
     for name, params in snapshots[1][1].items():

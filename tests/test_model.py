@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fimtta import scheduler
 from fimtta.losses import entropy_loss, log_softmax
@@ -187,6 +191,45 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
             assert (a is None) == (b is None)
             if a is not None:
                 assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    hidden=st.lists(st.integers(1, 9), max_size=3),
+    trainable=st.lists(st.booleans(), min_size=10, max_size=10),
+    record_stats=st.booleans(),
+)
+def test_checkpoint_round_trip_keeps_theta_layout_buffers_and_logits(seed, hidden, trainable, record_stats):
+    rng = np.random.default_rng(seed)
+    m = build_classifier(int(rng.integers(1, 6)), hidden, int(rng.integers(2, 5)), seed=seed)
+    # the bit patterns the hex format must carry: magnitudes down to 1e-300,
+    # negative zero and subnormals (kept small enough for finite statistics)
+    m.theta[:] = rng.standard_normal(m.theta.size) * 10.0 ** rng.integers(-300, 3, m.theta.size)
+    m.theta[rng.random(m.theta.size) < 0.1] = -0.0
+    m.theta[rng.random(m.theta.size) < 0.1] = 5e-324
+    for layer, flag in zip(m.layers, trainable):
+        layer.trainable = flag
+    if record_stats:
+        record_source_stats(m, rng.standard_normal((20, m.input_dim)))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(m, Path(tmp) / "model.txt")
+        loaded, _ = load_checkpoint(Path(tmp) / "model.txt")
+    assert loaded.theta.tobytes() == m.theta.tobytes()
+    assert loaded.slices == m.slices
+    for la, lb in zip(m.layers, loaded.layers, strict=True):
+        assert (la.name, la.kind, la.trainable) == (lb.name, lb.kind, lb.trainable)
+        for pa, pb in zip(la.params, lb.params, strict=True):
+            assert pa.shape == pb.shape and np.shares_memory(pb, loaded.theta)
+        for buf in ("source_mean", "source_var"):
+            a, b = getattr(la, buf), getattr(lb, buf)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    x = rng.standard_normal((7, m.input_dim))
+    modes = (True, False) if record_stats or not hidden else (True,)
+    with np.errstate(all="ignore"):
+        for batch_stats in modes:
+            a, b = m.forward(x, batch_stats)[0], loaded.forward(x, batch_stats)[0]
+            assert a.tobytes() == b.tobytes()
 
 
 def test_checkpoint_rejects_bad_header(tmp_path):

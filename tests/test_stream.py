@@ -328,3 +328,19 @@ def test_schedule_value_rejected_with_file_and_line(tmp_path, key, value, line, 
     path.write_text(_schedule_text(**{key: value}), encoding="utf-8")
     with pytest.raises(ValueError, match=rf"sched\.txt: line {line}: .*{message}"):
         parse_schedule_file(path)
+
+
+def test_schedule_repeated_key_rejected_with_file_and_line(tmp_path):
+    # a later value used to replace the earlier one without a word
+    path = tmp_path / "sched.txt"
+    path.write_text(_schedule_text() + "batches=5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"sched\.txt: line 6: key 'batches' is repeated"):
+        parse_schedule_file(path)
+
+
+def test_schedule_unknown_key_rejected_with_file_and_line(tmp_path):
+    # a stray key used to be ignored without a word
+    path = tmp_path / "sched.txt"
+    path.write_text("severity=2\n" + _schedule_text(), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"sched\.txt: line 1: key 'severity' is unknown"):
+        parse_schedule_file(path)
