@@ -87,14 +87,17 @@ def _floats(text: str) -> list[float]:
 def _load_pretrained(path: str):
     model, meta = load_checkpoint(path)
     try:
-        source = SourceSpec(
-            input_dim=int(meta["d"]),
-            class_count=int(meta["classes"]),
-            margin=float(meta["margin"]),
-            seed=int(meta["source_seed"]),
-        )
+        d, classes = int(meta["d"]), int(meta["classes"])
+        if (d, classes) != (model.input_dim, model.class_count):
+            raise ValueError(
+                f"metadata d={d} classes={classes} disagree with the model's "
+                f"{model.input_dim} inputs and {model.class_count} classes"
+            )
+        source = SourceSpec(input_dim=d, class_count=classes, margin=float(meta["margin"]), seed=int(meta["source_seed"]))
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint lacks source metadata ({exc})") from exc
+    except ValueError as exc:  # a malformed or inconsistent metadata value
+        raise ValueError(f"{path}: {exc}") from None
     return model, source
 
 

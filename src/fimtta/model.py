@@ -1,14 +1,16 @@
 """Layered classifier with named, individually addressable parameter groups.
 
-A weight-bearing layer (dense weight+bias, or normalization scale+shift)
-is the unit at which learning weights and per-layer rates are assigned;
-activation layers carry no parameters and are not counted. Layer
-enumeration order is stable, so index l means the same layer to gradient
-extraction, trace accumulation and the weighted update alike.
+A weight-bearing layer (a dense weight, with a bias unless a norm follows
+it; or a normalization scale+shift) is the unit at which learning weights
+and per-layer rates are assigned; activation layers carry no parameters
+and are not counted. Layer enumeration order is stable, so index l means
+the same layer to gradient extraction, trace accumulation and the
+weighted update alike.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,9 +141,10 @@ class Model:
         saved: list = []
         for layer in self.layers:
             if layer.kind == "dense":
-                weight, bias = layer.params
                 saved.append(out)
-                out = out @ weight + bias
+                out = out @ layer.params[0]
+                if len(layer.params) == 2:  # a bias
+                    out += layer.params[1]
             elif layer.kind == "norm":
                 scale, shift = layer.params
                 norm = normalize(out, *self._fixed_stats(layer, batch_stats))
@@ -163,11 +166,12 @@ class Model:
         pass calls ``sink(row, col, block)``: ``block[j]`` is the gradient of
         ``theta[col:col + block.shape[1]]`` for slice row + j (read it, do not
         keep it). A seed stays [n, f] down to the first batch-statistic norm
-        from the top; that norm's row coupling is expanded in [chunk, n, f]
-        slices. ``g`` is overwritten.
+        from the top; that norm's row coupling, times its ``scale * inv_std``,
+        is expanded in [chunk, n, f] slices. ``g`` is overwritten.
         """
         # nothing below the first weight layer needs a cotangent
         first = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
+        transposes: dict[int, np.ndarray] = {}  # by dense layer index, shared by every chunk
 
         def dense_pass(g, top, row, scale=None):
             # [s, n, f] from layer top down. ``scale`` (a norm's scale * inv_std)
@@ -181,14 +185,17 @@ class Model:
                     continue
                 col, size = self.slices[layer.name].start, layer.params[0].size
                 if layer.kind == "dense":
-                    grad_w, grad_b = np.matmul(kept.T, g), ones @ g
+                    grad_w = np.matmul(kept.T, g)
                     if scale is not None:
                         grad_w *= scale
-                        grad_b *= scale
                     sink(row, col, grad_w.reshape(s, size))
-                    sink(row, col + size, grad_b)
+                    if len(layer.params) == 2:
+                        sink(row, col + size, ones @ g if scale is None else (ones @ g) * scale)
                     if i > first:  # a contiguous transpose carries the owed scale down
-                        g = g @ np.multiply(layer.params[0].T, 1.0 if scale is None else scale[:, None], order="C")
+                        if i not in transposes:
+                            owed = 1.0 if scale is None else scale[:, None]
+                            transposes[i] = np.multiply(layer.params[0].T, owed, order="C")
+                        g = g @ transposes[i]
                     scale = None
                     continue
                 if scale is not None:
@@ -214,7 +221,8 @@ class Model:
             col, size = self.slices[layer.name].start, layer.params[0].size
             if layer.kind == "dense":
                 sink(0, col, (kept[:, :, None] * g[:, None, :]).reshape(n, size))
-                sink(0, col + size, g)
+                if len(layer.params) == 2:
+                    sink(0, col + size, g)
                 g = g @ layer.params[0].T
                 continue
             xhat, inv_std, mean, _ = kept
@@ -224,6 +232,8 @@ class Model:
             if mean is None or i == first:
                 g = g * scale
                 continue
+            g *= scale  # the coupling comes out scaled, so the dense layer below owes none
+            xhat = xhat * scale
             buf = np.empty((min(chunk, n), n, size))
             for row in range(0, n, chunk):
                 k = min(chunk, n - row)
@@ -231,7 +241,7 @@ class Model:
                 coupled = np.multiply(xhat, g_scale[row : row + k, None] / -n, out=buf[:k])
                 coupled -= g[row : row + k, None] / n
                 coupled[np.arange(k), np.arange(row, row + k)] += g[row : row + k]
-                dense_pass(coupled, i - 1, row, scale)
+                dense_pass(coupled, i - 1, row)
             return
 
     def clone(self) -> "Model":
@@ -265,8 +275,10 @@ def build_classifier(
 ) -> Model:
     """Dense -> norm -> ReLU blocks with a final dense head.
 
-    Initialization is fully determined by the seed. An empty
-    ``hidden_dims`` yields a plain linear classifier (one dense layer).
+    Initialization is fully determined by the seed. A hidden dense layer
+    has no bias: the norm after it subtracts the batch mean, which cancels
+    one. An empty ``hidden_dims`` yields a plain linear classifier (one
+    dense layer with a bias).
     """
     if input_dim < 1 or class_count < 1 or any(h < 1 for h in hidden_dims):
         raise ValueError("all dimensions must be >= 1")
@@ -275,30 +287,12 @@ def build_classifier(
     width = input_dim
     for i, hidden in enumerate(hidden_dims, start=1):
         weight = rng.standard_normal((width, hidden)) * np.sqrt(2.0 / width)
-        layers.append(
-            LayerParams(
-                name=f"dense{i}",
-                kind="dense",
-                params=[weight, np.zeros(hidden)],
-            )
-        )
-        layers.append(
-            LayerParams(
-                name=f"norm{i}",
-                kind="norm",
-                params=[np.ones(hidden), np.zeros(hidden)],
-            )
-        )
+        layers.append(LayerParams(name=f"dense{i}", kind="dense", params=[weight]))
+        layers.append(LayerParams(name=f"norm{i}", kind="norm", params=[np.ones(hidden), np.zeros(hidden)]))
         layers.append(LayerParams(name=f"relu{i}", kind="relu"))
         width = hidden
     head = rng.standard_normal((width, class_count)) * np.sqrt(1.0 / width)
-    layers.append(
-        LayerParams(
-            name="head",
-            kind="dense",
-            params=[head, np.zeros(class_count)],
-        )
-    )
+    layers.append(LayerParams(name="head", kind="dense", params=[head, np.zeros(class_count)]))
     return Model(layers, input_dim, class_count)
 
 
@@ -320,12 +314,45 @@ def record_source_stats(model: Model, inputs: np.ndarray) -> None:
 
 
 def _fmt_vals(arr: np.ndarray) -> str:
-    return " ".join(v.hex() for v in arr.ravel().tolist())
+    # float.hex writes every NaN as "nan"; its bit pattern keeps the sign and payload
+    return " ".join(v.hex() if v == v else "nan:" + struct.pack(">d", v).hex() for v in arr.ravel().tolist())
+
+
+def _parse_val(tok: str) -> float:
+    if tok.startswith("nan:") and len(tok) == 20:
+        val = struct.unpack(">d", bytes.fromhex(tok[4:]))[0]
+        if val != val:
+            return val
+    return float.fromhex(tok)  # which rejects a "nan:" token that is not a NaN's bits
 
 
 def _parse_vals(line: str, shape: tuple[int, ...]) -> np.ndarray:
-    vals = [float.fromhex(tok) for tok in line.split()]
-    return np.asarray(vals, dtype=np.float64).reshape(shape)
+    return np.asarray([_parse_val(tok) for tok in line.split()], dtype=np.float64).reshape(shape)
+
+
+def _ints(tokens: list[str], where: str) -> tuple[int, ...]:
+    if not all(tok.isdecimal() for tok in tokens):
+        raise ValueError(f"{where}: expected non-negative integers, got {' '.join(tokens)!r}")
+    return tuple(int(tok) for tok in tokens)
+
+
+def _out_width(layer: LayerParams, width: int) -> int:
+    """Width of ``layer``'s output on ``width`` input features; ``ValueError``
+    if its params or buffers are not those of its kind at that width."""
+    shapes = [p.shape for p in layer.params]
+    stats = [b.shape for b in (layer.source_mean, layer.source_var) if b is not None]
+    if layer.kind == "dense":
+        out = shapes[0][-1] if shapes and shapes[0] else 0
+        fits = shapes in ([(width, out)], [(width, out), (out,)]) and not stats
+        need = f"a [{width}, k] weight, an optional [k] bias and no buffers"
+    elif layer.kind == "norm":
+        out, fits = width, shapes == [(width,)] * 2 and stats in ([], shapes)
+        need = f"two [{width}] params and no buffers or two of that width"
+    else:
+        out, fits, need = width, not shapes and not stats, "no params or buffers"
+    if not fits:
+        raise ValueError(f"{layer.kind} layer {layer.name!r} needs {need}, got params {shapes} and buffers {stats}")
+    return out
 
 
 def save_checkpoint(model: Model, path, meta: dict[str, str] | None = None) -> None:
@@ -352,50 +379,61 @@ def save_checkpoint(model: Model, path, meta: dict[str, str] | None = None) -> N
 
 
 def load_checkpoint(path) -> tuple[Model, dict[str, str]]:
+    """Read a ``save_checkpoint`` file. A malformed line, or layers that do
+    not chain ``input_dim`` features to ``class_count``, raise ``ValueError``
+    naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:
         raise ValueError(f"{path}: not a recognized checkpoint (bad header)")
-    input_dim = class_count = None
+    dims: dict[str, tuple[int, int]] = {}  # input_dim / class_count -> (value, line number)
     meta: dict[str, str] = {}
-    layers: list[LayerParams] = []
-    current: LayerParams | None = None
+    layers: list[tuple[LayerParams, int]] = []  # with the line number of their layer line
     i = 1
     while i < len(lines):
         tokens = lines[i].split() or [""]
         kind = tokens[0]
         where = f"{path}: line {i + 1}"
-        if kind == "input_dim":
-            input_dim = int(tokens[1])
-        elif kind == "class_count":
-            class_count = int(tokens[1])
+        if len(tokens) < {"input_dim": 2, "class_count": 2, "meta": 2, "layer": 4, "buffer": 2}.get(kind, 1):
+            raise ValueError(f"{where}: {kind} line is missing fields: {lines[i]!r}")
+        if kind in ("input_dim", "class_count"):
+            dims[kind] = (_ints(tokens[1:2], where)[0], i + 1)
         elif kind == "meta":
             meta[tokens[1]] = " ".join(tokens[2:])
         elif kind == "layer":
-            current = LayerParams(
-                name=tokens[1],
-                kind=tokens[2],
-                trainable=bool(int(tokens[3].split("=")[1])),
-            )
-            layers.append(current)
+            if tokens[2] not in ("dense", "norm", "relu") or tokens[3] not in ("trainable=0", "trainable=1"):
+                raise ValueError(f"{where}: need kind dense|norm|relu and trainable=0|1, got {lines[i]!r}")
+            if any(layer.name == tokens[1] for layer, _ in layers):
+                raise ValueError(f"{where}: layer name {tokens[1]!r} is repeated")
+            layers.append((LayerParams(name=tokens[1], kind=tokens[2], trainable=tokens[3] == "trainable=1"), i + 1))
         elif kind in ("param", "buffer"):
-            if current is None:
+            if not layers:
                 raise ValueError(f"{where}: {kind} line before any layer line")
+            if kind == "buffer" and tokens[1] not in ("source_mean", "source_var"):
+                raise ValueError(f"{where}: unknown buffer {tokens[1]!r}")
             if i + 1 == len(lines):
                 raise ValueError(f"{where}: {kind} line without its values line (truncated file)")
-            shape = tuple(int(t) for t in tokens[1 if kind == "param" else 2 :])
+            shape = _ints(tokens[1 if kind == "param" else 2 :], where)
             i += 1
             try:
                 vals = _parse_vals(lines[i], shape)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {i + 1}: bad {kind} values ({exc})") from None
             if kind == "param":
-                current.params.append(vals)
+                layers[-1][0].params.append(vals)
             else:
-                setattr(current, tokens[1], vals)
+                setattr(layers[-1][0], tokens[1], vals)
         else:
             raise ValueError(f"{where}: unrecognized checkpoint line {lines[i]!r}")
         i += 1
-    if input_dim is None or class_count is None:
+    if len(dims) < 2:
         raise ValueError(f"{path}: checkpoint missing dimensions")
-    return Model(layers, input_dim, class_count), meta
+    width = dims["input_dim"][0]
+    for layer, number in layers:
+        try:
+            width = _out_width(layer, width)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+    if width != dims["class_count"][0]:
+        raise ValueError(f"{path}: line {dims['class_count'][1]}: the layers end at {width} features, not class_count")
+    return Model([layer for layer, _ in layers], dims["input_dim"][0], dims["class_count"][0]), meta

@@ -10,7 +10,8 @@ from that tape, and ``replay_scores`` the per-sample scores, one tape
 replay per sample. ``batch_grads`` is the library's own path: one
 ``Model.forward``, a closed-form loss head and ``harness.collect_grads``;
 ``layer_grads`` splits its flat gradient back into per-layer arrays, and
-``param_snapshot`` copies every layer's parameters.
+``param_snapshot`` copies every layer's parameters, and ``with_dense_biases``
+gives a model the older layout in which every dense layer has a bias.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ def tape_forward(model: Model, inputs, leaves: dict[str, list[ad.Tensor]], batch
     out = x
     for layer in model.layers:
         if layer.kind == "dense":
-            weight, bias = leaves[layer.name]
-            out = ad.add(ad.matmul(out, weight), bias)
+            weight, *bias = leaves[layer.name]
+            out = ad.matmul(out, weight)
+            if bias:
+                out = ad.add(out, bias[0])
         elif layer.kind == "norm":
             scale, shift = leaves[layer.name]
             mean, var = model._fixed_stats(layer, batch_stats)
@@ -116,3 +119,14 @@ def layer_grads(model: Model, grad: np.ndarray) -> dict[str, list[np.ndarray]]:
 def param_snapshot(model: Model) -> dict[str, list[np.ndarray]]:
     """Copies of every layer's parameter arrays, keyed by layer name."""
     return {layer.name: [p.copy() for p in layer.params] for layer in model.layers}
+
+
+def with_dense_biases(model: Model, rng: np.random.Generator) -> Model:
+    """A copy of ``model`` in which every dense layer has a bias, drawn
+    from ``rng`` where ``model`` has none (the layout before hidden dense
+    layers dropped theirs)."""
+    layers = model.clone().layers
+    for layer in layers:
+        if layer.kind == "dense" and len(layer.params) == 1:
+            layer.params.append(rng.standard_normal(layer.params[0].shape[1]))
+    return Model(layers, model.input_dim, model.class_count)

@@ -181,6 +181,31 @@ def test_checkpoint_without_source_meta_aborts(pretrained, tmp_path):
     ]) == 1
 
 
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("adapt", "d", "8"),
+        ("adapt", "classes", "20"),  # also too many classes for a 6-d source task
+        ("baseline", "classes", "4"),
+        ("dump-weights", "d", "5"),
+        ("ablate", "classes", "2"),
+    ],
+)
+def test_source_metadata_that_disagrees_with_the_model_aborts_before_any_artifact(
+    pretrained, tmp_path, caplog, command, key, value
+):
+    ckpt, sched = pretrained
+    edited = tmp_path / "edited.txt"
+    lines = ckpt.read_text().splitlines()
+    edited.write_text("\n".join(f"meta {key} {value}" if l.startswith(f"meta {key} ") else l for l in lines) + "\n")
+    out = tmp_path / "run"
+    args = [command, "--checkpoint", str(edited), "--schedule", str(sched), "--out", str(out)]
+    assert main(args + (["--method", "bn1"] if command == "baseline" else [])) == 1
+    assert "edited.txt: metadata " in caplog.text and f"{key}={value}" in caplog.text
+    assert "disagree with the model's 6 inputs and 3 classes" in caplog.text
+    assert not out.exists()
+
+
 def test_unwritable_out_aborts(pretrained):
     ckpt, sched = pretrained
     assert main([

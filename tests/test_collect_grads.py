@@ -22,6 +22,7 @@ from oracle import (
     tape_grads,
     tape_nll_loss,
     tape_params,
+    with_dense_biases,
 )
 
 RTOL = 1e-12
@@ -41,15 +42,18 @@ def cases(draw):
     lam = draw(st.sampled_from([0.0, 0.1, 2.5]))
     kind = draw(st.sampled_from(["sigmoid", "softmax"]))
     seed = draw(st.integers(0, 2**32 - 1))
-    return input_dim, hidden, class_count, n, batch_stats, loss, lam, kind, seed
+    biased = draw(st.booleans())  # every dense layer with a bias: the older layout
+    return input_dim, hidden, class_count, n, batch_stats, loss, lam, kind, seed, biased
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(cases())
 def test_collect_grads_matches_tape_oracle(case):
-    input_dim, hidden, class_count, n, batch_stats, loss, lam, kind, seed = case
+    input_dim, hidden, class_count, n, batch_stats, loss, lam, kind, seed, biased = case
     rng = np.random.default_rng(seed)
     model = build_classifier(input_dim, hidden, class_count, seed=seed)
+    if biased:
+        model = with_dense_biases(model, rng)
     for layer in model.weight_layers():
         for p in layer.params:
             p += 0.3 * rng.standard_normal(p.shape)

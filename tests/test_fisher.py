@@ -18,7 +18,7 @@ from fimtta.fisher import (
 )
 from fimtta.losses import log_softmax, nll_loss
 from fimtta.model import build_classifier, record_source_stats
-from oracle import param_snapshot, replay_scores, score
+from oracle import param_snapshot, replay_scores, score, with_dense_biases
 
 
 def _scores(model, inputs, batch_stats=True):
@@ -98,11 +98,14 @@ def test_mean_of_per_sample_scores_equals_batch_score():
         assert np.allclose(per[layer.name].mean(axis=0), flat, rtol=1e-12, atol=1e-14)
 
 
-def _random_model(rng):
-    """Classifier of random depth and widths, with every parameter perturbed."""
+def _random_model(rng, biased=False):
+    """Classifier of random depth and widths, with every parameter perturbed;
+    ``biased`` gives every dense layer a bias, as the older layout did."""
     input_dim = int(rng.integers(1, 7))
     hidden = [int(h) for h in rng.integers(1, 12, size=int(rng.integers(0, 4)))]
     m = build_classifier(input_dim, hidden, int(rng.integers(2, 5)), seed=int(rng.integers(1000)))
+    if biased:
+        m = with_dense_biases(m, rng)
     for layer in m.weight_layers():
         for p in layer.params:
             p += 0.3 * rng.standard_normal(p.shape)
@@ -232,10 +235,11 @@ def test_trace_identity_on_real_model_layers():
     n=st.integers(1, 70),
     batch_stats=st.booleans(),
     chunk_rows=st.sampled_from([1, 7, 64, 200, 512, 4096]),
+    biased=st.booleans(),
 )
-def test_streamed_traces_match_tape_replay(seed, n, batch_stats, chunk_rows):
+def test_streamed_traces_match_tape_replay(seed, n, batch_stats, chunk_rows, biased):
     rng = np.random.default_rng(seed)
-    m = _random_model(rng)
+    m = _random_model(rng, biased)
     x = rng.standard_normal((n, m.input_dim))
     logits, saved = m.forward(x, batch_stats=batch_stats)
     theta = m.theta.copy()

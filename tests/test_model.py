@@ -20,7 +20,7 @@ from fimtta.model import (
 )
 from fimtta.harness import pretrain
 from fimtta.stream import SourceSpec, gen_source
-from oracle import batch_grads, tape_forward, tape_params
+from oracle import batch_grads, tape_forward, tape_params, with_dense_biases
 
 
 def test_build_is_deterministic_per_seed():
@@ -51,6 +51,14 @@ def test_layer_count_follows_construction_rule():
         m = build_classifier(16, hidden, 3, seed=1)
         assert len(m.weight_layers()) == 2 * len(hidden) + 1
     assert len(build_classifier(16, [32, 32, 32, 32], 3, seed=1).weight_layers()) == 9
+
+
+def test_only_dense_layers_without_a_norm_after_them_have_a_bias():
+    desk = build_classifier(16, [32, 32, 32, 32], 3, seed=0)
+    assert [len(l.params) for l in desk.layers if l.kind == "dense"] == [1, 1, 1, 1, 2]
+    assert desk.theta.size == 3939
+    assert with_dense_biases(desk, np.random.default_rng(0)).theta.size == 4067  # the older layout
+    assert [p.shape for p in build_classifier(4, [], 2, seed=0).layers[0].params] == [(4, 2), (2,)]
 
 
 def test_layer_enumeration_order_is_stable():
@@ -203,15 +211,20 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
 def test_checkpoint_round_trip_keeps_theta_layout_buffers_and_logits(seed, hidden, trainable, record_stats):
     rng = np.random.default_rng(seed)
     m = build_classifier(int(rng.integers(1, 6)), hidden, int(rng.integers(2, 5)), seed=seed)
-    # the bit patterns the hex format must carry: magnitudes down to 1e-300,
-    # negative zero and subnormals (kept small enough for finite statistics)
+    # the bit patterns the format must carry: magnitudes down to 1e-300,
+    # negative zero, subnormals, and NaNs of either sign with any payload
     m.theta[:] = rng.standard_normal(m.theta.size) * 10.0 ** rng.integers(-300, 3, m.theta.size)
     m.theta[rng.random(m.theta.size) < 0.1] = -0.0
     m.theta[rng.random(m.theta.size) < 0.1] = 5e-324
+    nans = rng.random(m.theta.size) < 0.05
+    payloads = rng.integers(1, 2**52, m.theta.size, dtype=np.uint64)  # quiet and signalling
+    signs = rng.integers(0, 2, m.theta.size, dtype=np.uint64) << np.uint64(63)
+    m.theta.view(np.uint64)[nans] = (signs | np.uint64(0x7FF0000000000000) | payloads)[nans]
     for layer, flag in zip(m.layers, trainable):
         layer.trainable = flag
     if record_stats:
-        record_source_stats(m, rng.standard_normal((20, m.input_dim)))
+        with np.errstate(all="ignore"):
+            record_source_stats(m, rng.standard_normal((20, m.input_dim)))
     with tempfile.TemporaryDirectory() as tmp:
         save_checkpoint(m, Path(tmp) / "model.txt")
         loaded, _ = load_checkpoint(Path(tmp) / "model.txt")
@@ -278,6 +291,83 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
     path.write_text("\n".join(cut) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"model\.txt: line {last + 1}: bad param values"):
         load_checkpoint(path)
+
+
+# Edits of the lines of _saved_checkpoint_lines's file (2 -> dense1 -> norm1
+# -> relu1 -> head -> 2, source statistics recorded), by 0-based index:
+#   1 input_dim, 2 class_count, 3 layer dense1, 4-5 its weight, 6 layer norm1,
+#   7-10 its scale and shift, 11-14 its source_mean and source_var,
+#   15 layer relu1, 16 layer head, 17-18 its weight, 19-20 its bias.
+def _put(at, *new, drop=1):
+    return lambda lines: lines[:at] + list(new) + lines[at + drop :]
+
+
+ZEROS = "0x0p+0 0x0p+0 0x0p+0"
+
+
+@pytest.mark.parametrize(
+    "edit,line,message",
+    [
+        pytest.param(_put(3, "layer dense1 dense"), 4, "layer line is missing fields", id="short-layer-line"),
+        pytest.param(_put(1, "input_dim"), 2, "input_dim line is missing fields", id="short-input-dim-line"),
+        pytest.param(_put(11, "buffer"), 12, "buffer line is missing fields", id="short-buffer-line"),
+        pytest.param(_put(1, "input_dim two"), 2, "non-negative integers, got 'two'", id="non-integer-dimension"),
+        pytest.param(_put(4, "param 2 x"), 5, "non-negative integers, got '2 x'", id="non-integer-shape"),
+        pytest.param(_put(4, "param -2 3"), 5, "non-negative integers, got '-2 3'", id="negative-shape"),
+        pytest.param(_put(11, "buffer running_mean 3"), 12, "unknown buffer 'running_mean'", id="unknown-buffer"),
+        pytest.param(_put(15, "layer relu1 gelu trainable=1"), 16, "need kind dense|norm|relu", id="unknown-kind"),
+        pytest.param(_put(15, "layer relu1 relu trainable=2"), 16, r"and trainable=0\|1", id="bad-trainable-flag"),
+        pytest.param(_put(15, "layer norm1 relu trainable=1"), 16, "layer name 'norm1' is repeated", id="repeated-name"),
+        pytest.param(_put(21, "param 2", "0x0p+0 0x0p+0", drop=0), 17,
+                     r"dense layer 'head' needs a \[3, k\] weight, an optional \[k\] bias and no buffers, "
+                     r"got params \[\(3, 2\), \(2,\), \(2,\)\]", id="dense-third-param"),
+        pytest.param(_put(4, "param 6", f"{ZEROS} {ZEROS}", drop=2), 4, r"dense layer 'dense1' .* params \[\(6,\)\]",
+                     id="dense-1d-weight"),
+        pytest.param(_put(19, "param 3", ZEROS, drop=2), 17, r"dense layer 'head' .* params \[\(3, 2\), \(3,\)\]",
+                     id="dense-bias-of-another-width"),
+        pytest.param(_put(9, "param 2", "0x0p+0 0x0p+0", drop=2), 7,
+                     r"norm layer 'norm1' needs two \[3\] params .* got params \[\(3,\), \(2,\)\]",
+                     id="norm-unequal-params"),
+        pytest.param(_put(13, "buffer source_var 2", "0x1p+0 0x1p+0", drop=2), 7,
+                     r"norm layer 'norm1' .* buffers \[\(3,\), \(2,\)\]", id="norm-buffer-of-another-width"),
+        pytest.param(_put(13, drop=2), 7, r"norm layer 'norm1' .* buffers \[\(3,\)\]", id="norm-one-buffer"),
+        pytest.param(_put(16, "param 1", "0x0p+0", drop=0), 16,
+                     r"relu layer 'relu1' needs no params or buffers, got params \[\(1,\)\]", id="relu-with-params"),
+        pytest.param(_put(1, "input_dim 3"), 4,
+                     r"dense layer 'dense1' needs a \[3, k\] weight, .* got params \[\(2, 3\)\]",
+                     id="widths-do-not-chain-from-input-dim"),
+        pytest.param(_put(2, "class_count 3"), 3, "the layers end at 2 features, not class_count",
+                     id="widths-do-not-chain-to-class-count"),
+        pytest.param(_put(5, f"nan:7ff80000000000zz {ZEROS} 0x0p+0 0x0p+0"), 6, "bad param values",
+                     id="nan-bits-not-hex"),
+        pytest.param(_put(5, f"nan:7ff0000000000000 {ZEROS} 0x0p+0 0x0p+0"), 6, "bad param values",
+                     id="nan-bits-of-infinity"),
+    ],
+)
+def test_checkpoint_rejects_malformed_content_with_file_and_line(tmp_path, edit, line, message):
+    path, lines = _saved_checkpoint_lines(tmp_path)
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"model\.txt: line {line}: .*{message}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_biases_before_norms_loads_unchanged(tmp_path):
+    # the older layout: every dense layer has a bias, here a nonzero one
+    rng = np.random.default_rng(22)
+    old = with_dense_biases(_perturbed_model(rng), rng)
+    record_source_stats(old, rng.standard_normal((40, 5)))
+    save_checkpoint(old, tmp_path / "old.txt")
+    loaded, _ = load_checkpoint(tmp_path / "old.txt")
+    assert loaded.theta.tobytes() == old.theta.tobytes() and loaded.slices == old.slices
+    for layer in loaded.layers:
+        if layer.kind == "dense":
+            _, bias = layer.params
+            assert np.shares_memory(bias, loaded.theta) and np.all(bias != 0.0)
+    x = rng.standard_normal((9, 5))
+    for batch_stats in (True, False):
+        logits = loaded.forward(x, batch_stats)[0]
+        assert np.array_equal(logits, tape_forward(loaded, x, tape_params(loaded), batch_stats).data)
+        assert np.array_equal(logits, old.forward(x, batch_stats)[0])
 
 
 def test_forward_output_shape_is_batch_by_classes():

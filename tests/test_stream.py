@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import write_schedule_file
 from fimtta import stream
@@ -255,6 +259,30 @@ def test_schedule_file_round_trip(tmp_path):
     sched = parse_schedule_file(path)
     ref = make_schedule("gradual", ["gaussian_noise", "feature_blur"], 4, 32, 7)
     assert sched == ref
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["continual", "gradual"]),
+    kinds=st.lists(st.sampled_from(CORRUPTION_KINDS), min_size=2, max_size=8),
+    batches=st.integers(1, 200),
+    batch_size=st.integers(1, 1024),
+    seed=st.integers(0, 2**63 - 1),
+    extras=st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from(["", "   ", "# a comment", "  # kinds=gaussian_noise", "#"])),
+        max_size=6,
+    ),
+)
+def test_schedule_file_round_trips_to_make_schedule(kind, kinds, batches, batch_size, seed, extras):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sched.txt"
+        write_schedule_file(path, kind, kinds, batches, batch_size, seed)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for at, extra in extras:  # comments and blank lines anywhere
+            lines.insert(at, extra)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        parsed = parse_schedule_file(path)
+    assert parsed == make_schedule(kind, kinds, batches, batch_size, seed)
 
 
 def test_schedule_file_missing_keys_rejected(tmp_path):
