@@ -7,7 +7,7 @@ rates for entropy-based self-adaptation of a frozen-source classifier.
 
 from .fisher import FisherState, accumulate, fim_diagonal, layer_fim_trace, learning_weights, per_sample_scores
 from .harness import AdaptConfig, MetricsRecord, adapt_stream, pretrain, run_experiment
-from .losses import LossConfig, augment, consistency_loss, entropy_loss, nll_loss
+from .losses import augment, consistency_loss, entropy_loss, nll_loss
 from .model import Model, ShapeError, build_classifier, load_checkpoint, save_checkpoint
 from .scheduler import AdamState, exp_minmax_scale, layer_rates, weighted_step
 from .stream import (
@@ -28,7 +28,6 @@ __all__ = [
     "CorruptionSpec",
     "DomainSchedule",
     "FisherState",
-    "LossConfig",
     "MetricsRecord",
     "Model",
     "ScheduleStream",

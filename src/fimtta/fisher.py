@@ -30,7 +30,6 @@ class FisherState:
 
     decay: float
     traces: np.ndarray
-    step: int = 0
     diagonals: np.ndarray | None = None
 
     def __post_init__(self):
@@ -113,7 +112,6 @@ def accumulate(
     state.traces = state.decay * state.traces + current
     if state.diagonals is not None and current_diagonal is not None:
         state.diagonals = state.decay * state.diagonals + current_diagonal
-    state.step += 1
     return state
 
 

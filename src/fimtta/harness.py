@@ -39,30 +39,25 @@ class AdaptConfig:
     optimizer: str = "adam"  # adam | sgd
     consistency: str = "sigmoid"  # sigmoid | softmax
     noise_scale: float = 0.1
-    feature_scaling: bool = True
     seed: int = 0
     track_diagonal: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.lam < 0:
-            raise ValueError(f"consistency weight lam must be >= 0, got {self.lam}")
         if self.consistency not in ("sigmoid", "softmax"):
             raise ValueError(f"consistency must be sigmoid or softmax, got {self.consistency!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not self.eta > 0:
-            raise ValueError(f"base rate eta must be > 0, got {self.eta}")
-        if not self.tau >= 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-
-    def loss_config(self) -> losses.LossConfig:
-        return losses.LossConfig(noise_scale=self.noise_scale, feature_scaling=self.feature_scaling)
+        # a NaN or infinite value would drop a loss term, reject every step or zero the rates
+        for name, positive in (("eta", True), ("tau", False), ("lam", False), ("epsilon", True), ("noise_scale", False)):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+                raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -162,7 +157,6 @@ def adapt_stream(
     those methods reject a batch of fewer than 2 rows with ``ValueError``.
     """
     cfg = config
-    loss_cfg = cfg.loss_config()
     n_layers = len(model.slices)
     state = fisher.FisherState.for_model(model, decay=cfg.gamma, track_diagonal=cfg.track_diagonal)
     opt = scheduler.AdamState() if cfg.optimizer == "adam" else None
@@ -207,7 +201,7 @@ def adapt_stream(
             # entropy + lam * consistency; the clean pass carries entropy only
             passes = [(saved, g)]
             if cfg.lam > 0.0:
-                augmented = losses.augment(batch.inputs, aug_rng, loss_cfg)
+                augmented = losses.augment(batch.inputs, aug_rng, cfg.noise_scale)
                 aug_logits, aug_saved = model.forward(augmented, batch_stats=True)
                 consistency_val, g_aug = losses.consistency_loss(logits, aug_logits, kind=cfg.consistency)
                 passes.append((aug_saved, cfg.lam * g_aug))

@@ -14,21 +14,12 @@ vectors; a softmax variant is available behind ``kind`` for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import ShapeError
 
-
-@dataclass
-class LossConfig:
-    """Augmentation knobs for the consistency term's jittered copy."""
-
-    noise_scale: float = 0.1
-    feature_scaling: bool = True
-    scale_low: float = 0.9
-    scale_high: float = 1.1
+# range of the jittered copy's per-element positive feature rescaling
+AUGMENT_SCALE_RANGE = (0.9, 1.1)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -96,22 +87,16 @@ def consistency_loss(logits: np.ndarray, aug_logits: np.ndarray, kind: str = "si
     return float((weights * log_term).sum() * scale), grad
 
 
-def augment(batch: np.ndarray, rng: np.random.Generator, cfg: LossConfig) -> np.ndarray:
-    """Additive Gaussian jitter plus mild positive feature rescaling.
-
-    With a zero noise scale and feature scaling disabled the batch is
-    returned unchanged (bitwise); otherwise draws are fully determined
-    by the generator state.
-    """
+def augment(batch: np.ndarray, rng: np.random.Generator, noise_scale: float) -> np.ndarray:
+    """Additive Gaussian jitter (skipped at a zero ``noise_scale``) plus mild
+    positive feature rescaling; draws are fully determined by the generator
+    state."""
     x = np.asarray(batch, dtype=np.float64)
     if x.size == 0:
         raise ValueError("augment: empty batch")
-    out = x
-    if cfg.noise_scale > 0.0:
-        out = out + cfg.noise_scale * rng.standard_normal(x.shape)
-    if cfg.feature_scaling:
-        out = out * rng.uniform(cfg.scale_low, cfg.scale_high, size=x.shape)
-    return out.copy() if out is x else out
+    if noise_scale > 0.0:
+        x = x + noise_scale * rng.standard_normal(x.shape)
+    return x * rng.uniform(*AUGMENT_SCALE_RANGE, size=x.shape)
 
 
 def nll_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -165,27 +165,32 @@ class Model:
         whose slice k is row k of the seed alone. Per parameter array the
         pass calls ``sink(row, col, block)``: ``block[j]`` is the gradient of
         ``theta[col:col + block.shape[1]]`` for slice row + j (read it, do not
-        keep it). A seed stays [n, f] down to the first batch-statistic norm
-        from the top; that norm's row coupling, times its ``scale * inv_std``,
-        is expanded in [chunk, n, f] slices. ``g`` is overwritten.
+        keep it). Both run one reverse loop over the layers. A seed enters it
+        as [n, 1, C]: n slices, slice k seeing row k of the cache only. At the
+        first batch-statistic norm from the top, which couples the rows, the
+        loop hands the seed back; the coupling, times that norm's
+        ``scale * inv_std``, is expanded in [chunk, n, f] slabs, and each slab
+        runs the rest of the loop over the whole cache. ``g`` is overwritten.
         """
         # nothing below the first weight layer needs a cotangent
         first = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
-        transposes: dict[int, np.ndarray] = {}  # by dense layer index, shared by every chunk
+        transposes: dict[int, np.ndarray] = {}  # by dense layer index, shared by every slab
 
-        def dense_pass(g, top, row, scale=None):
-            # [s, n, f] from layer top down. ``scale`` (a norm's scale * inv_std)
-            # is still owed by g; the next dense layer folds it into its products
-            s, n = g.shape[:2]
-            ones = np.ones(n)
+        def reverse(g, top, row, own):
+            # [s, m, f] from layer top down; ``own``: m = 1, slice k sees cache
+            # row k. ``scale`` (a norm's scale * inv_std) is still owed by g;
+            # the next dense layer folds it into its products
+            s, m = g.shape[:2]
+            ones, scale = np.ones(m), None
+            spec = "snf,snf->sf" if own else "snf,nf->sf"
             for i in range(top, first - 1, -1):
                 layer, kept = self.layers[i], saved[i]
                 if layer.kind == "relu":
-                    g *= kept  # commutes with the owed scale
+                    g *= kept[:, None] if own else kept  # commutes with the owed scale
                     continue
                 col, size = self.slices[layer.name].start, layer.params[0].size
                 if layer.kind == "dense":
-                    grad_w = np.matmul(kept.T, g)
+                    grad_w = np.matmul(kept[:, :, None] if own else kept.T, g)
                     if scale is not None:
                         grad_w *= scale
                     sink(row, col, grad_w.reshape(s, size))
@@ -195,54 +200,41 @@ class Model:
                         if i not in transposes:
                             owed = 1.0 if scale is None else scale[:, None]
                             transposes[i] = np.multiply(layer.params[0].T, owed, order="C")
-                        g = g @ transposes[i]
+                        # the own-row product runs as the 2-D GEMM, whose rounding a batched one does not keep
+                        g = (g[:, 0] @ transposes[i])[:, None] if own else g @ transposes[i]
                     scale = None
                     continue
                 if scale is not None:
                     g *= scale
                 xhat, inv_std, mean, _ = kept
-                g_scale, g_shift = np.einsum("snf,nf->sf", g, xhat), ones @ g
+                g_scale = np.einsum(spec, g, xhat[:, None] if own else xhat)
+                g_shift = ones @ g
                 sink(row, col, g_scale)
                 sink(row, col + size, g_shift)
-                if mean is not None and i > first:
-                    coupled = xhat * (g_scale / n)[:, None]
-                    coupled += (g_shift / n)[:, None]
-                    g -= coupled
                 scale = layer.params[0] * inv_std
+                if mean is not None and i > first:  # batch statistics couple the rows
+                    if own:  # the caller expands the coupling
+                        return i, g_shift * scale, xhat * scale, g_scale
+                    coupled = xhat * (g_scale / m)[:, None]
+                    coupled += (g_shift / m)[:, None]
+                    g -= coupled
+                elif own:  # own-row slices take the scale now, which keeps their products' rounding
+                    g, scale = g * scale, None
 
-        if g.ndim == 3:
-            return dense_pass(g, len(self.layers) - 1, 0)
-        n = g.shape[0]
-        for i in range(len(self.layers) - 1, first - 1, -1):
-            layer, kept = self.layers[i], saved[i]
-            if layer.kind == "relu":
-                g = g * kept
-                continue
-            col, size = self.slices[layer.name].start, layer.params[0].size
-            if layer.kind == "dense":
-                sink(0, col, (kept[:, :, None] * g[:, None, :]).reshape(n, size))
-                if len(layer.params) == 2:
-                    sink(0, col + size, g)
-                g = g @ layer.params[0].T
-                continue
-            xhat, inv_std, mean, _ = kept
-            g_scale, scale = g * xhat, layer.params[0] * inv_std
-            sink(0, col, g_scale)
-            sink(0, col + size, g)
-            if mean is None or i == first:
-                g = g * scale
-                continue
-            g *= scale  # the coupling comes out scaled, so the dense layer below owes none
-            xhat = xhat * scale
-            buf = np.empty((min(chunk, n), n, size))
-            for row in range(0, n, chunk):
-                k = min(chunk, n - row)
-                # slice j: its own row minus (shift score + xhat * scale score) / n
-                coupled = np.multiply(xhat, g_scale[row : row + k, None] / -n, out=buf[:k])
-                coupled -= g[row : row + k, None] / n
-                coupled[np.arange(k), np.arange(row, row + k)] += g[row : row + k]
-                dense_pass(coupled, i - 1, row)
+        own = g.ndim == 2
+        coupling = reverse(g[:, None] if own else g, len(self.layers) - 1, 0, own)
+        if coupling is None:  # the batch pass, or no batch-statistic norm below the seed
             return
+        i, g, xhat, g_scale = coupling  # the coupling comes out scaled, so the dense layer below owes none
+        n, size = g.shape
+        buf = np.empty((min(chunk, n), n, size))
+        for row in range(0, n, chunk):
+            k = min(chunk, n - row)
+            # slice j: its own row minus (shift score + xhat * scale score) / n
+            coupled = np.multiply(xhat, g_scale[row : row + k, None] / -n, out=buf[:k])
+            coupled -= g[row : row + k, None] / n
+            coupled[np.arange(k), np.arange(row, row + k)] += g[row : row + k]
+            reverse(coupled, i - 1, row, own=False)
 
     def clone(self) -> "Model":
         """Deep copy: parameters packed into a new ``theta``, buffers duplicated."""

@@ -12,7 +12,7 @@ metrics recorder reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -178,7 +178,6 @@ class DomainSchedule:
     segments: list[Segment]
     batch_size: int
     seed: int
-    corruption_kinds: list[str] = field(default_factory=list)
 
     @property
     def total_batches(self) -> int:
@@ -223,7 +222,6 @@ def make_schedule(
         ],
         batch_size=batch_size,
         seed=seed,
-        corruption_kinds=list(corruption_kinds),
     )
 
 

@@ -159,6 +159,24 @@ def test_bad_rate_setting_aborts_before_any_artifact(pretrained, tmp_path, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--seed", "-1", "seed"),
+    ("--lambda", "nan", "lam"),
+    ("--eta", "inf", "eta"),
+    ("--noise-scale", "-0.1", "noise_scale"),
+])
+def test_value_that_breaks_a_run_aborts_before_any_artifact(pretrained, tmp_path, caplog, flag, value, field):
+    ckpt, sched = pretrained
+    out = tmp_path / "run"
+    code = main([
+        "baseline", "--method", "uniform_tent", "--checkpoint", str(ckpt), "--schedule", str(sched),
+        "--out", str(out), f"{flag}={value}",
+    ])
+    assert code == 1
+    assert not out.exists()
+    assert f"{field} must be" in caplog.text
+
+
 def test_missing_checkpoint_aborts_nonzero(pretrained, tmp_path):
     _, sched = pretrained
     code = main([

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,8 @@ from fimtta.fisher import (
     learning_weights,
     per_sample_scores,
 )
-from fimtta.losses import log_softmax, nll_loss
+from fimtta.harness import collect_grads
+from fimtta.losses import entropy_loss, log_softmax, nll_loss
 from fimtta.model import build_classifier, record_source_stats
 from oracle import param_snapshot, replay_scores, score, with_dense_biases
 
@@ -267,7 +270,7 @@ def test_diagonal_of_zero_scores_is_zero():
 def test_accumulate_examples():
     s = FisherState(decay=1.0, traces=np.zeros(1))
     accumulate(s, np.array([5.0]))
-    assert s.traces.tolist() == [5.0] and s.step == 1
+    assert s.traces.tolist() == [5.0]
 
     s = FisherState(decay=0.0, traces=np.array([4.0]))
     accumulate(s, np.array([2.0]))
@@ -353,3 +356,31 @@ def test_dump_record_shape():
         "w_bar": {"a": 0.5},
         "diag": {"a": [1.0, 1.0]},
     }
+
+
+@pytest.mark.parametrize("batch_stats", [True, False])
+def test_forward_cache_is_freed_once_the_caller_drops_it(batch_stats):
+    # without the cycle collector, a reference cycle through the backward
+    # pass would keep every batch's cache alive
+    rng = np.random.default_rng(5)
+    model = build_classifier(5, [6, 6], 3, seed=1)
+    record_source_stats(model, rng.standard_normal((40, 5)))
+    x = rng.standard_normal((20, 5))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        logits, saved = model.forward(x, batch_stats=batch_stats)
+        refs = [
+            weakref.ref(a)
+            for entry in saved
+            for a in (entry if isinstance(entry, tuple) else (entry,))
+            if isinstance(a, np.ndarray) and a is not x
+        ]
+        collect_grads(model, [(saved, entropy_loss(logits)[1])])
+        with mock.patch.object(fisher, "_CHUNK_ROWS", 60):  # chunks of 3 of the 20 rows
+            layer_fim_trace(model, logits, saved, diagonal=True)
+        del saved
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        if enabled:
+            gc.enable()

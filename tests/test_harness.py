@@ -54,6 +54,22 @@ def test_adapt_config_rejects_bad_rate_settings_at_construction(method, field, v
         AdaptConfig(method=method, **{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lam", float("nan")),  # ran as lam=0, dropping the consistency term
+    ("lam", float("inf")),
+    ("eta", float("inf")),  # rejected every step
+    ("tau", float("inf")),  # zeroed every rate
+    ("epsilon", float("inf")),
+    ("noise_scale", -0.1),  # switched the jitter off
+    ("noise_scale", float("nan")),
+    ("noise_scale", float("inf")),
+    ("seed", -1),  # failed only once the run's artifacts existed
+])
+def test_adapt_config_rejects_values_that_silently_break_a_run(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        AdaptConfig(**{field: value})
+
+
 def test_ablate_validates_every_grid_point_before_the_first_run(monkeypatch):
     spec, model = tiny_setup()
     runs = []
