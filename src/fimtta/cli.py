@@ -18,6 +18,13 @@ from .stream import SourceSpec, describe_schedule, gen_source, parse_schedule_fi
 
 logger = logging.getLogger(__name__)
 
+# run flag -> AdaptConfig field; each flag takes the field's type and default
+ADAPT_FLAGS = {
+    "--method": "method", "--eta": "eta", "--tau": "tau", "--lambda": "lam", "--gamma": "gamma",
+    "--epsilon": "epsilon", "--opt": "optimizer", "--consistency": "consistency",
+    "--noise-scale": "noise_scale", "--seed": "seed",
+}
+
 
 def _seed_count(text: str) -> int:
     if int(text) < 1:
@@ -25,19 +32,20 @@ def _seed_count(text: str) -> int:
     return int(text)
 
 
-def _add_adapt_flags(p: argparse.ArgumentParser, seeds: bool = False) -> None:
+def _add_adapt_flags(p: argparse.ArgumentParser, methods: tuple[str, ...] | None, seeds: bool = False) -> None:
+    """The run flags; ``--method`` only with ``methods``, and required when
+    the config's default method is not among them."""
     p.add_argument("--checkpoint", required=True, help="pretrained model checkpoint")
     p.add_argument("--schedule", required=True, help="schedule description file")
-    p.add_argument("--eta", type=float, default=5e-3)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--opt", choices=["adam", "sgd"], default="adam")
-    p.add_argument("--consistency", choices=["sigmoid", "softmax"], default="sigmoid")
-    p.add_argument("--noise-scale", type=float, default=0.1)
+    choices = {**harness.CHOICES, "method": methods}
+    for flag, name in ADAPT_FLAGS.items():
+        default, allowed = getattr(AdaptConfig, name), choices.get(name)
+        if name != "method" or methods:
+            p.add_argument(
+                flag, dest=name, type=type(default), choices=allowed, default=default,
+                required=allowed is not None and default not in allowed,
+            )
     if seeds:
         p.add_argument("--seeds", type=_seed_count, default=1, help="repeat with seed offsets and report mean/std")
 
@@ -61,22 +69,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("adapt", help="run the layer-wise weighted adaptation")
-    _add_adapt_flags(p, seeds=True)
-    p.add_argument("--method", choices=["layerwise", "naive_eq6"], default="layerwise")
+    _add_adapt_flags(p, harness.WEIGHTED_METHODS, seeds=True)
 
     p = sub.add_parser("baseline", help="run a non-weighted reference method")
-    _add_adapt_flags(p, seeds=True)
-    p.add_argument("--method", choices=["source", "bn1", "uniform_tent"], required=True)
+    _add_adapt_flags(p, harness.BASELINE_METHODS, seeds=True)
 
     p = sub.add_parser("ablate", help="factorial sweep over tau, lambda, gamma")
-    _add_adapt_flags(p)
-    p.add_argument("--method", choices=["layerwise", "naive_eq6"], default="layerwise")
+    _add_adapt_flags(p, harness.WEIGHTED_METHODS)
     p.add_argument("--taus", default="1.0", help="comma-separated tau grid")
     p.add_argument("--lambdas", default="0.1", help="comma-separated lambda grid")
     p.add_argument("--gammas", default="1.0", help="comma-separated gamma grid")
 
     p = sub.add_parser("dump-weights", help="layerwise run that also dumps trace diagonals")
-    _add_adapt_flags(p)
+    _add_adapt_flags(p, None)
     return parser
 
 
@@ -84,8 +89,15 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _load_pretrained(path: str):
-    model, meta = load_checkpoint(path)
+def _run_setup(args, **fixed):
+    """Config, pretrained model, source task and schedule of a run command.
+
+    ``fixed`` sets config fields that have no flag. Prints the resolved
+    schedule; every check here runs before any file is written.
+    """
+    flags = {name: getattr(args, name) for name in ADAPT_FLAGS.values() if name in args}
+    config = AdaptConfig(**flags, **fixed)
+    model, meta = load_checkpoint(args.checkpoint)
     try:
         d, classes = int(meta["d"]), int(meta["classes"])
         if (d, classes) != (model.input_dim, model.class_count):
@@ -95,25 +107,13 @@ def _load_pretrained(path: str):
             )
         source = SourceSpec(input_dim=d, class_count=classes, margin=float(meta["margin"]), seed=int(meta["source_seed"]))
     except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint lacks source metadata ({exc})") from exc
+        raise ValueError(f"{args.checkpoint}: checkpoint lacks source metadata ({exc})") from exc
     except ValueError as exc:  # a malformed or inconsistent metadata value
-        raise ValueError(f"{path}: {exc}") from None
-    return model, source
-
-
-def _config_from_args(args, method: str | None = None) -> AdaptConfig:
-    return AdaptConfig(
-        method=method or args.method,
-        eta=args.eta,
-        tau=args.tau,
-        lam=args.lam,
-        gamma=args.gamma,
-        epsilon=args.epsilon,
-        optimizer=args.opt,
-        consistency=args.consistency,
-        noise_scale=args.noise_scale,
-        seed=args.seed,
-    )
+        raise ValueError(f"{args.checkpoint}: {exc}") from None
+    schedule = parse_schedule_file(args.schedule)
+    harness.check_batch_rows(config.method, schedule.batch_size, f"{args.schedule}: each batch")
+    print(describe_schedule(schedule))
+    return config, model, source, schedule
 
 
 def cmd_pretrain(args) -> int:
@@ -147,10 +147,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_run(args) -> int:
     """``adapt`` and ``baseline``: one run of ``--method`` per seed."""
-    config = _config_from_args(args)
-    model, source = _load_pretrained(args.checkpoint)
-    schedule = parse_schedule_file(args.schedule)
-    print(describe_schedule(schedule))
+    config, model, source, schedule = _run_setup(args)
     summaries = []
     for offset in range(args.seeds):
         cfg = replace(config, seed=config.seed + offset)
@@ -172,10 +169,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_dump_weights(args) -> int:
-    config = replace(_config_from_args(args, method="layerwise"), track_diagonal=True)
-    model, source = _load_pretrained(args.checkpoint)
-    schedule = parse_schedule_file(args.schedule)
-    print(describe_schedule(schedule))
+    config, model, source, schedule = _run_setup(args, track_diagonal=True)
     result = harness.run_experiment(
         model, source, schedule, config, args.out, tag="dump"
     )
@@ -184,22 +178,13 @@ def cmd_dump_weights(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    model, source = _load_pretrained(args.checkpoint)
-    schedule = parse_schedule_file(args.schedule)
-    print(describe_schedule(schedule))
-    base = _config_from_args(args)
+    base, model, source, _ = _run_setup(args)
+    grid = {"taus": _floats(args.taus), "lams": _floats(args.lambdas), "gammas": _floats(args.gammas)}
+    harness.ablation_grid(base, **grid)  # a bad grid value aborts before the table path is probed
+    (table,) = harness.writable_paths(args.out, ["ablation.json"])
     rows = harness.ablate(
-        model,
-        source,
-        schedule_factory=lambda: parse_schedule_file(args.schedule),
-        base=base,
-        taus=_floats(args.taus),
-        lams=_floats(args.lambdas),
-        gammas=_floats(args.gammas),
+        model, source, schedule_factory=lambda: parse_schedule_file(args.schedule), base=base, **grid
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table = out / "ablation.json"
     table.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{'tau':>6} {'lambda':>8} {'gamma':>6} {'mean_error':>11}")
     for row in rows:

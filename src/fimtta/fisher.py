@@ -119,23 +119,3 @@ def learning_weights(state: FisherState) -> np.ndarray:
     """Raw per-layer weights [L]: square roots of the accumulated traces."""
     return np.sqrt(state.traces)
 
-
-def dump_record(
-    step: int,
-    domain: str,
-    severity: int,
-    w: dict[str, float],
-    w_bar: dict[str, float],
-    diag: dict[str, np.ndarray] | None = None,
-) -> dict:
-    """One JSON-lines record for the per-step weight dumps."""
-    record = {
-        "step": step,
-        "domain": domain,
-        "severity": severity,
-        "w": {name: float(v) for name, v in w.items()},
-        "w_bar": {name: float(v) for name, v in w_bar.items()},
-    }
-    if diag is not None:
-        record["diag"] = {name: np.asarray(d).tolist() for name, d in diag.items()}
-    return record

@@ -25,7 +25,12 @@ from .stream import Dataset, DomainSchedule, ScheduleStream, SourceSpec
 
 logger = logging.getLogger(__name__)
 
-METHODS = ("layerwise", "naive_eq6", "uniform_tent", "bn1", "source")
+WEIGHTED_METHODS = ("layerwise", "naive_eq6")
+BASELINE_METHODS = ("source", "bn1", "uniform_tent")
+# AdaptConfig field -> the values it accepts
+CHOICES = {
+    "method": WEIGHTED_METHODS + BASELINE_METHODS, "optimizer": ("adam", "sgd"), "consistency": ("sigmoid", "softmax"),
+}
 
 
 @dataclass
@@ -36,19 +41,16 @@ class AdaptConfig:
     lam: float = 0.1
     gamma: float = 1.0
     epsilon: float = scheduler.DEFAULT_EPSILON
-    optimizer: str = "adam"  # adam | sgd
-    consistency: str = "sigmoid"  # sigmoid | softmax
+    optimizer: str = "adam"
+    consistency: str = "sigmoid"
     noise_scale: float = 0.1
     seed: int = 0
     track_diagonal: bool = False
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.consistency not in ("sigmoid", "softmax"):
-            raise ValueError(f"consistency must be sigmoid or softmax, got {self.consistency!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
+        for name, choices in CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         # a NaN or infinite value would drop a loss term, reject every step or zero the rates
@@ -78,7 +80,6 @@ class MetricsRecord:
 class PretrainResult:
     model: Model
     accuracy: float
-    final_loss: float
 
 
 class PretrainDiverged(RuntimeError):
@@ -104,23 +105,22 @@ def pretrain(
     n = source.inputs.shape[0]
     layers = model.weight_layers()
     uniform = np.full(len(layers), eta_pre)
-    last_loss = float("nan")
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n - batch_size + 1, batch_size):
             pick = order[start : start + batch_size]
             logits, saved = model.forward(source.inputs[pick], batch_stats=True)
-            last_loss, g = losses.nll_loss(logits, source.labels[pick])
-            if not np.isfinite(last_loss):
+            loss, g = losses.nll_loss(logits, source.labels[pick])
+            if not np.isfinite(loss):
                 raise PretrainDiverged(
-                    f"pretraining loss became {last_loss} at epoch step; aborting"
+                    f"pretraining loss became {loss} at epoch step; aborting"
                 )
             grad = collect_grads(model, [(saved, g)])
             scheduler.weighted_step(model, grad, uniform, optimizer=opt)
     record_source_stats(model, source.inputs)
     logits, _ = model.forward(source.inputs, batch_stats=False)
     accuracy = float((logits.argmax(axis=1) == source.labels).mean())
-    return PretrainResult(model=model, accuracy=accuracy, final_loss=last_loss)
+    return PretrainResult(model=model, accuracy=accuracy)
 
 
 def collect_grads(model: Model, passes: list[tuple[list, np.ndarray]]) -> np.ndarray:
@@ -141,6 +141,20 @@ def collect_grads(model: Model, passes: list[tuple[list, np.ndarray]]) -> np.nda
     return total[0]
 
 
+def check_batch_rows(method: str, rows: int, where: str) -> None:
+    """Reject batches of fewer than 2 rows under every method but ``source``.
+
+    Those methods normalize with the batch's own statistics, which a
+    single row cannot supply (the first norm layer would output its shift
+    whatever the input). ``where`` names the batch or schedule checked.
+    """
+    if method != "source" and rows < 2:
+        raise ValueError(
+            f"{where} has {rows} row(s); method {method!r} normalizes with batch "
+            f"statistics and needs at least 2"
+        )
+
+
 def adapt_stream(
     model: Model, stream: ScheduleStream, config: AdaptConfig
 ) -> list[MetricsRecord]:
@@ -151,26 +165,20 @@ def adapt_stream(
     traces into bounded per-layer rates, then descend the total loss.
     Non-updating methods (source, bn1) skip everything after the
     prediction. A rejected update leaves the model at its pre-step state
-    and the loop continues. Every method but ``source`` normalizes with
-    the batch's own statistics, which a single row cannot supply (the
-    first norm layer would output its shift whatever the input), so
-    those methods reject a batch of fewer than 2 rows with ``ValueError``.
+    and the loop continues. A batch too small for the method's
+    normalization raises ``ValueError`` (``check_batch_rows``).
     """
     cfg = config
     n_layers = len(model.slices)
     state = fisher.FisherState.for_model(model, decay=cfg.gamma, track_diagonal=cfg.track_diagonal)
     opt = scheduler.AdamState() if cfg.optimizer == "adam" else None
     aug_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA06)))
-    updating = cfg.method in ("layerwise", "naive_eq6", "uniform_tent")
+    updating = cfg.method in WEIGHTED_METHODS + ("uniform_tent",)
     records: list[MetricsRecord] = []
     batch_stats = cfg.method != "source"
     for batch in stream:
         started = time.perf_counter()
-        if batch_stats and len(batch.inputs) < 2:
-            raise ValueError(
-                f"adapt_stream: step {batch.step} has {len(batch.inputs)} row(s); method "
-                f"{cfg.method!r} normalizes with batch statistics and needs at least 2"
-            )
+        check_batch_rows(cfg.method, len(batch.inputs), f"adapt_stream: step {batch.step}")
         logits, saved = model.forward(batch.inputs, batch_stats=batch_stats)
         labels = stream.labels_for(batch.step)
         error = float((logits.argmax(axis=1) != labels).mean())
@@ -182,7 +190,7 @@ def adapt_stream(
 
         if updating:
             w_bar = [1.0] * n_layers  # uniform_tent
-            if cfg.method in ("layerwise", "naive_eq6"):
+            if cfg.method in WEIGHTED_METHODS:
                 traces, diag = fisher.layer_fim_trace(model, logits, saved, diagonal=cfg.track_diagonal)
                 if np.isfinite(traces).all():
                     fisher.accumulate(state, traces, current_diagonal=diag)
@@ -271,9 +279,18 @@ def summarize(records: list[MetricsRecord], config: AdaptConfig) -> dict:
     }
 
 
+def writable_paths(out_dir, names: list[str]) -> list[Path]:
+    """Paths ``out_dir/name``, each created empty now so that an unwritable
+    path fails before a run, not after it."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    paths = [Path(out_dir, name) for name in names]
+    for path in paths:
+        path.write_text("", encoding="utf-8")
+    return paths
+
+
 @dataclass
 class ExperimentResult:
-    records: list[MetricsRecord]
     summary: dict
     csv_path: Path | None = None
     weights_path: Path | None = None
@@ -289,17 +306,12 @@ def run_experiment(
     tag: str = "run",
 ) -> ExperimentResult:
     """One adaptation run with CSV metrics, JSON-lines weight dumps and a
-    summary block written under ``out_dir``. Output paths are probed
-    before any adaptation starts."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{tag}_metrics.csv"
-    weights_path = out / f"{tag}_weights.jsonl"
-    summary_path = out / f"{tag}_summary.json"
-    for path in (csv_path, weights_path, summary_path):
-        with open(path, "w", encoding="utf-8"):
-            pass  # fail now, not after the run
-
+    summary block written under ``out_dir``. The schedule's batch size and
+    the output paths are checked before any adaptation starts."""
+    check_batch_rows(config.method, schedule.batch_size, "run_experiment: each batch of the schedule")
+    csv_path, weights_path, summary_path = writable_paths(
+        out_dir, [f"{tag}_metrics.csv", f"{tag}_weights.jsonl", f"{tag}_summary.json"]
+    )
     work = model.clone()
     layer_names = work.weight_layer_names()
     records = adapt_stream(work, ScheduleStream(source, schedule), config)
@@ -307,20 +319,29 @@ def run_experiment(
     csv_path.write_text(metrics_csv(records, layer_names), encoding="utf-8")
     with open(weights_path, "w", encoding="utf-8") as fh:
         for rec in records:
-            payload = fisher.dump_record(
-                step=rec.step,
-                domain=rec.domain,
-                severity=rec.severity,
-                w=dict(zip(layer_names, rec.w_raw)) if rec.w_raw else {},
-                w_bar=dict(zip(layer_names, rec.w_bar)),
-                diag=rec.diag,
-            )
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")
+            record = {
+                "step": rec.step,
+                "domain": rec.domain,
+                "severity": rec.severity,
+                "w": dict(zip(layer_names, rec.w_raw)),
+                "w_bar": dict(zip(layer_names, rec.w_bar)),
+            }
+            if rec.diag is not None:
+                record["diag"] = {name: d.tolist() for name, d in rec.diag.items()}
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
     summary = summarize(records, config)
     summary_path.write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return ExperimentResult(records, summary, csv_path, weights_path, summary_path)
+    return ExperimentResult(summary, csv_path, weights_path, summary_path)
+
+
+def ablation_grid(base: AdaptConfig, taus: list[float], lams: list[float], gammas: list[float]) -> list[AdaptConfig]:
+    """``base`` at every (tau, lambda, gamma) of the full factorial grid;
+    a config rejects a bad value as it is built."""
+    if not taus or not lams or not gammas:
+        raise ValueError("ablate: every grid axis needs at least one value")
+    return [replace(base, tau=tau, lam=lam, gamma=gamma) for tau in taus for lam in lams for gamma in gammas]
 
 
 def ablate(
@@ -334,16 +355,15 @@ def ablate(
 ) -> list[dict]:
     """Full factorial sweep; one adaptation run per grid point, seeds held
     fixed, rows sorted by mean error. ``schedule_factory()`` must return
-    a fresh schedule so every point consumes an identical stream."""
-    if not taus or not lams or not gammas:
-        raise ValueError("ablate: every grid axis needs at least one value")
-    # every grid point is validated before the first run
-    configs = [
-        replace(base, tau=tau, lam=lam, gamma=gamma) for tau in taus for lam in lams for gamma in gammas
-    ]
+    a fresh schedule so every point consumes an identical stream. Every
+    grid point and the schedule's batch size are checked before the
+    first run."""
+    configs = ablation_grid(base, taus, lams, gammas)
+    check_batch_rows(base.method, schedule_factory().batch_size, "ablate: each batch of the schedule")
     rows = []
     for cfg in configs:
         records = adapt_stream(model.clone(), ScheduleStream(source, schedule_factory()), cfg)
         rows.append(summarize(records, cfg))
     rows.sort(key=lambda r: r["mean_error"])
     return rows
+

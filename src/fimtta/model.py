@@ -10,6 +10,7 @@ weighted update alike.
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import dataclass, field
 
@@ -238,19 +239,7 @@ class Model:
 
     def clone(self) -> "Model":
         """Deep copy: parameters packed into a new ``theta``, buffers duplicated."""
-        layers = []
-        for layer in self.layers:
-            layers.append(
-                LayerParams(
-                    name=layer.name,
-                    kind=layer.kind,
-                    params=list(layer.params),
-                    trainable=layer.trainable,
-                    source_mean=None if layer.source_mean is None else layer.source_mean.copy(),
-                    source_var=None if layer.source_var is None else layer.source_var.copy(),
-                )
-            )
-        return Model(layers, self.input_dim, self.class_count)
+        return Model(copy.deepcopy(self.layers), self.input_dim, self.class_count)
 
 
 def row_writer(out: np.ndarray):

@@ -56,10 +56,9 @@ class AdamState:
     domain shifts.
     """
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self):
         self.step_count = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
@@ -70,13 +69,13 @@ class AdamState:
         if self.m is None:
             self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
         g, m, v = grad[cols], self.m[cols], self.v[cols]
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        denom = np.sqrt(v / (1.0 - self.beta2**self.step_count))
-        denom += self.eps
-        return np.divide(m / (1.0 - self.beta1**self.step_count), denom, out=denom)
+        m *= self.BETA1
+        m += (1.0 - self.BETA1) * g
+        v *= self.BETA2
+        v += (1.0 - self.BETA2) * g * g
+        denom = np.sqrt(v / (1.0 - self.BETA2**self.step_count))
+        denom += self.EPS
+        return np.divide(m / (1.0 - self.BETA1**self.step_count), denom, out=denom)
 
 
 def weighted_step(

@@ -74,7 +74,6 @@ class SourceSpec:
 class Dataset:
     inputs: np.ndarray
     labels: np.ndarray
-    meta: SourceSpec
 
 
 def class_means(spec: SourceSpec) -> np.ndarray:
@@ -105,7 +104,7 @@ def gen_source(spec: SourceSpec, n: int) -> Dataset:
     counts = [n // c + (1 if i < n % c else 0) for i in range(c)]
     labels = rng.permutation(np.repeat(np.arange(c), counts))
     inputs = means[labels] + rng.standard_normal((n, spec.input_dim))
-    return Dataset(inputs=inputs, labels=labels, meta=spec)
+    return Dataset(inputs=inputs, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -145,10 +144,7 @@ def corrupt(inputs: np.ndarray, spec: CorruptionSpec, rng: np.random.Generator) 
     x = np.asarray(inputs, dtype=np.float64)
     s = spec.severity
     if spec.kind == "gaussian_noise":
-        sigma = GAUSSIAN_SIGMA[s]
-        if sigma == 0.0:
-            return x.copy()
-        return x + sigma * rng.standard_normal(x.shape)
+        return x + GAUSSIAN_SIGMA[s] * rng.standard_normal(x.shape)
     if spec.kind == "impulse_noise":
         mask = rng.random(x.shape) < IMPULSE_FRACTION[s]
         extremes = IMPULSE_MAGNITUDE * rng.choice([-1.0, 1.0], size=x.shape)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from fimtta.cli import main
+from fimtta import harness
+from fimtta.cli import _run_setup, build_parser, main
+from fimtta.harness import AdaptConfig
 from conftest import write_schedule_file
 
 
@@ -67,8 +70,22 @@ def test_adapt_rerun_is_byte_identical(pretrained, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_baseline_requires_and_accepts_reference_methods(pretrained, tmp_path):
+def test_adapt_flags_default_to_the_config_defaults(pretrained, tmp_path):
     ckpt, sched = pretrained
+    args = build_parser().parse_args([
+        "adapt", "--checkpoint", str(ckpt), "--schedule", str(sched), "--out", str(tmp_path / "run"),
+    ])
+    config, *_ = _run_setup(args)
+    for field in dataclasses.fields(AdaptConfig):
+        value, default = getattr(config, field.name), getattr(AdaptConfig(), field.name)
+        assert (type(value), value) == (type(default), default), field.name
+
+
+def test_baseline_requires_and_accepts_reference_methods(pretrained, tmp_path, capsys):
+    ckpt, sched = pretrained
+    with pytest.raises(SystemExit):
+        main(["baseline", "--checkpoint", str(ckpt), "--schedule", str(sched), "--out", str(tmp_path / "x")])
+    assert "--method" in capsys.readouterr().err
     for method in ("source", "bn1", "uniform_tent"):
         out = tmp_path / method
         assert main([
@@ -133,6 +150,53 @@ def test_ablate_writes_sorted_table(pretrained, tmp_path, capsys):
     errs = [r["mean_error"] for r in rows]
     assert errs == sorted(errs)
     assert "mean_error" in capsys.readouterr().out
+
+
+def test_ablate_unwritable_out_aborts_before_the_sweep(pretrained, tmp_path, monkeypatch):
+    ckpt, sched = pretrained
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    runs = []
+    monkeypatch.setattr(harness, "adapt_stream", lambda *args: runs.append(args) or [])
+    assert main([
+        "ablate", "--checkpoint", str(ckpt), "--schedule", str(sched), "--out", str(blocker / "sub"),
+    ]) == 1
+    assert runs == []
+
+
+def test_ablate_bad_grid_value_aborts_before_any_artifact(pretrained, tmp_path, caplog):
+    ckpt, sched = pretrained
+    out = tmp_path / "abl"
+    assert main([
+        "ablate", "--checkpoint", str(ckpt), "--schedule", str(sched), "--taus", "1.0,-1.0", "--out", str(out),
+    ]) == 1
+    assert "tau must be" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,method", [
+    ("adapt", None), ("baseline", "bn1"), ("baseline", "uniform_tent"), ("dump-weights", None), ("ablate", None),
+])
+def test_single_row_schedule_aborts_before_any_artifact(pretrained, tmp_path, caplog, command, method):
+    ckpt, _ = pretrained
+    sched = tmp_path / "one_row.sched"
+    write_schedule_file(sched, "continual", ["contrast_scale", "gaussian_noise"], 3, 1, 2)
+    out = tmp_path / "run"
+    args = [command, "--checkpoint", str(ckpt), "--schedule", str(sched), "--out", str(out)]
+    assert main(args + (["--method", method] if method else [])) == 1
+    assert f"{sched}: each batch has 1 row(s)" in caplog.text
+    assert not out.exists()
+
+
+def test_source_baseline_runs_a_single_row_schedule(pretrained, tmp_path):
+    ckpt, _ = pretrained
+    sched = tmp_path / "one_row.sched"
+    write_schedule_file(sched, "continual", ["contrast_scale", "gaussian_noise"], 3, 1, 2)
+    out = tmp_path / "run"
+    assert main([
+        "baseline", "--method", "source", "--checkpoint", str(ckpt), "--schedule", str(sched), "--out", str(out),
+    ]) == 0
+    assert len((out / "source_weights.jsonl").read_text().splitlines()) == 6
 
 
 def test_dump_weights_emits_diagonals(pretrained, tmp_path):

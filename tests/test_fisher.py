@@ -344,20 +344,6 @@ def test_diagonal_accumulates_with_decay():
     assert np.allclose(s.diagonals, 1.5)
 
 
-def test_dump_record_shape():
-    rec = fisher.dump_record(
-        3, "feature_blur", 5, w={"a": 1.0}, w_bar={"a": 0.5}, diag={"a": np.ones(2)}
-    )
-    assert rec == {
-        "step": 3,
-        "domain": "feature_blur",
-        "severity": 5,
-        "w": {"a": 1.0},
-        "w_bar": {"a": 0.5},
-        "diag": {"a": [1.0, 1.0]},
-    }
-
-
 @pytest.mark.parametrize("batch_stats", [True, False])
 def test_forward_cache_is_freed_once_the_caller_drops_it(batch_stats):
     # without the cycle collector, a reference cycle through the backward

@@ -299,8 +299,34 @@ def test_run_experiment_writes_weight_dumps_with_diag(tmp_path):
     lines = result.weights_path.read_text().splitlines()
     assert len(lines) == 6
     rec = json.loads(lines[0])
-    assert set(rec) == {"step", "domain", "severity", "w", "w_bar", "diag"}
-    assert set(rec["w"]) == set(model.weight_layer_names())
+    first = adapt_stream(model.clone(), ScheduleStream(spec, tiny_schedule()), cfg)[0]
+    names = model.weight_layer_names()
+    assert rec == {
+        "step": first.step,
+        "domain": first.domain,
+        "severity": first.severity,
+        "w": dict(zip(names, first.w_raw)),
+        "w_bar": dict(zip(names, first.w_bar)),
+        "diag": {name: d.tolist() for name, d in first.diag.items()},
+    }
+
+
+@pytest.mark.parametrize("method", ["layerwise", "bn1"])
+def test_run_experiment_rejects_single_row_schedule_before_any_file(tmp_path, method):
+    spec, model = tiny_setup()
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=rf"each batch of the schedule has 1 row.*{method}"):
+        run_experiment(model, spec, tiny_schedule(batch_size=1), AdaptConfig(method=method), out)
+    assert not out.exists()
+
+
+def test_ablate_rejects_single_row_schedule_before_the_first_run(monkeypatch):
+    spec, model = tiny_setup()
+    runs = []
+    monkeypatch.setattr(harness, "adapt_stream", lambda *args: runs.append(args) or [])
+    with pytest.raises(ValueError, match="ablate: each batch of the schedule has 1 row"):
+        harness.ablate(model, spec, lambda: tiny_schedule(batch_size=1), AdaptConfig(), [1.0], [0.1], [1.0])
+    assert runs == []
 
 
 def test_lambda_sweep_emits_one_row_per_lambda():
