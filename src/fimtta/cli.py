@@ -178,13 +178,11 @@ def cmd_dump_weights(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    base, model, source, _ = _run_setup(args)
+    base, model, source, schedule = _run_setup(args)
     grid = {"taus": _floats(args.taus), "lams": _floats(args.lambdas), "gammas": _floats(args.gammas)}
     harness.ablation_grid(base, **grid)  # a bad grid value aborts before the table path is probed
     (table,) = harness.writable_paths(args.out, ["ablation.json"])
-    rows = harness.ablate(
-        model, source, schedule_factory=lambda: parse_schedule_file(args.schedule), base=base, **grid
-    )
+    rows = harness.ablate(model, source, schedule, base=base, **grid)
     table.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{'tau':>6} {'lambda':>8} {'gamma':>6} {'mean_error':>11}")
     for row in rows:

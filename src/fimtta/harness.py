@@ -347,22 +347,22 @@ def ablation_grid(base: AdaptConfig, taus: list[float], lams: list[float], gamma
 def ablate(
     model: Model,
     source: SourceSpec,
-    schedule_factory,
+    schedule: DomainSchedule,
     base: AdaptConfig,
     taus: list[float],
     lams: list[float],
     gammas: list[float],
 ) -> list[dict]:
     """Full factorial sweep; one adaptation run per grid point, seeds held
-    fixed, rows sorted by mean error. ``schedule_factory()`` must return
-    a fresh schedule so every point consumes an identical stream. Every
+    fixed, rows sorted by mean error. A stream only reads its schedule, so
+    every point consumes an identical stream of the one ``schedule``. Every
     grid point and the schedule's batch size are checked before the
     first run."""
     configs = ablation_grid(base, taus, lams, gammas)
-    check_batch_rows(base.method, schedule_factory().batch_size, "ablate: each batch of the schedule")
+    check_batch_rows(base.method, schedule.batch_size, "ablate: each batch of the schedule")
     rows = []
     for cfg in configs:
-        records = adapt_stream(model.clone(), ScheduleStream(source, schedule_factory()), cfg)
+        records = adapt_stream(model.clone(), ScheduleStream(source, schedule), cfg)
         rows.append(summarize(records, cfg))
     rows.sort(key=lambda r: r["mean_error"])
     return rows

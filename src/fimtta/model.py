@@ -82,6 +82,7 @@ class Model:
         self.input_dim = input_dim
         self.class_count = class_count
         self.theta = np.empty(sum(layer.param_count() for layer in layers))
+        self._slabs = [np.empty(0), np.empty(0)]  # the per-sample pass's workspace; see ``backward``
         self.slices: dict[str, slice] = {}
         start = 0
         for layer in self.weight_layers():
@@ -165,17 +166,25 @@ class Model:
         batch gradient), or a per-sample seed [n, C] for the n cotangents
         whose slice k is row k of the seed alone. Per parameter array the
         pass calls ``sink(row, col, block)``: ``block[j]`` is the gradient of
-        ``theta[col:col + block.shape[1]]`` for slice row + j (read it, do not
-        keep it). Both run one reverse loop over the layers. A seed enters it
-        as [n, 1, C]: n slices, slice k seeing row k of the cache only. At the
-        first batch-statistic norm from the top, which couples the rows, the
-        loop hands the seed back; the coupling, times that norm's
-        ``scale * inv_std``, is expanded in [chunk, n, f] slabs, and each slab
-        runs the rest of the loop over the whole cache. ``g`` is overwritten.
+        ``theta[col:col + block.shape[1]]`` for slice row + j. A block may be
+        a view the next layer overwrites: read it, do not keep it, and do not
+        re-enter ``backward`` on this model from the sink. Both run one
+        reverse loop over the layers. A seed enters it as [n, 1, C]: n
+        slices, slice k seeing row k of the cache only. At the first
+        batch-statistic norm from the top, which couples the rows, the loop
+        hands the seed back; the coupling, times that norm's ``scale *
+        inv_std``, is expanded in [chunk, n, f] slabs, and each chunk runs the
+        rest of the loop over the whole cache in the model's two reused slab
+        buffers, allocating no slab per chunk. ``g`` is overwritten.
         """
         # nothing below the first weight layer needs a cotangent
         first = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
-        transposes: dict[int, np.ndarray] = {}  # by dense layer index, shared by every slab
+        # per call, shared by every chunk: a dense layer's scaled transpose, a norm's scale * inv_std
+        folded: dict[int, np.ndarray] = {}
+        slabs = None  # the chunk loop's [held, spare] buffers; elsewhere ``out=slabs and ...`` allocates
+
+        def spare(*shape):
+            return np.ndarray(shape, buffer=slabs[1])
 
         def reverse(g, top, row, own):
             # [s, m, f] from layer top down; ``own``: m = 1, slice k sees cache
@@ -191,18 +200,22 @@ class Model:
                     continue
                 col, size = self.slices[layer.name].start, layer.params[0].size
                 if layer.kind == "dense":
-                    grad_w = np.matmul(kept[:, :, None] if own else kept.T, g)
+                    grad_w = np.matmul(
+                        kept[:, :, None] if own else kept.T, g, out=slabs and spare(s, *layer.params[0].shape))
                     if scale is not None:
                         grad_w *= scale
                     sink(row, col, grad_w.reshape(s, size))
                     if len(layer.params) == 2:
                         sink(row, col + size, ones @ g if scale is None else (ones @ g) * scale)
                     if i > first:  # a contiguous transpose carries the owed scale down
-                        if i not in transposes:
+                        if i not in folded:
                             owed = 1.0 if scale is None else scale[:, None]
-                            transposes[i] = np.multiply(layer.params[0].T, owed, order="C")
+                            folded[i] = np.multiply(layer.params[0].T, owed, order="C")
                         # the own-row product runs as the 2-D GEMM, whose rounding a batched one does not keep
-                        g = (g[:, 0] @ transposes[i])[:, None] if own else g @ transposes[i]
+                        g = (g[:, 0] @ folded[i])[:, None] if own else np.matmul(
+                            g, folded[i], out=slabs and spare(s, m, kept.shape[1]))
+                        if slabs:  # g now sits in the spare buffer
+                            slabs.reverse()
                     scale = None
                     continue
                 if scale is not None:
@@ -212,11 +225,13 @@ class Model:
                 g_shift = ones @ g
                 sink(row, col, g_scale)
                 sink(row, col + size, g_shift)
-                scale = layer.params[0] * inv_std
+                if i not in folded:
+                    folded[i] = layer.params[0] * inv_std
+                scale = folded[i]
                 if mean is not None and i > first:  # batch statistics couple the rows
                     if own:  # the caller expands the coupling
                         return i, g_shift * scale, xhat * scale, g_scale
-                    coupled = xhat * (g_scale / m)[:, None]
+                    coupled = np.multiply(xhat, (g_scale / m)[:, None], out=slabs and spare(*g.shape))
                     coupled += (g_shift / m)[:, None]
                     g -= coupled
                 elif own:  # own-row slices take the scale now, which keeps their products' rounding
@@ -228,11 +243,17 @@ class Model:
             return
         i, g, xhat, g_scale = coupling  # the coupling comes out scaled, so the dense layer below owes none
         n, size = g.shape
-        buf = np.empty((min(chunk, n), n, size))
+        # the chunks read float ReLU masks: a boolean one is cast again in every chunk
+        saved = [kept.astype(float) if layer.kind == "relu" else kept for layer, kept in zip(self.layers[:i], saved)]
+        dense = [layer.params[0] for layer in self.layers[first:i] if layer.kind == "dense"]
+        need = min(chunk, n) * max([n * size] + [max(w.size, n * max(w.shape)) for w in dense])
+        if self._slabs[0].size < need:  # grown, never shrunk; a clone starts without
+            self._slabs = [np.empty(need), np.empty(need)]
+        slabs = self._slabs
         for row in range(0, n, chunk):
             k = min(chunk, n - row)
             # slice j: its own row minus (shift score + xhat * scale score) / n
-            coupled = np.multiply(xhat, g_scale[row : row + k, None] / -n, out=buf[:k])
+            coupled = np.multiply(xhat, g_scale[row : row + k, None] / -n, out=np.ndarray((k, n, size), buffer=slabs[0]))
             coupled -= g[row : row + k, None] / n
             coupled[np.arange(k), np.arange(row, row + k)] += g[row : row + k]
             reverse(coupled, i - 1, row, own=False)

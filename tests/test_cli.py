@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from fimtta import harness
+from fimtta import cli, harness, stream
 from fimtta.cli import _run_setup, build_parser, main
 from fimtta.harness import AdaptConfig
 from conftest import write_schedule_file
@@ -150,6 +150,25 @@ def test_ablate_writes_sorted_table(pretrained, tmp_path, capsys):
     errs = [r["mean_error"] for r in rows]
     assert errs == sorted(errs)
     assert "mean_error" in capsys.readouterr().out
+
+
+def test_ablate_parses_the_schedule_file_once(pretrained, tmp_path, monkeypatch):
+    # every grid point runs a stream of the set-up's one parsed schedule
+    ckpt, sched = pretrained
+    calls, parse = [], stream.parse_schedule_file
+
+    def counted(path):
+        calls.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(stream, "parse_schedule_file", counted)
+    monkeypatch.setattr(cli, "parse_schedule_file", counted)
+    assert main([
+        "ablate", "--checkpoint", str(ckpt), "--schedule", str(sched),
+        "--taus", "0.0,1.0", "--lambdas", "0.0,0.1", "--gammas", "1.0", "--out", str(tmp_path / "abl"),
+    ]) == 0
+    assert len(json.loads((tmp_path / "abl" / "ablation.json").read_text())) == 4
+    assert calls == [str(sched)]
 
 
 def test_ablate_unwritable_out_aborts_before_the_sweep(pretrained, tmp_path, monkeypatch):

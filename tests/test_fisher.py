@@ -20,7 +20,7 @@ from fimtta.fisher import (
 )
 from fimtta.harness import collect_grads
 from fimtta.losses import entropy_loss, log_softmax, nll_loss
-from fimtta.model import build_classifier, record_source_stats
+from fimtta.model import build_classifier, record_source_stats, save_checkpoint
 from oracle import param_snapshot, replay_scores, score, with_dense_biases
 
 
@@ -370,3 +370,74 @@ def test_forward_cache_is_freed_once_the_caller_drops_it(batch_stats):
     finally:
         if enabled:
             gc.enable()
+
+
+def _pass(model, x, batch_stats, scores, diagonal):
+    """One per-sample pass over a fresh forward: the score matrix, or the
+    traces and the diagonal (``None`` unless ``diagonal``)."""
+    logits, saved = model.forward(x, batch_stats=batch_stats)
+    if scores:
+        return tuple(per_sample_scores(model, logits, saved).values())
+    return layer_fim_trace(model, logits, saved, diagonal=diagonal)
+
+
+def _assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    calls=st.lists(
+        st.tuples(
+            st.integers(1, 70),  # batch rows, up and down across the calls
+            st.sampled_from([1, 7, 64, 200, 1024, 4096]),  # _CHUNK_ROWS
+            st.booleans(),  # batch statistics
+            st.booleans(),  # per_sample_scores, else layer_fim_trace
+            st.booleans(),  # the diagonal
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+)
+def test_reused_workspace_gives_the_results_of_a_fresh_clone(seed, calls):
+    # the model keeps its slab buffers across calls: a stale or undersized
+    # buffer would show as a difference from a clone that has none yet
+    rng = np.random.default_rng(seed)
+    model = _random_model(rng)
+    for n, chunk_rows, batch_stats, scores, diagonal in calls:
+        x = rng.standard_normal((n, model.input_dim))
+        fresh = model.clone()
+        with mock.patch.object(fisher, "_CHUNK_ROWS", chunk_rows):
+            _assert_bit_identical(
+                _pass(model, x, batch_stats, scores, diagonal), _pass(fresh, x, batch_stats, scores, diagonal)
+            )
+
+
+def test_interleaved_clones_give_the_traces_of_each_run_alone():
+    rng = np.random.default_rng(21)
+    base = build_classifier(16, [32, 32, 32, 32], 3, seed=4)
+    batches = [rng.standard_normal((n, 16)) for n in (64, 128, 20, 64)]
+    alone = {}
+    for tag, batch_list in (("a", batches), ("b", batches[::-1])):
+        model = base.clone()
+        alone[tag] = [_pass(model, x, True, False, True) for x in batch_list]
+    a, b = base.clone(), base.clone()
+    for step, (xa, xb) in enumerate(zip(batches, batches[::-1])):
+        _assert_bit_identical(_pass(a, xa, True, False, True), alone["a"][step])
+        _assert_bit_identical(_pass(b, xb, True, False, True), alone["b"][step])
+
+
+def test_clone_and_checkpoint_leave_out_the_workspace(tmp_path):
+    rng = np.random.default_rng(22)
+    model = build_classifier(16, [32, 32], 3, seed=4)
+    save_checkpoint(model, tmp_path / "before.txt")
+    _pass(model, rng.standard_normal((64, 16)), True, False, True)
+    assert model._slabs[0].size > 0  # the pass above did use the workspace
+    save_checkpoint(model, tmp_path / "after.txt")
+    assert (tmp_path / "after.txt").read_bytes() == (tmp_path / "before.txt").read_bytes()
+    assert all(slab.size == 0 for slab in model.clone()._slabs)

@@ -76,7 +76,7 @@ def test_ablate_validates_every_grid_point_before_the_first_run(monkeypatch):
     monkeypatch.setattr(harness, "adapt_stream", lambda *args: runs.append(args) or [])
     with pytest.raises(ValueError, match="tau"):
         harness.ablate(
-            model, spec, schedule_factory=lambda: tiny_schedule(batches=2),
+            model, spec, schedule=tiny_schedule(batches=2),
             base=AdaptConfig(seed=0), taus=[1.0, -1.0], lams=[0.1], gammas=[1.0],
         )
     assert runs == []
@@ -325,7 +325,7 @@ def test_ablate_rejects_single_row_schedule_before_the_first_run(monkeypatch):
     runs = []
     monkeypatch.setattr(harness, "adapt_stream", lambda *args: runs.append(args) or [])
     with pytest.raises(ValueError, match="ablate: each batch of the schedule has 1 row"):
-        harness.ablate(model, spec, lambda: tiny_schedule(batch_size=1), AdaptConfig(), [1.0], [0.1], [1.0])
+        harness.ablate(model, spec, tiny_schedule(batch_size=1), AdaptConfig(), [1.0], [0.1], [1.0])
     assert runs == []
 
 
@@ -335,7 +335,7 @@ def test_lambda_sweep_emits_one_row_per_lambda():
     rows = harness.ablate(
         model,
         spec,
-        schedule_factory=lambda: tiny_schedule(batches=2),
+        schedule=tiny_schedule(batches=2),
         base=AdaptConfig(seed=0),
         taus=[1.0],
         lams=lams,
@@ -352,7 +352,7 @@ def test_ablate_grid_shape_and_degenerate_point(tmp_path):
     rows = harness.ablate(
         model,
         spec,
-        schedule_factory=lambda: tiny_schedule(batches=2),
+        schedule=tiny_schedule(batches=2),
         base=AdaptConfig(seed=0),
         taus=[0.5, 1.0],
         lams=[0.0, 0.1],
@@ -362,7 +362,7 @@ def test_ablate_grid_shape_and_degenerate_point(tmp_path):
     single = harness.ablate(
         model,
         spec,
-        schedule_factory=lambda: tiny_schedule(batches=2),
+        schedule=tiny_schedule(batches=2),
         base=AdaptConfig(seed=0),
         taus=[1.0],
         lams=[0.1],
@@ -376,9 +376,11 @@ def test_ablate_grid_shape_and_degenerate_point(tmp_path):
         tmp_path,
     )
     assert single[0]["mean_error"] == direct.summary["mean_error"]
+    # the grid's last run reads the schedule three runs have already streamed
+    assert [r["mean_error"] for r in rows if (r["tau"], r["lambda"]) == (1.0, 0.1)] == [direct.summary["mean_error"]]
     with pytest.raises(ValueError, match="grid"):
         harness.ablate(
-            model, spec, lambda: tiny_schedule(), AdaptConfig(), [], [0.1], [1.0]
+            model, spec, tiny_schedule(), AdaptConfig(), [], [0.1], [1.0]
         )
 
 
