@@ -13,14 +13,13 @@ import csv
 import io
 import json
 import logging
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import fisher, losses, scheduler
-from .model import Model, record_source_stats, row_writer
+from .model import Model, cache_group, record_source_stats, row_writer
 from .stream import Dataset, DomainSchedule, ScheduleStream, SourceSpec
 
 logger = logging.getLogger(__name__)
@@ -73,7 +72,8 @@ class MetricsRecord:
     w_bar: list[float]
     w_raw: list[float] = field(default_factory=list)
     diag: dict[str, np.ndarray] | None = None
-    wall_seconds: float = 0.0
+    dropped_rows: int = 0  # rows with a non-finite feature, left out
+    skipped: bool = False  # too few rows left: no prediction, not adapted on
 
 
 @dataclass
@@ -115,7 +115,7 @@ def pretrain(
                 raise PretrainDiverged(
                     f"pretraining loss became {loss} at epoch step; aborting"
                 )
-            grad = collect_grads(model, [(saved, g)])
+            grad = collect_grads(model, saved, g)
             scheduler.weighted_step(model, grad, uniform, optimizer=opt)
     record_source_stats(model, source.inputs)
     logits, _ = model.forward(source.inputs, batch_stats=False)
@@ -123,22 +123,19 @@ def pretrain(
     return PretrainResult(model=model, accuracy=accuracy)
 
 
-def collect_grads(model: Model, passes: list[tuple[list, np.ndarray]]) -> np.ndarray:
-    """Flat [P] parameter gradient of a loss built on model logits.
+def collect_grads(model: Model, saved: list, g: np.ndarray) -> np.ndarray:
+    """Flat [P] parameter gradient of a loss built on the logits of one
+    ``model.forward``, laid out like ``model.theta``.
 
-    ``passes`` pairs the cache of each ``model.forward`` the loss reads
-    with the loss's gradient with respect to that forward's [n, C]
-    logits (the second result of a ``losses`` function, scaled by its
-    weight in the loss). One ``model.backward`` per forward turns the
-    cotangent into a [1, P] gradient row laid out like ``model.theta``,
-    overwriting the cotangent, and the forwards' rows are summed.
+    ``saved`` is that forward's cache and ``g`` the loss's gradient with
+    respect to its logits, of their shape ([n, C], or [g, n, C] for a
+    grouped forward): the second result of a ``losses`` function, scaled by
+    its weight in the loss. One ``model.backward`` turns it into the
+    gradient, overwriting ``g``.
     """
-    total = None
-    for saved, g in passes:
-        rows = np.empty((1, model.theta.size))
-        model.backward(saved, g[None], row_writer(rows))
-        total = rows if total is None else total + rows
-    return total[0]
+    grad = np.empty((1, model.theta.size))
+    model.backward(saved, g if g.ndim == 3 else g[None], row_writer(grad))
+    return grad[0]
 
 
 def check_batch_rows(method: str, rows: int, where: str) -> None:
@@ -160,13 +157,18 @@ def adapt_stream(
 ) -> list[MetricsRecord]:
     """Run the online loop over a single-pass stream, one update per batch.
 
-    Per batch: predict and record the online error, estimate per-layer
-    score second moments, fold them into the running trace state, turn
-    traces into bounded per-layer rates, then descend the total loss.
-    Non-updating methods (source, bn1) skip everything after the
+    Per batch: drop the rows with a non-finite feature, predict and record
+    the online error, estimate per-layer score second moments, fold them
+    into the running trace state, turn traces into bounded per-layer rates,
+    then descend the total loss. With a consistency term the jittered copy
+    is drawn first, and one grouped forward runs the clean batch and the
+    copy. Non-updating methods (source, bn1) skip everything after the
     prediction. A rejected update leaves the model at its pre-step state
-    and the loop continues. A batch too small for the method's
-    normalization raises ``ValueError`` (``check_batch_rows``).
+    and the loop continues. A batch delivered too small for the method's
+    normalization raises ``ValueError`` (``check_batch_rows``); one left too
+    small once its non-finite rows are dropped is recorded as skipped, with
+    one warning. A batch's caches and gradient are freed before the next
+    batch's forward.
     """
     cfg = config
     n_layers = len(model.slices)
@@ -174,64 +176,56 @@ def adapt_stream(
     opt = scheduler.AdamState() if cfg.optimizer == "adam" else None
     aug_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA06)))
     updating = cfg.method in WEIGHTED_METHODS + ("uniform_tent",)
-    records: list[MetricsRecord] = []
+    grouped = updating and cfg.lam > 0.0  # entropy + lam * consistency, on the clean and jittered groups
     batch_stats = cfg.method != "source"
-    for batch in stream:
-        started = time.perf_counter()
+
+    def adapt(batch) -> MetricsRecord:
         check_batch_rows(cfg.method, len(batch.inputs), f"adapt_stream: step {batch.step}")
-        logits, saved = model.forward(batch.inputs, batch_stats=batch_stats)
-        labels = stream.labels_for(batch.step)
-        error = float((logits.argmax(axis=1) != labels).mean())
-        entropy_val, g = losses.entropy_loss(logits)
-        consistency_val = 0.0
-        w_raw: list[float] = []
-        w_bar = [0.0] * n_layers
-        diag_snapshot = None
-
-        if updating:
-            w_bar = [1.0] * n_layers  # uniform_tent
-            if cfg.method in WEIGHTED_METHODS:
-                traces, diag = fisher.layer_fim_trace(model, logits, saved, diagonal=cfg.track_diagonal)
-                if np.isfinite(traces).all():
-                    fisher.accumulate(state, traces, current_diagonal=diag)
-                else:
-                    logger.warning(
-                        "adapt_stream: step %d has non-finite traces, not accumulated", batch.step
-                    )
-                if state.diagonals is not None:
-                    diag_snapshot = {name: state.diagonals[cols].copy() for name, cols in model.slices.items()}
-                w_raw = fisher.learning_weights(state).tolist()
-                w_bar = list(w_raw)  # unbounded naive weighting
-                if cfg.method == "layerwise":
-                    w_bar = scheduler.exp_minmax_scale(w_raw, tau=cfg.tau, eps=cfg.epsilon).tolist()
-            rates = scheduler.layer_rates(w_bar, cfg.eta)
-
-            # entropy + lam * consistency; the clean pass carries entropy only
-            passes = [(saved, g)]
-            if cfg.lam > 0.0:
-                augmented = losses.augment(batch.inputs, aug_rng, cfg.noise_scale)
-                aug_logits, aug_saved = model.forward(augmented, batch_stats=True)
-                consistency_val, g_aug = losses.consistency_loss(logits, aug_logits, kind=cfg.consistency)
-                passes.append((aug_saved, cfg.lam * g_aug))
-            grad = collect_grads(model, passes)
-            if not scheduler.weighted_step(model, grad, rates, optimizer=opt):
-                logger.warning("adapt_stream: step %d rejected, model unchanged", batch.step)
-
-        records.append(
-            MetricsRecord(
-                step=batch.step,
-                domain=batch.domain,
-                severity=batch.severity,
-                error=error,
-                entropy=entropy_val,
-                consistency=consistency_val,
-                w_bar=w_bar,
-                w_raw=w_raw,
-                diag=diag_snapshot,
-                wall_seconds=time.perf_counter() - started,
+        inputs, labels = batch.inputs, stream.labels_for(batch.step)
+        finite = np.isfinite(inputs).all(axis=1)
+        rec = MetricsRecord(batch.step, batch.domain, batch.severity, np.nan, np.nan, 0.0, [0.0] * n_layers)
+        rec.dropped_rows = len(inputs) - int(finite.sum())
+        if rec.dropped_rows:
+            inputs, labels = inputs[finite], labels[finite]
+            rec.skipped = len(inputs) < (2 if batch_stats else 1)
+            logger.warning(
+                "adapt_stream: step %d drops %d row(s) with non-finite features%s", batch.step,
+                rec.dropped_rows, ", too few left: skipped" if rec.skipped else "",
             )
-        )
-    return records
+            if rec.skipped:
+                return rec
+        if grouped:
+            inputs = np.stack([inputs, losses.augment(inputs, aug_rng, cfg.noise_scale)])
+        logits, saved = model.forward(inputs, batch_stats=batch_stats)
+        clean = logits[0] if grouped else logits
+        rec.error = float((clean.argmax(axis=1) != labels).mean())
+        rec.entropy, g = losses.entropy_loss(clean)
+        if not updating:
+            return rec
+
+        rec.w_bar = [1.0] * n_layers  # uniform_tent
+        if cfg.method in WEIGHTED_METHODS:
+            clean_saved = cache_group(saved, 0) if grouped else saved
+            traces, diag = fisher.layer_fim_trace(model, clean, clean_saved, diagonal=cfg.track_diagonal)
+            if np.isfinite(traces).all():
+                fisher.accumulate(state, traces, current_diagonal=diag)
+            else:
+                logger.warning("adapt_stream: step %d has non-finite traces, not accumulated", batch.step)
+            if state.diagonals is not None:
+                rec.diag = {name: state.diagonals[cols].copy() for name, cols in model.slices.items()}
+            rec.w_raw = fisher.learning_weights(state).tolist()
+            rec.w_bar = list(rec.w_raw)  # unbounded naive weighting
+            if cfg.method == "layerwise":
+                rec.w_bar = scheduler.exp_minmax_scale(rec.w_raw, tau=cfg.tau, eps=cfg.epsilon).tolist()
+        rates = scheduler.layer_rates(rec.w_bar, cfg.eta)
+        if grouped:
+            rec.consistency, g_aug = losses.consistency_loss(clean, logits[1], kind=cfg.consistency)
+            g = np.stack([g, cfg.lam * g_aug])
+        if not scheduler.weighted_step(model, collect_grads(model, saved, g), rates, optimizer=opt):
+            logger.warning("adapt_stream: step %d rejected, model unchanged", batch.step)
+        return rec
+
+    return [adapt(batch) for batch in stream]  # a batch's caches die with its call, before the next forward
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +255,17 @@ def metrics_csv(records: list[MetricsRecord], layer_names: list[str]) -> str:
 
 
 def summarize(records: list[MetricsRecord], config: AdaptConfig) -> dict:
-    """Mean error overall and per domain, in stream order."""
-    per_domain: dict[str, list[float]] = {}
-    for rec in records:
-        per_domain.setdefault(rec.domain, []).append(rec.error)
+    """Mean error overall and per domain, in stream order, over the batches
+    not skipped (NaN where none is left), and the counts of dropped rows and
+    skipped batches."""
+    kept = [rec for rec in records if not rec.skipped]
+    per_domain: dict[str, list[float]] = {rec.domain: [] for rec in records}
+    for rec in kept:
+        per_domain[rec.domain].append(rec.error)
+
+    def mean(values) -> float:
+        return float(np.mean(values)) if values else float("nan")
+
     return {
         "method": config.method,
         "eta": config.eta,
@@ -272,10 +273,12 @@ def summarize(records: list[MetricsRecord], config: AdaptConfig) -> dict:
         "lambda": config.lam,
         "gamma": config.gamma,
         "seed": config.seed,
-        "per_domain_error": {k: float(np.mean(v)) for k, v in per_domain.items()},
-        "mean_error": float(np.mean([rec.error for rec in records])),
-        "mean_entropy": float(np.mean([rec.entropy for rec in records])),
+        "per_domain_error": {k: mean(v) for k, v in per_domain.items()},
+        "mean_error": mean([rec.error for rec in kept]),
+        "mean_entropy": mean([rec.entropy for rec in kept]),
         "batches": len(records),
+        "dropped_rows": sum(rec.dropped_rows for rec in records),
+        "skipped_batches": len(records) - len(kept),
     }
 
 

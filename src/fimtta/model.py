@@ -30,25 +30,26 @@ def normalize(
     var: np.ndarray | None = None,
     eps: float = NORM_EPS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Standardize [n, f] values feature-wise: (xhat, inv_std, mean, var).
+    """Standardize [n, f] or [g, n, f] values over their n rows: (xhat, inv_std, mean, var).
 
-    Without ``mean``/``var`` the batch's own statistics are used. ``eps``
+    Without ``mean``/``var`` each [n, f] group's own statistics are used. ``eps``
     floors the variance so zero-variance features reduce to the affine
     offset. The tests' tape oracle normalizes through here too, so its
     forward agrees with ``Model.forward`` bit for bit.
     """
+    grouped = mean is None and xd.ndim == 3  # a group's statistics stay [g, 1, f] against its rows
     if mean is None:
-        # the operations of xd.mean(0) and xd.var(0), without recentring twice
-        mu = xd.sum(axis=0) / xd.shape[0]
+        # the operations of xd.mean(-2) and xd.var(-2), without recentring twice
+        mu = xd.sum(axis=-2, keepdims=grouped) / xd.shape[-2]
         xhat = xd - mu
-        sig2 = (xhat * xhat).sum(axis=0) / xd.shape[0]
+        sig2 = (xhat * xhat).sum(axis=-2, keepdims=grouped) / xd.shape[-2]
     else:
         mu = np.asarray(mean, dtype=np.float64)
         sig2 = np.asarray(var, dtype=np.float64)
         xhat = xd - mu
     inv_std = 1.0 / np.sqrt(sig2 + eps)
     xhat *= inv_std
-    return xhat, inv_std, mu, sig2
+    return (xhat, inv_std[:, 0], mu[:, 0], sig2[:, 0]) if grouped else (xhat, inv_std, mu, sig2)
 
 
 @dataclass
@@ -113,9 +114,9 @@ class Model:
         return runs
 
     def _check_inputs(self, x: np.ndarray) -> None:
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
+        if x.ndim not in (2, 3) or x.shape[-1] != self.input_dim:
             raise ShapeError(
-                f"forward: expected [batch, {self.input_dim}] inputs, got {x.shape}"
+                f"forward: expected [batch, {self.input_dim}] or [groups, batch, {self.input_dim}] inputs, got {x.shape}"
             )
 
     @staticmethod
@@ -128,15 +129,15 @@ class Model:
         return layer.source_mean, layer.source_var
 
     def forward(self, inputs, batch_stats: bool = True) -> tuple[np.ndarray, list]:
-        """Logits for a [batch, input_dim] array, plus what ``backward`` needs.
+        """Logits for [batch, input_dim] or [g, batch, input_dim] inputs, plus what ``backward`` needs.
 
-        ``batch_stats=True`` normalizes with the current batch statistics
+        ``batch_stats=True`` normalizes each group with its own statistics
         (the convention during adaptation); ``False`` uses the stored
         source statistics, which is the frozen-source prediction path.
         The cache holds one entry per layer: a dense layer's input, a norm
         layer's ``(xhat, inv_std, mean, var)`` (moments only when they are
         the batch's own, so the backward flows through them), a ReLU's
-        positive mask.
+        positive mask; a group's are those of its own forward, bit for bit.
         """
         out = np.asarray(inputs, dtype=np.float64)
         self._check_inputs(out)
@@ -144,7 +145,7 @@ class Model:
         for layer in self.layers:
             if layer.kind == "dense":
                 saved.append(out)
-                out = out @ layer.params[0]
+                out = out @ layer.params[0]  # one GEMM per group: a GEMM over all rows rounds rows differently
                 if len(layer.params) == 2:  # a bias
                     out += layer.params[1]
             elif layer.kind == "norm":
@@ -162,15 +163,16 @@ class Model:
     def backward(self, saved: list, g: np.ndarray, sink, chunk: int = 1) -> None:
         """Gradients for a logit cotangent ``g``, handed to ``sink`` in blocks.
 
-        ``g`` is [s, n, C] for the s sums ``sum(g[k] * logits)`` (s=1: the
-        batch gradient), or a per-sample seed [n, C] for the n cotangents
-        whose slice k is row k of the seed alone. Per parameter array the
-        pass calls ``sink(row, col, block)``: ``block[j]`` is the gradient of
-        ``theta[col:col + block.shape[1]]`` for slice row + j. A block may be
-        a view the next layer overwrites: read it, do not keep it, and do not
-        re-enter ``backward`` on this model from the sink. Both run one
-        reverse loop over the layers. A seed enters it as [n, 1, C]: n
-        slices, slice k seeing row k of the cache only. At the first
+        ``g`` is [g, n, C] for the batch gradient, the one sum of ``sum(g[k] *
+        logits[k])`` over the forward's g groups (1 for a 2-D forward), or a
+        per-sample seed [n, C] for the n cotangents whose slice k is row k of
+        the seed alone. Per parameter array the pass calls ``sink(row, col,
+        block)``: ``block[j]`` is the gradient of ``theta[col:col +
+        block.shape[1]]`` for slice row + j. A block may be a view the next
+        layer overwrites: read it, do not keep it, and do not re-enter
+        ``backward`` on this model from the sink. Both run one reverse loop
+        over the layers, group k of g seeing cache group k. A seed enters it
+        as [n, 1, C]: n slices, slice k seeing row k of the cache only. At the first
         batch-statistic norm from the top, which couples the rows, the loop
         hands the seed back; the coupling, times that norm's ``scale *
         inv_std``, is expanded in [chunk, n, f] slabs, and each chunk runs the
@@ -182,17 +184,22 @@ class Model:
         # per call, shared by every chunk: a dense layer's scaled transpose, a norm's scale * inv_std
         folded: dict[int, np.ndarray] = {}
         slabs = None  # the chunk loop's [held, spare] buffers; elsewhere ``out=slabs and ...`` allocates
+        batch = g.ndim == 3
+        if batch and len(g) > 1:  # blocks of one row per group sum into the one slice
+            write = sink
+
+            def sink(row, col, block):
+                write(row, col, np.add.reduce(block, keepdims=True) if len(block) > 1 else block)
 
         def spare(*shape):
             return np.ndarray(shape, buffer=slabs[1])
 
         def reverse(g, top, row, own):
             # [s, m, f] from layer top down; ``own``: m = 1, slice k sees cache
-            # row k. ``scale`` (a norm's scale * inv_std) is still owed by g;
-            # the next dense layer folds it into its products
+            # row k; a batch pass's slice k sees cache group k. ``scale`` (a norm's
+            # scale * inv_std) is still owed by g; the next dense layer folds it in
             s, m = g.shape[:2]
             ones, scale = np.ones(m), None
-            spec = "snf,snf->sf" if own else "snf,nf->sf"
             for i in range(top, first - 1, -1):
                 layer, kept = self.layers[i], saved[i]
                 if layer.kind == "relu":
@@ -200,11 +207,12 @@ class Model:
                     continue
                 col, size = self.slices[layer.name].start, layer.params[0].size
                 if layer.kind == "dense":
-                    grad_w = np.matmul(
+                    # the batch gradient's weights: one GEMM over the rows of every group
+                    grad_w = (kept.reshape(s * m, -1).T @ g.reshape(s * m, -1))[None] if kept.ndim == 3 else np.matmul(
                         kept[:, :, None] if own else kept.T, g, out=slabs and spare(s, *layer.params[0].shape))
                     if scale is not None:
                         grad_w *= scale
-                    sink(row, col, grad_w.reshape(s, size))
+                    sink(row, col, grad_w.reshape(-1, size))
                     if len(layer.params) == 2:
                         sink(row, col + size, ones @ g if scale is None else (ones @ g) * scale)
                     if i > first:  # a contiguous transpose carries the owed scale down
@@ -221,7 +229,8 @@ class Model:
                 if scale is not None:
                     g *= scale
                 xhat, inv_std, mean, _ = kept
-                g_scale = np.einsum(spec, g, xhat[:, None] if own else xhat)
+                x = xhat[:, None] if own else xhat  # slice k's rows
+                g_scale = np.einsum("snf,snf->sf" if x.ndim == 3 else "snf,nf->sf", g, x)
                 g_shift = ones @ g
                 sink(row, col, g_scale)
                 sink(row, col + size, g_shift)
@@ -234,10 +243,10 @@ class Model:
                     coupled = np.multiply(xhat, (g_scale / m)[:, None], out=slabs and spare(*g.shape))
                     coupled += (g_shift / m)[:, None]
                     g -= coupled
-                elif own:  # own-row slices take the scale now, which keeps their products' rounding
-                    g, scale = g * scale, None
+                if own or scale.ndim == 2:  # own rows keep their rounding; one transpose cannot fold a per-group scale
+                    g, scale = np.multiply(g, scale[..., None, :], out=g), None
 
-        own = g.ndim == 2
+        own = not batch
         coupling = reverse(g[:, None] if own else g, len(self.layers) - 1, 0, own)
         if coupling is None:  # the batch pass, or no batch-statistic norm below the seed
             return
@@ -270,6 +279,14 @@ def row_writer(out: np.ndarray):
         out[row : row + len(block), col : col + block.shape[1]] = block
 
     return write
+
+
+def cache_group(saved: list, k: int) -> list:
+    """Group k of a grouped ``Model.forward`` cache: views of what a forward
+    of that group alone caches (fixed statistics are shared by the groups)."""
+    # in a norm's tuple, None moments and [f] fixed statistics stay as they are
+    return [tuple(a if a is None or a.ndim == 1 else a[k] for a in kept) if isinstance(kept, tuple) else kept[k]
+            for kept in saved]
 
 
 def build_classifier(

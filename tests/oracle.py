@@ -102,7 +102,7 @@ def batch_grads(model: Model, loss_of, inputs, batch_stats: bool = True) -> np.n
     """Flat ``collect_grads`` of ``loss_of(logits) -> (value, d value / d logits)``
     over one forward of ``inputs``."""
     logits, saved = model.forward(inputs, batch_stats=batch_stats)
-    return harness.collect_grads(model, [(saved, loss_of(logits)[1])])
+    return harness.collect_grads(model, saved, loss_of(logits)[1])
 
 
 def layer_grads(model: Model, grad: np.ndarray) -> dict[str, list[np.ndarray]]:

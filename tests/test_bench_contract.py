@@ -69,25 +69,36 @@ def test_pretrain_calls_collect_grads_once_per_step(monkeypatch):
 
 # Exact call counts: a name missing here is never called, so a layerwise
 # batch streams its traces without the explicit per_sample_scores matrix.
+# The clean and jittered copies run in one grouped forward; without a
+# consistency term (lambda 0) and for the non-updating methods the forward
+# has one group.
 PER_BATCH = {
     "uniform_tent": {
-        "forward": 2, "collect_grads": 1, "augment": 1, "entropy_loss": 1,
+        "forward": 1, "collect_grads": 1, "augment": 1, "entropy_loss": 1,
         "consistency_loss": 1, "layer_rates": 1, "weighted_step": 1,
     },
+    "uniform_tent_lam0": {
+        "forward": 1, "collect_grads": 1, "entropy_loss": 1, "layer_rates": 1, "weighted_step": 1,
+    },
     "layerwise": {
-        "forward": 2, "collect_grads": 1, "layer_fim_trace": 1,
+        "forward": 1, "collect_grads": 1, "layer_fim_trace": 1,
         "accumulate": 1, "learning_weights": 1, "exp_minmax_scale": 1, "augment": 1,
         "entropy_loss": 1, "consistency_loss": 1, "layer_rates": 1, "weighted_step": 1,
     },
+    "bn1": {"forward": 1, "entropy_loss": 1},
+    "source": {"forward": 1, "entropy_loss": 1},
 }
+# a PER_BATCH row's run settings, where it is not a method's defaults
+SETTINGS = {"uniform_tent_lam0": {"method": "uniform_tent", "lam": 0.0}}
 
 
-@pytest.mark.parametrize("method", sorted(PER_BATCH))
-def test_adapt_stream_calls_per_batch(monkeypatch, method):
+@pytest.mark.parametrize("name", sorted(PER_BATCH))
+def test_adapt_stream_calls_per_batch(monkeypatch, name):
     spec, source, model = _tiny_task()
     pretrain(model, source, epochs=2, seed=0, batch_size=32)
     schedule = make_schedule("continual", ["contrast_scale", "gaussian_noise"], 3, 16, seed=0)
     counts = _count_calls(monkeypatch)
-    records = adapt_stream(model.clone(), ScheduleStream(spec, schedule), AdaptConfig(method=method))
+    config = AdaptConfig(**SETTINGS.get(name, {"method": name}))
+    records = adapt_stream(model.clone(), ScheduleStream(spec, schedule), config)
     assert len(records) == 6
-    assert {name: calls / 6 for name, calls in counts.items()} == PER_BATCH[method]
+    assert {attr: calls / 6 for attr, calls in counts.items()} == PER_BATCH[name]

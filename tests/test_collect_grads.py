@@ -1,10 +1,12 @@
 """Batch gradients from the layer-stack backward against the tape oracle.
 
 ``harness.collect_grads`` seeds ``Model.backward`` with the closed-form
-loss-head cotangents of each forward's logits; the oracle builds the
+loss-head cotangents of a forward's logits; the oracle builds the
 generic tape through every layer and through the loss head instead
 (``tape_forward`` plus the ``tape_*_loss`` heads). On random models,
-batches and losses the two must agree to rounding.
+batches and losses the two must agree to rounding. A grouped forward
+must give each group what a forward of that group alone gives, and its
+one backward the sum of the groups' gradients.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fimtta import harness, losses
-from fimtta.model import build_classifier, record_source_stats
+from fimtta import fisher, harness, losses
+from fimtta.model import build_classifier, cache_group, record_source_stats
 from oracle import (
     tape_consistency_loss,
     tape_entropy_loss,
@@ -66,21 +68,70 @@ def test_collect_grads_matches_tape_oracle(case):
     leaves = tape_params(model)
     tape_y, tape_y_aug = (tape_forward(model, b, leaves, batch_stats=batch_stats) for b in (x, x_aug))
     if loss == "entropy":
-        passes = [(saved, losses.entropy_loss(y)[1])]
+        g = losses.entropy_loss(y)[1]
         tape_loss = tape_entropy_loss(tape_y)
     elif loss == "nll":
-        passes = [(saved, losses.nll_loss(y, labels)[1])]
+        g = losses.nll_loss(y, labels)[1]
         tape_loss = tape_nll_loss(tape_y, labels)
-    else:  # entropy + lam * consistency, composed as the online loop does
-        g_aug = losses.consistency_loss(y, y_aug, kind=kind)[1]
-        passes = [(saved, losses.entropy_loss(y)[1]), (saved_aug, lam * g_aug)]
+    else:  # entropy + lam * consistency, composed as the online loop does: one grouped forward
+        g = np.stack([losses.entropy_loss(y)[1], lam * losses.consistency_loss(y, y_aug, kind=kind)[1]])
+        saved = model.forward(np.stack([x, x_aug]), batch_stats=batch_stats)[1]
         tape_loss = tape_entropy_loss(tape_y) + tape_consistency_loss(tape_y, tape_y_aug, kind) * lam
 
-    got = harness.collect_grads(model, passes)
-    ref = tape_grads(leaves, tape_loss)
+    got = harness.collect_grads(model, saved, g)
     assert got.shape == model.theta.shape
+    _assert_matches_tape(model, got, tape_grads(leaves, tape_loss))
+
+
+def _assert_matches_tape(model, got, ref):
     for name, ref_grads in ref.items():
         g = got[model.slices[name]]
         r = np.concatenate([a.ravel() for a in ref_grads])
         tol = RTOL * max(float(np.linalg.norm(r)), NORM_FLOOR)
         assert np.abs(g - r).max() <= tol, name
+
+
+def _entries(kept):
+    return [a for a in (kept if isinstance(kept, tuple) else (kept,)) if a is not None]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(cases(), st.integers(1, 3))
+def test_grouped_pass_matches_per_group_passes(case, groups):
+    input_dim, hidden, class_count, n, batch_stats, _, lam, kind, seed, biased = case
+    rng = np.random.default_rng(seed)
+    model = build_classifier(input_dim, hidden, class_count, seed=seed)
+    if biased:
+        model = with_dense_biases(model, rng)
+    for layer in model.weight_layers():
+        for p in layer.params:
+            p += 0.3 * rng.standard_normal(p.shape)
+    record_source_stats(model, 1.5 * rng.standard_normal((40, input_dim)) + 0.5)
+    x = rng.standard_normal((groups, n, input_dim))
+
+    logits, saved = model.forward(x, batch_stats=batch_stats)
+    for k in range(groups):
+        alone_logits, alone = model.forward(x[k], batch_stats=batch_stats)
+        assert np.array_equal(logits[k], alone_logits)
+        for got, want in zip(cache_group(saved, k), alone):
+            assert len(_entries(got)) == len(_entries(want))
+            assert all(np.array_equal(a, b) for a, b in zip(_entries(got), _entries(want)))
+
+    # the one backward against the per-group tapes' gradients, summed, for the
+    # loop's loss heads: entropy on group 0, lam * consistency with it on the others
+    cotangent = np.stack([losses.entropy_loss(logits[0])[1]] + [
+        lam * losses.consistency_loss(logits[0], logits[k], kind=kind)[1] for k in range(1, groups)])
+    leaves = tape_params(model)
+    per_group = [
+        tape_grads(leaves, tape_forward(model, x[k], leaves, batch_stats=batch_stats), seed=cotangent[k])
+        for k in range(groups)
+    ]
+    ref = {name: [sum(grads[name][j] for grads in per_group) for j in range(len(params))]
+           for name, params in leaves.items()}
+    _assert_matches_tape(model, harness.collect_grads(model, saved, cotangent.copy()), ref)
+
+    # the per-sample trace pass reads group 0 as it reads a forward of that group alone
+    alone_logits, alone = model.forward(x[0], batch_stats=batch_stats)
+    got = fisher.layer_fim_trace(model, logits[0], cache_group(saved, 0), diagonal=True)
+    want = fisher.layer_fim_trace(model, alone_logits, alone, diagonal=True)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

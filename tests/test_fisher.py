@@ -362,7 +362,7 @@ def test_forward_cache_is_freed_once_the_caller_drops_it(batch_stats):
             for a in (entry if isinstance(entry, tuple) else (entry,))
             if isinstance(a, np.ndarray) and a is not x
         ]
-        collect_grads(model, [(saved, entropy_loss(logits)[1])])
+        collect_grads(model, saved, entropy_loss(logits)[1])
         with mock.patch.object(fisher, "_CHUNK_ROWS", 60):  # chunks of 3 of the 20 rows
             layer_fim_trace(model, logits, saved, diagonal=True)
         del saved

@@ -103,14 +103,15 @@ def _tiny_stream():
 
 
 def _first_update_cotangents(monkeypatch, **overrides):
-    """The logit cotangents the loop hands collect_grads on batch 0."""
+    """The logit cotangents the loop hands collect_grads on batch 0, one per
+    group of its forward."""
     seen = []
     real = harness.collect_grads
 
-    def capture(model, passes):
+    def capture(model, saved, g):
         if not seen:
-            seen.append([g.copy() for _, g in passes])
-        return real(model, passes)
+            seen.append(list(g.copy()) if g.ndim == 3 else [g.copy()])
+        return real(model, saved, g)
 
     monkeypatch.setattr(harness, "collect_grads", capture)
     cfg = AdaptConfig(method="uniform_tent", seed=0, **overrides)
@@ -119,7 +120,7 @@ def _first_update_cotangents(monkeypatch, **overrides):
 
 
 def test_total_loss_with_zero_lambda_is_exactly_entropy(monkeypatch):
-    # lambda 0: one pass, whose cotangent is entropy's; consistency is never taken
+    # lambda 0: one group, whose cotangent is entropy's; consistency is never taken
     monkeypatch.setattr(harness.losses, "consistency_loss", None)
     (g,) = _first_update_cotangents(monkeypatch, lam=0.0)
     logits, _ = build_classifier(6, [8], 3, seed=0).forward(next(iter(_tiny_stream())).inputs)
@@ -136,8 +137,8 @@ def test_total_loss_with_saturated_negative_pseudo_labels_is_entropy():
 
 
 def test_total_loss_affine_in_lambda(monkeypatch):
-    # the loop weighs the augmented pass's cotangent by lambda, the clean
-    # pass carries entropy alone
+    # the loop weighs the augmented group's cotangent by lambda, the clean
+    # group carries entropy alone
     small = _first_update_cotangents(monkeypatch, lam=0.7)
     large = _first_update_cotangents(monkeypatch, lam=1.4)
     assert len(small) == len(large) == 2
@@ -155,9 +156,10 @@ def test_total_gradient_is_entropy_plus_lambda_consistency():
     g_ent = entropy_loss(y)[1]
     g_cons = consistency_loss(y, y_aug)[1]
 
-    total = collect_grads(m, [(saved, g_ent.copy()), (saved_aug, lam * g_cons)])
-    ent = collect_grads(m, [(saved, g_ent.copy())])
-    cons = collect_grads(m, [(saved_aug, g_cons.copy())])
+    # one grouped pass over the clean and jittered batches, as the loop runs it
+    total = collect_grads(m, m.forward(np.stack([x, x_aug]))[1], np.stack([g_ent, lam * g_cons]))
+    ent = collect_grads(m, saved, g_ent.copy())
+    cons = collect_grads(m, saved_aug, g_cons.copy())
     assert np.allclose(total, ent + lam * cons, rtol=1e-12, atol=1e-14)
 
 
