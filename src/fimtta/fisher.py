@@ -42,8 +42,8 @@ class FisherState:
         return cls(decay=decay, traces=np.zeros(len(model.slices)), diagonals=diagonals)
 
 
-# cap on chunk samples x batch rows in the row-coupled part of the per-sample pass; 1024
-# keeps memory flat, as the chunks reuse the model's two slab buffers (fresh temporaries held ~4.6)
+# cap on chunk samples x batch rows in the row-coupled part of the per-sample pass: larger chunks pay
+# its fixed calls per chunk less often; the reused slab buffers (and each call's D) grow with it
 _CHUNK_ROWS = 1024
 
 
@@ -80,8 +80,8 @@ def layer_fim_trace(
     def square(row: int, col: int, block: np.ndarray) -> None:
         if diagonal:
             sums[col : col + block.shape[1]] += np.einsum("ij,ij->j", block, block)
-        else:  # reduceat below adds up each layer's columns; OpenBLAS threads a dot
-            sums[col] += np.einsum("ij,ij->", block, block)  # of over 10,000 terms, at a loss
+        else:  # reduceat adds each layer's columns up; a dot only far below OpenBLAS's threaded 10,000 terms
+            sums[col] += np.vdot(block, block) if block.size < 4096 else np.einsum("ij,ij->", block, block)
 
     _score_pass(model, logits, saved, square)
     sums /= n

@@ -194,8 +194,10 @@ def adapt_stream(
             )
             if rec.skipped:
                 return rec
-        if grouped:
-            inputs = np.stack([inputs, losses.augment(inputs, aug_rng, cfg.noise_scale)])
+        if grouped:  # group 0 the rows, group 1 their jittered copy, drawn straight into it
+            pair = np.empty((2, *inputs.shape))
+            pair[0], inputs = inputs, pair
+            losses.augment(pair[0], aug_rng, cfg.noise_scale, out=pair[1])
         logits, saved = model.forward(inputs, batch_stats=batch_stats)
         clean = logits[0] if grouped else logits
         rec.error = float((clean.argmax(axis=1) != labels).mean())
@@ -220,7 +222,9 @@ def adapt_stream(
         rates = scheduler.layer_rates(rec.w_bar, cfg.eta)
         if grouped:
             rec.consistency, g_aug = losses.consistency_loss(clean, logits[1], kind=cfg.consistency)
-            g = np.stack([g, cfg.lam * g_aug])
+            pair = np.empty((2, *g.shape))
+            pair[0], g = g, pair
+            np.multiply(g_aug, cfg.lam, out=pair[1])
         if not scheduler.weighted_step(model, collect_grads(model, saved, g), rates, optimizer=opt):
             logger.warning("adapt_stream: step %d rejected, model unchanged", batch.step)
         return rec

@@ -87,16 +87,16 @@ def consistency_loss(logits: np.ndarray, aug_logits: np.ndarray, kind: str = "si
     return float((weights * log_term).sum() * scale), grad
 
 
-def augment(batch: np.ndarray, rng: np.random.Generator, noise_scale: float) -> np.ndarray:
+def augment(batch: np.ndarray, rng: np.random.Generator, noise_scale: float, out=None) -> np.ndarray:
     """Additive Gaussian jitter (skipped at a zero ``noise_scale``) plus mild
-    positive feature rescaling; draws are fully determined by the generator
-    state."""
+    positive feature rescaling, written into ``out`` when given; draws are
+    fully determined by the generator state."""
     x = np.asarray(batch, dtype=np.float64)
     if x.size == 0:
         raise ValueError("augment: empty batch")
     if noise_scale > 0.0:
         x = x + noise_scale * rng.standard_normal(x.shape)
-    return x * rng.uniform(*AUGMENT_SCALE_RANGE, size=x.shape)
+    return np.multiply(x, rng.uniform(*AUGMENT_SCALE_RANGE, size=x.shape), out=out)
 
 
 def nll_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

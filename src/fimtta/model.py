@@ -168,16 +168,17 @@ class Model:
         per-sample seed [n, C] for the n cotangents whose slice k is row k of
         the seed alone. Per parameter array the pass calls ``sink(row, col,
         block)``: ``block[j]`` is the gradient of ``theta[col:col +
-        block.shape[1]]`` for slice row + j. A block may be a view the next
-        layer overwrites: read it, do not keep it, and do not re-enter
-        ``backward`` on this model from the sink. Both run one reverse loop
-        over the layers, group k of g seeing cache group k. A seed enters it
-        as [n, 1, C]: n slices, slice k seeing row k of the cache only. At the first
-        batch-statistic norm from the top, which couples the rows, the loop
-        hands the seed back; the coupling, times that norm's ``scale *
-        inv_std``, is expanded in [chunk, n, f] slabs, and each chunk runs the
-        rest of the loop over the whole cache in the model's two reused slab
-        buffers, allocating no slab per chunk. ``g`` is overwritten.
+        block.shape[1]]`` for slice row + j (a norm's scale and shift are one
+        block). A block may be a view the next layer overwrites: read it, do
+        not keep it, and do not re-enter ``backward`` on this model from the
+        sink. Both run one reverse loop over the layers, group k of g seeing
+        cache group k. A seed enters it as [n, 1, C]: n slices, slice k seeing
+        row k of the cache only. At the first batch-statistic norm from the
+        top the loop hands the seed back, and the rest runs in [chunk, n, f]
+        slabs, in the model's two reused slab buffers, where each such norm's
+        row coupling ``(xhat * g_scale + g_shift) / n`` is one batched product
+        ``[xhat | 1] @ D`` (the top norm's D also carries its ``scale *
+        inv_std``, and each slice's own row is added). ``g`` is overwritten.
         """
         # nothing below the first weight layer needs a cotangent
         first = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
@@ -193,6 +194,17 @@ class Model:
 
         def spare(*shape):
             return np.ndarray(shape, buffer=slabs[1])
+
+        def couple(i, g_scale, g_shift, c, out):
+            # norm i's coupling of each slice j, [xhat | 1] @ D_j, D_j = [diag(g_scale[j]); g_shift[j]] * c,
+            # in a D [at most 8 slices, f + 1, f] whose diagonal and last row alone are written: the rest is 0
+            lifted, d, diagonal, last = lifts[i]
+            for j in range(0, len(out), len(d)):
+                k = min(len(d), len(out) - j)
+                np.multiply(g_scale[j : j + k], c, out=diagonal[:k])
+                np.multiply(g_shift[j : j + k], c, out=last[:k])
+                np.matmul(lifted, d[:k], out=out[j : j + k])
+            return out
 
         def reverse(g, top, row, own):
             # [s, m, f] from layer top down; ``own``: m = 1, slice k sees cache
@@ -230,41 +242,47 @@ class Model:
                     g *= scale
                 xhat, inv_std, mean, _ = kept
                 x = xhat[:, None] if own else xhat  # slice k's rows
-                g_scale = np.einsum("snf,snf->sf" if x.ndim == 3 else "snf,nf->sf", g, x)
-                g_shift = ones @ g
-                sink(row, col, g_scale)
-                sink(row, col + size, g_shift)
+                grads = np.empty((s, 2, size))  # scale's and shift's, adjacent as in theta: one block
+                g_scale = np.einsum("snf,snf->sf" if x.ndim == 3 else "snf,nf->sf", g, x, out=grads[:, 0])
+                g_shift = np.matmul(ones, g, out=grads[:, 1])
+                sink(row, col, grads.reshape(s, -1))
                 if i not in folded:
                     folded[i] = layer.params[0] * inv_std
                 scale = folded[i]
                 if mean is not None and i > first:  # batch statistics couple the rows
                     if own:  # the caller expands the coupling
-                        return i, g_shift * scale, xhat * scale, g_scale
-                    coupled = np.multiply(xhat, (g_scale / m)[:, None], out=slabs and spare(*g.shape))
-                    coupled += (g_shift / m)[:, None]
-                    g -= coupled
+                        return i, g[:, 0]  # slice k's cotangent on its own row k, = g_shift
+                    if slabs:  # the chunk loop: one product for all its slices
+                        g += couple(i, g_scale, g_shift, -1.0 / m, spare(*g.shape))
+                    else:  # at most 2 groups, where three calls cost less than the product
+                        coupled = xhat * (g_scale / m)[:, None]
+                        coupled += (g_shift / m)[:, None]
+                        g -= coupled
                 if own or scale.ndim == 2:  # own rows keep their rounding; one transpose cannot fold a per-group scale
                     g, scale = np.multiply(g, scale[..., None, :], out=g), None
 
-        own = not batch
-        coupling = reverse(g[:, None] if own else g, len(self.layers) - 1, 0, own)
+        coupling = reverse(g if batch else g[:, None], len(self.layers) - 1, 0, not batch)
         if coupling is None:  # the batch pass, or no batch-statistic norm below the seed
             return
-        i, g, xhat, g_scale = coupling  # the coupling comes out scaled, so the dense layer below owes none
+        i, g = coupling
         n, size = g.shape
-        # the chunks read float ReLU masks: a boolean one is cast again in every chunk
-        saved = [kept.astype(float) if layer.kind == "relu" else kept for layer, kept in zip(self.layers[:i], saved)]
+        xhat, k = saved[i][0], min(chunk, n)
+        lifts, ds = {}, {}  # per call, for every chunk: each batch-statistic norm's [xhat | 1], a D per width
+        for j in range(first + 1, i + 1):
+            if self.layers[j].kind == "norm" and saved[j][2] is not None:
+                f = saved[j][0].shape[1]
+                d = ds[f] = ds[f] if f in ds else np.zeros((min(k, 8), f + 1, f))
+                lifts[j] = np.hstack([saved[j][0], np.ones((n, 1))]), d, d.reshape(len(d), -1)[:, :: f + 1], d[:, f]
         dense = [layer.params[0] for layer in self.layers[first:i] if layer.kind == "dense"]
-        need = min(chunk, n) * max([n * size] + [max(w.size, n * max(w.shape)) for w in dense])
+        need = k * max([n * size] + [max(w.size, n * max(w.shape)) for w in dense])
         if self._slabs[0].size < need:  # grown, never shrunk; a clone starts without
             self._slabs = [np.empty(need), np.empty(need)]
         slabs = self._slabs
-        for row in range(0, n, chunk):
-            k = min(chunk, n - row)
-            # slice j: its own row minus (shift score + xhat * scale score) / n
-            coupled = np.multiply(xhat, g_scale[row : row + k, None] / -n, out=np.ndarray((k, n, size), buffer=slabs[0]))
-            coupled -= g[row : row + k, None] / n
-            coupled[np.arange(k), np.arange(row, row + k)] += g[row : row + k]
+        scale, top = folded[i], folded[i] / -n  # the top norm's, folded into its D: the layer below owes none
+        for row in range(0, n, chunk):  # slice j: its own row minus (shift + xhat * scale score) / n, times scale
+            gj = g[row : row + chunk]  # slice j's cotangent on its own row
+            coupled = couple(i, gj * xhat[row : row + chunk], gj, top, np.ndarray((len(gj), n, size), buffer=slabs[0]))
+            coupled.reshape(-1, size)[row :: n + 1] += gj * scale  # row row + j of slice j
             reverse(coupled, i - 1, row, own=False)
 
     def clone(self) -> "Model":

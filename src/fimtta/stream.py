@@ -13,6 +13,7 @@ metrics recorder reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -121,12 +122,14 @@ class CorruptionSpec:
             raise ValueError(f"severity must be 1..5, got {self.severity}")
 
 
+@lru_cache(maxsize=64)  # once per (dim, parameter), shared as a read-only view; ``__wrapped__`` builds afresh
 def _blur_matrix(dim: int, sigma: float) -> np.ndarray:
     idx = np.arange(dim)
     kernel = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * sigma * sigma))
-    return kernel / kernel.sum(axis=1, keepdims=True)
+    return np.broadcast_to(kernel / kernel.sum(axis=1, keepdims=True), (dim, dim))
 
 
+@lru_cache(maxsize=64)
 def _warp_rotation(dim: int, angle: float) -> np.ndarray:
     # Cayley transform of a fixed generic skew generator: orthogonal for
     # every angle, identity at angle 0, severity scales the angle.
@@ -136,7 +139,7 @@ def _warp_rotation(dim: int, angle: float) -> np.ndarray:
     skew = skew / np.linalg.norm(skew, ord=2)
     a = (angle / 2.0) * skew
     eye = np.eye(dim)
-    return np.linalg.solve((eye + a).T, (eye - a).T).T
+    return np.broadcast_to(np.linalg.solve((eye + a).T, (eye - a).T).T, (dim, dim))
 
 
 def corrupt(inputs: np.ndarray, spec: CorruptionSpec, rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -441,3 +442,54 @@ def test_clone_and_checkpoint_leave_out_the_workspace(tmp_path):
     save_checkpoint(model, tmp_path / "after.txt")
     assert (tmp_path / "after.txt").read_bytes() == (tmp_path / "before.txt").read_bytes()
     assert all(slab.size == 0 for slab in model.clone()._slabs)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    widths=st.lists(st.integers(1, 12), min_size=2, max_size=4, unique=True),  # no two levels alike
+    calls=st.lists(
+        st.tuples(st.integers(2, 40), st.sampled_from([1, 9, 64, 200, 1024])),  # batch rows, _CHUNK_ROWS
+        min_size=2,
+        max_size=4,
+    ),
+)
+def test_coupling_product_on_mixed_widths_matches_the_tape_and_a_fresh_clone(seed, widths, calls):
+    # each batch-statistic norm's coupling is a product with a D laid out for
+    # its own width; one model's workspace is reused as n and the chunk change
+    rng = np.random.default_rng(seed)
+    model = build_classifier(int(rng.integers(1, 6)), widths, int(rng.integers(2, 5)), seed=int(rng.integers(1000)))
+    for layer in model.weight_layers():
+        for p in layer.params:
+            p += 0.3 * rng.standard_normal(p.shape)
+    for n, chunk_rows in calls:
+        x = rng.standard_normal((n, model.input_dim))
+        logits, saved = model.forward(x)
+        with mock.patch.object(fisher, "_CHUNK_ROWS", chunk_rows):
+            _assert_traces_match_scores(model, logits, saved, replay_scores(model, x))
+            _assert_bit_identical(_pass(model, x, True, False, True), _pass(model.clone(), x, True, False, True))
+
+
+# tracemalloc peaks of one layer_fim_trace(..., diagonal=True) call on a fresh
+# clone of the desk model before the coupling became one product (the parent
+# of that change, numpy 2.4); the pass must not outgrow them
+DESK_TRACE_PEAK_BYTES = {64: 834_958, 128: 929_456}
+
+
+@pytest.mark.parametrize("n", sorted(DESK_TRACE_PEAK_BYTES))
+def test_desk_trace_pass_peak_memory_stays_within_its_bound(n):
+    rng = np.random.default_rng(12)
+    base = build_classifier(16, [32, 32, 32, 32], 3, seed=4)
+    for layer in base.weight_layers():
+        for p in layer.params:
+            p += 0.1 * rng.standard_normal(p.shape)
+    record_source_stats(base, rng.standard_normal((200, 16)))
+    model = base.clone()
+    logits, saved = model.forward(np.random.default_rng(n).standard_normal((n, 16)))
+    tracemalloc.start()
+    try:
+        layer_fim_trace(model, logits, saved, diagonal=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= DESK_TRACE_PEAK_BYTES[n], peak

@@ -163,6 +163,25 @@ def test_affine_warp_same_rotation_for_equal_severity():
     assert np.array_equal(a, b)  # the rng plays no role for deterministic kinds
 
 
+@pytest.mark.parametrize(
+    "kind, build, table",
+    [("affine_warp", stream._warp_rotation, stream.WARP_ANGLE), ("feature_blur", stream._blur_matrix, stream.BLUR_SIGMA)],
+)
+def test_operator_matrices_are_shared_read_only_and_match_a_fresh_build(kind, build, table):
+    rng = np.random.default_rng(14)
+    for dim in (2, 16):
+        x = rng.standard_normal((5, dim))
+        for sev in (1, 5):
+            cached = build(dim, table[sev])
+            assert build(dim, table[sev]) is cached
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 1.0
+            fresh = build.__wrapped__(dim, table[sev])
+            assert fresh is not cached and np.array_equal(fresh, cached)
+            out = corrupt(x, CorruptionSpec(kind, sev), rng)
+            assert out.tobytes() == (x @ fresh.T).tobytes()
+
+
 def test_frozen_source_error_nondecreasing_in_severity(desk_setup):
     # oracle: evaluate each pretrained model on every kind/severity pair and
     # require the 5-seed mean error to be monotone per kind
