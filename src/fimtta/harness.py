@@ -138,18 +138,19 @@ def collect_grads(model: Model, saved: list, g: np.ndarray) -> np.ndarray:
     return grad[0]
 
 
-def check_batch_rows(method: str, rows: int, where: str) -> None:
-    """Reject batches of fewer than 2 rows under every method but ``source``.
+def min_batch_rows(method: str) -> int:
+    """Fewest rows a batch needs: 1 under ``source``, 2 under every other
+    method, which normalizes with the batch's own statistics that a single
+    row cannot supply (the first norm layer would output its shift whatever
+    the input)."""
+    return 1 if method == "source" else 2
 
-    Those methods normalize with the batch's own statistics, which a
-    single row cannot supply (the first norm layer would output its shift
-    whatever the input). ``where`` names the batch or schedule checked.
-    """
-    if method != "source" and rows < 2:
-        raise ValueError(
-            f"{where} has {rows} row(s); method {method!r} normalizes with batch "
-            f"statistics and needs at least 2"
-        )
+
+def check_batch_rows(method: str, rows: int, where: str) -> None:
+    """Reject a batch of fewer than ``min_batch_rows(method)`` rows;
+    ``where`` names the batch or schedule checked."""
+    if rows < min_batch_rows(method):
+        raise ValueError(f"{where} has {rows} row(s); method {method!r} needs at least {min_batch_rows(method)}")
 
 
 def adapt_stream(
@@ -164,11 +165,11 @@ def adapt_stream(
     is drawn first, and one grouped forward runs the clean batch and the
     copy. Non-updating methods (source, bn1) skip everything after the
     prediction. A rejected update leaves the model at its pre-step state
-    and the loop continues. A batch delivered too small for the method's
-    normalization raises ``ValueError`` (``check_batch_rows``); one left too
-    small once its non-finite rows are dropped is recorded as skipped, with
-    one warning. A batch's caches and gradient are freed before the next
-    batch's forward.
+    and the loop continues. A batch delivered with fewer than
+    ``min_batch_rows`` rows raises ``ValueError`` (``check_batch_rows``); one
+    left with fewer once its non-finite rows are dropped is recorded as
+    skipped, with one warning. A batch's caches and gradient are freed
+    before the next batch's forward.
     """
     cfg = config
     n_layers = len(model.slices)
@@ -187,7 +188,7 @@ def adapt_stream(
         rec.dropped_rows = len(inputs) - int(finite.sum())
         if rec.dropped_rows:
             inputs, labels = inputs[finite], labels[finite]
-            rec.skipped = len(inputs) < (2 if batch_stats else 1)
+            rec.skipped = len(inputs) < min_batch_rows(cfg.method)
             logger.warning(
                 "adapt_stream: step %d drops %d row(s) with non-finite features%s", batch.step,
                 rec.dropped_rows, ", too few left: skipped" if rec.skipped else "",
@@ -299,9 +300,9 @@ def writable_paths(out_dir, names: list[str]) -> list[Path]:
 @dataclass
 class ExperimentResult:
     summary: dict
-    csv_path: Path | None = None
-    weights_path: Path | None = None
-    summary_path: Path | None = None
+    csv_path: Path
+    weights_path: Path
+    summary_path: Path
 
 
 def run_experiment(

@@ -28,13 +28,12 @@ def normalize(
     xd: np.ndarray,
     mean: np.ndarray | None = None,
     var: np.ndarray | None = None,
-    eps: float = NORM_EPS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Standardize [n, f] or [g, n, f] values over their n rows: (xhat, inv_std, mean, var).
 
-    Without ``mean``/``var`` each [n, f] group's own statistics are used. ``eps``
-    floors the variance so zero-variance features reduce to the affine
-    offset. The tests' tape oracle normalizes through here too, so its
+    Without ``mean``/``var`` each [n, f] group's own statistics are used.
+    ``NORM_EPS`` floors the variance so zero-variance features reduce to the
+    affine offset. The tests' tape oracle normalizes through here too, so its
     forward agrees with ``Model.forward`` bit for bit.
     """
     grouped = mean is None and xd.ndim == 3  # a group's statistics stay [g, 1, f] against its rows
@@ -47,7 +46,7 @@ def normalize(
         mu = np.asarray(mean, dtype=np.float64)
         sig2 = np.asarray(var, dtype=np.float64)
         xhat = xd - mu
-    inv_std = 1.0 / np.sqrt(sig2 + eps)
+    inv_std = 1.0 / np.sqrt(sig2 + NORM_EPS)
     xhat *= inv_std
     return (xhat, inv_std[:, 0], mu[:, 0], sig2[:, 0]) if grouped else (xhat, inv_std, mu, sig2)
 

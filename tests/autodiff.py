@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from fimtta.model import NORM_EPS, ShapeError, normalize
+from fimtta.model import ShapeError, normalize
 
 
 def _shape_fail(op: str, *shapes: tuple[int, ...]) -> ShapeError:
@@ -267,14 +267,14 @@ def batch_norm(
     shift: Tensor,
     mean: np.ndarray | None = None,
     var: np.ndarray | None = None,
-    eps: float = NORM_EPS,
 ) -> Tensor:
     """Feature-wise normalization of [n, f] activations with affine.
 
     With ``mean``/``var`` omitted the current batch statistics are used
     and gradients flow through them; passing fixed statistics (the
-    frozen-source path) treats them as constants. ``eps`` floors the
-    variance so zero-variance features reduce to the affine offset.
+    frozen-source path) treats them as constants. ``model.normalize``
+    floors the variance so zero-variance features reduce to the affine
+    offset.
     """
     if x.data.ndim != 2:
         raise _shape_fail("batch_norm", x.data.shape)
@@ -283,7 +283,7 @@ def batch_norm(
         raise _shape_fail("batch_norm", x.data.shape, scale.data.shape, shift.data.shape)
     n = x.data.shape[0]
     batch_stats = mean is None
-    xhat, inv_std, _, _ = normalize(x.data, mean, var, eps)
+    xhat, inv_std, _, _ = normalize(x.data, mean, var)
     scale_d = scale.data
 
     def vjp(g: np.ndarray):

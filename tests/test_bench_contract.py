@@ -1,40 +1,47 @@
 """Calls per batch through the attributes ``bench/run.py`` patches.
 
-The benchmark times the loop by replacing module and class attributes
-(``Model.forward``, ``harness.collect_grads``, ``fisher.*``,
-``losses.*``, ``scheduler.*``) and probes host speed on
-``collect_grads`` during pretraining. These tests patch the same names
-with counters, so a refactor that stops reaching one of them, or calls it
-a different number of times, fails here instead of silently blinding the
-benchmark.
+The benchmark times the loop by replacing the module and class attributes
+listed in its ``SPAN_TARGETS`` (``Model.forward``,
+``harness.collect_grads``, ``fisher.*``, ``losses.*``, ``scheduler.*``,
+``stream.corrupt``) and probes host speed on ``collect_grads`` during
+pretraining. These tests read that table from the benchmark's source and
+patch the same names with counters, so a refactor that moves one of them,
+stops reaching it, or calls it a different number of times, fails here
+instead of silently blinding the benchmark.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
+import importlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from fimtta import fisher, harness, losses, scheduler
 from fimtta.harness import AdaptConfig, adapt_stream, pretrain
-from fimtta.model import Model, build_classifier
+from fimtta.model import build_classifier
 from fimtta.stream import ScheduleStream, SourceSpec, gen_source, make_schedule
 
-TARGETS = [
-    (Model, "forward"),
-    (harness, "collect_grads"),
-    (fisher, "per_sample_scores"),
-    (fisher, "layer_fim_trace"),
-    (fisher, "fim_diagonal"),
-    (fisher, "accumulate"),
-    (fisher, "learning_weights"),
-    (losses, "augment"),
-    (losses, "entropy_loss"),
-    (losses, "consistency_loss"),
-    (scheduler, "exp_minmax_scale"),
-    (scheduler, "layer_rates"),
-    (scheduler, "weighted_step"),
-]
+BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+
+
+def _span_targets() -> dict:
+    # parsed, not imported: importing bench/run.py pins the BLAS thread count
+    for node in ast.parse(BENCH_RUN.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SPAN_TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no SPAN_TARGETS in {BENCH_RUN}")
+
+
+def _owner(path: str):
+    module, *attrs = path.split(".")
+    return functools.reduce(getattr, attrs, importlib.import_module(f"fimtta.{module}"))
+
+
+# (owner, attribute) pairs such as ("model.Model", "forward"), owners named from the package
+TARGETS = [target for targets in _span_targets().values() for target in targets]
 
 
 def _count_calls(monkeypatch) -> Counter:
@@ -47,7 +54,8 @@ def _count_calls(monkeypatch) -> Counter:
 
         return call
 
-    for owner, attr in TARGETS:
+    for path, attr in TARGETS:
+        owner = _owner(path)
         monkeypatch.setattr(owner, attr, counted(getattr(owner, attr), attr))
     return counts
 
@@ -75,18 +83,18 @@ def test_pretrain_calls_collect_grads_once_per_step(monkeypatch):
 PER_BATCH = {
     "uniform_tent": {
         "forward": 1, "collect_grads": 1, "augment": 1, "entropy_loss": 1,
-        "consistency_loss": 1, "layer_rates": 1, "weighted_step": 1,
+        "consistency_loss": 1, "layer_rates": 1, "weighted_step": 1, "corrupt": 1,
     },
     "uniform_tent_lam0": {
-        "forward": 1, "collect_grads": 1, "entropy_loss": 1, "layer_rates": 1, "weighted_step": 1,
+        "forward": 1, "collect_grads": 1, "entropy_loss": 1, "layer_rates": 1, "weighted_step": 1, "corrupt": 1,
     },
     "layerwise": {
         "forward": 1, "collect_grads": 1, "layer_fim_trace": 1,
         "accumulate": 1, "learning_weights": 1, "exp_minmax_scale": 1, "augment": 1,
-        "entropy_loss": 1, "consistency_loss": 1, "layer_rates": 1, "weighted_step": 1,
+        "entropy_loss": 1, "consistency_loss": 1, "layer_rates": 1, "weighted_step": 1, "corrupt": 1,
     },
-    "bn1": {"forward": 1, "entropy_loss": 1},
-    "source": {"forward": 1, "entropy_loss": 1},
+    "bn1": {"forward": 1, "entropy_loss": 1, "corrupt": 1},
+    "source": {"forward": 1, "entropy_loss": 1, "corrupt": 1},
 }
 # a PER_BATCH row's run settings, where it is not a method's defaults
 SETTINGS = {"uniform_tent_lam0": {"method": "uniform_tent", "lam": 0.0}}

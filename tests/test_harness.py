@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fimtta import fisher, harness, losses, scheduler
@@ -500,17 +500,21 @@ def test_nan_batch_is_skipped_and_later_steps_apply(monkeypatch, caplog, optimiz
 class _Rows:
     """A stream whose batch at step k has the value ``bad[k][i]`` written into
     feature ``i % input_dim`` of row i where it is not 0.0 (NaN or an
-    infinity), and which calls ``on_batch`` before it yields each batch."""
+    infinity), and which calls ``on_batch`` before it yields each batch. With
+    ``cut`` each batch keeps only its first ``len(bad[k])`` rows."""
 
-    def __init__(self, inner, bad=(), on_batch=lambda: None):
-        self.inner, self.bad, self.on_batch = inner, bad, on_batch
+    def __init__(self, inner, bad=(), on_batch=lambda: None, cut=False):
+        self.inner, self.bad, self.on_batch, self.cut = inner, bad, on_batch, cut
+
+    def _rows(self, step):
+        return len(self.bad[step]) if self.cut else None
 
     def labels_for(self, step):
-        return self.inner.labels_for(step)
+        return self.inner.labels_for(step)[: self._rows(step)]
 
     def __iter__(self):
         for batch in self.inner:
-            inputs = batch.inputs.copy()
+            inputs = batch.inputs[: self._rows(batch.step)].copy()
             for i, value in enumerate(self.bad[batch.step] if batch.step < len(self.bad) else ()):
                 if value:
                     inputs[i, i % inputs.shape[1]] = value
@@ -556,6 +560,13 @@ def test_batch_state_is_freed_before_the_next_forward(monkeypatch, method):
 
 
 _pretrained = functools.lru_cache(maxsize=None)(tiny_setup)
+
+
+def _least_rows(method):
+    # one row has no batch statistics; only source normalizes without them
+    return 1 if method == "source" else 2
+
+
 BAD_VALUES = [0.0, 0.0, 0.0, np.nan, np.inf, -np.inf]
 
 
@@ -566,7 +577,7 @@ BAD_VALUES = [0.0, 0.0, 0.0, np.nan, np.inf, -np.inf]
                        st.just([np.nan] * 8)), min_size=4, max_size=4),
 )
 def test_non_finite_rows_are_dropped_and_counted(method, bad):
-    least = 1 if method == "source" else 2
+    least = _least_rows(method)
     kept = [sum(value == 0.0 for value in rows) for rows in bad]
     assume(max(kept) >= least)
     spec, model = _pretrained()
@@ -610,3 +621,41 @@ def test_non_finite_rows_are_dropped_and_counted(method, bad):
     assert sorted(r.getMessage().split(" drops ")[0] for r in warnings) == [
         f"adapt_stream: step {step}" for step, k in enumerate(kept) if k < 8
     ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["layerwise", "naive_eq6", "uniform_tent", "bn1", "source"]),
+    st.lists(st.lists(st.sampled_from(BAD_VALUES), max_size=3), min_size=4, max_size=4),
+)
+@example("source", [[0.0], [], [0.0], [0.0]])
+def test_batches_below_the_minimum_raise_or_are_skipped(method, bad):
+    # bad[k] is batch k as delivered: one entry per row, 0.0 for a finite row
+    least = _least_rows(method)
+    delivered = [len(rows) for rows in bad]
+    kept = [sum(value == 0.0 for value in rows) for rows in bad]
+    short = next((step for step, n in enumerate(delivered) if n < least), None)
+    spec, model = _pretrained()
+    forwards = []
+    real = Model.forward
+
+    def forward(self, inputs, batch_stats=True):
+        forwards.append(len(inputs[0] if inputs.ndim == 3 else inputs))
+        return real(self, inputs, batch_stats)
+
+    stream = _Rows(ScheduleStream(spec, tiny_schedule(batches=2, batch_size=8)), bad, cut=True)
+    cfg = AdaptConfig(method=method, seed=0)
+    with mock.patch.object(Model, "forward", forward):
+        if short is not None:
+            with pytest.raises(ValueError, match=rf"step {short} has {delivered[short]} row"):
+                adapt_stream(model.clone(), stream, cfg)
+        else:
+            records = adapt_stream(model.clone(), stream, cfg)
+    # no forward for a skipped batch, nor for the one that raised
+    assert forwards == [k for k in kept[:short] if k >= least]
+    if short is None:
+        assert [rec.skipped for rec in records] == [k < least for k in kept]
+        assert [rec.dropped_rows for rec in records] == [n - k for n, k in zip(delivered, kept)]
+        summary = summarize(records, cfg)
+        assert summary["skipped_batches"] == sum(k < least for k in kept)
+        assert np.isfinite(summary["mean_error"]) == any(k >= least for k in kept)
