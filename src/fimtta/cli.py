@@ -21,8 +21,7 @@ logger = logging.getLogger(__name__)
 # run flag -> AdaptConfig field; each flag takes the field's type and default
 ADAPT_FLAGS = {
     "--method": "method", "--eta": "eta", "--tau": "tau", "--lambda": "lam", "--gamma": "gamma",
-    "--epsilon": "epsilon", "--opt": "optimizer", "--consistency": "consistency",
-    "--noise-scale": "noise_scale", "--seed": "seed",
+    "--opt": "optimizer", "--seed": "seed",
 }
 
 
@@ -123,14 +122,12 @@ def cmd_pretrain(args) -> int:
     )
     source = gen_source(spec, args.n)
     model = build_classifier(args.d, hidden, args.classes, seed=args.seed)
-    result = harness.pretrain(
-        model, source, epochs=args.epochs, eta_pre=args.eta_pre, seed=args.seed
-    )
+    accuracy = harness.pretrain(model, source, epochs=args.epochs, eta_pre=args.eta_pre, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "checkpoint.txt"
     save_checkpoint(
-        result.model,
+        model,
         ckpt,
         meta={
             "d": str(args.d),
@@ -140,7 +137,7 @@ def cmd_pretrain(args) -> int:
             "hidden": args.hidden,
         },
     )
-    print(f"source train accuracy: {result.accuracy:.4f}")
+    print(f"source train accuracy: {accuracy:.4f}")
     print(f"checkpoint written to {ckpt}")
     return 0
 

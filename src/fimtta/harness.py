@@ -27,9 +27,7 @@ logger = logging.getLogger(__name__)
 WEIGHTED_METHODS = ("layerwise", "naive_eq6")
 BASELINE_METHODS = ("source", "bn1", "uniform_tent")
 # AdaptConfig field -> the values it accepts
-CHOICES = {
-    "method": WEIGHTED_METHODS + BASELINE_METHODS, "optimizer": ("adam", "sgd"), "consistency": ("sigmoid", "softmax"),
-}
+CHOICES = {"method": WEIGHTED_METHODS + BASELINE_METHODS, "optimizer": ("adam", "sgd")}
 
 
 @dataclass
@@ -39,10 +37,7 @@ class AdaptConfig:
     tau: float = 1.0
     lam: float = 0.1
     gamma: float = 1.0
-    epsilon: float = scheduler.DEFAULT_EPSILON
     optimizer: str = "adam"
-    consistency: str = "sigmoid"
-    noise_scale: float = 0.1
     seed: int = 0
     track_diagonal: bool = False
 
@@ -53,7 +48,7 @@ class AdaptConfig:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         # a NaN or infinite value would drop a loss term, reject every step or zero the rates
-        for name, positive in (("eta", True), ("tau", False), ("lam", False), ("epsilon", True), ("noise_scale", False)):
+        for name, positive in (("eta", True), ("tau", False), ("lam", False)):
             value = getattr(self, name)
             if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
                 raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
@@ -76,12 +71,6 @@ class MetricsRecord:
     skipped: bool = False  # too few rows left: no prediction, not adapted on
 
 
-@dataclass
-class PretrainResult:
-    model: Model
-    accuracy: float
-
-
 class PretrainDiverged(RuntimeError):
     pass
 
@@ -93,34 +82,39 @@ def pretrain(
     eta_pre: float = 1e-2,
     seed: int = 0,
     batch_size: int = 64,
-) -> PretrainResult:
-    """Minimize NLL on the labeled source set with uniform-rate Adam.
+) -> float:
+    """Minimize NLL on the labeled source set with uniform-rate Adam,
+    training ``model`` in place.
 
-    Freezes each norm layer's source statistics afterwards and reports
+    Freezes each norm layer's source statistics afterwards and returns
     train accuracy on the frozen-source prediction path. ``epochs=0``
-    records statistics on the untrained initialization and returns it.
+    records statistics on the untrained initialization. Settings under
+    which no step, or no descent step, could be taken are rejected before
+    the first step.
     """
+    n = source.inputs.shape[0]
+    if not (np.isfinite(eta_pre) and eta_pre > 0):
+        raise ValueError(f"eta_pre must be finite and > 0, got {eta_pre}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if epochs > 0 and n < batch_size:
+        raise ValueError(f"n must be >= batch_size={batch_size} for a pretraining step, got {n} source rows")
     rng = np.random.default_rng(seed)
     opt = scheduler.AdamState()
-    n = source.inputs.shape[0]
-    layers = model.weight_layers()
-    uniform = np.full(len(layers), eta_pre)
-    for _ in range(epochs):
+    uniform = np.full(len(model.weight_layers()), eta_pre)
+    for epoch in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n - batch_size + 1, batch_size):
+        for step, start in enumerate(range(0, n - batch_size + 1, batch_size)):
             pick = order[start : start + batch_size]
             logits, saved = model.forward(source.inputs[pick], batch_stats=True)
             loss, g = losses.nll_loss(logits, source.labels[pick])
             if not np.isfinite(loss):
-                raise PretrainDiverged(
-                    f"pretraining loss became {loss} at epoch step; aborting"
-                )
+                raise PretrainDiverged(f"pretraining loss became {loss} at epoch {epoch} step {step}; aborting")
             grad = collect_grads(model, saved, g)
             scheduler.weighted_step(model, grad, uniform, optimizer=opt)
     record_source_stats(model, source.inputs)
     logits, _ = model.forward(source.inputs, batch_stats=False)
-    accuracy = float((logits.argmax(axis=1) == source.labels).mean())
-    return PretrainResult(model=model, accuracy=accuracy)
+    return float((logits.argmax(axis=1) == source.labels).mean())
 
 
 def collect_grads(model: Model, saved: list, g: np.ndarray) -> np.ndarray:
@@ -198,7 +192,7 @@ def adapt_stream(
         if grouped:  # group 0 the rows, group 1 their jittered copy, drawn straight into it
             pair = np.empty((2, *inputs.shape))
             pair[0], inputs = inputs, pair
-            losses.augment(pair[0], aug_rng, cfg.noise_scale, out=pair[1])
+            losses.augment(pair[0], aug_rng, out=pair[1])
         logits, saved = model.forward(inputs, batch_stats=batch_stats)
         clean = logits[0] if grouped else logits
         rec.error = float((clean.argmax(axis=1) != labels).mean())
@@ -219,10 +213,10 @@ def adapt_stream(
             rec.w_raw = fisher.learning_weights(state).tolist()
             rec.w_bar = list(rec.w_raw)  # unbounded naive weighting
             if cfg.method == "layerwise":
-                rec.w_bar = scheduler.exp_minmax_scale(rec.w_raw, tau=cfg.tau, eps=cfg.epsilon).tolist()
+                rec.w_bar = scheduler.exp_minmax_scale(rec.w_raw, tau=cfg.tau).tolist()
         rates = scheduler.layer_rates(rec.w_bar, cfg.eta)
         if grouped:
-            rec.consistency, g_aug = losses.consistency_loss(clean, logits[1], kind=cfg.consistency)
+            rec.consistency, g_aug = losses.consistency_loss(clean, logits[1])
             pair = np.empty((2, *g.shape))
             pair[0], g = g, pair
             np.multiply(g_aug, cfg.lam, out=pair[1])

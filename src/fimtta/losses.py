@@ -8,8 +8,8 @@ taken through the log-softmax (or log-sigmoid) Jacobian.
 
 The consistency term scores agreement between a batch's logits and the
 logits of a jittered copy, with the clean prediction detached as pseudo
-label. Its literal form applies an elementwise sigmoid to both logit
-vectors; a softmax variant is available behind ``kind`` for comparison.
+label, in the paper's literal form: an elementwise sigmoid of both logit
+vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import numpy as np
 
 from .model import ShapeError
 
-# range of the jittered copy's per-element positive feature rescaling
+# the jittered copy: additive Gaussian noise of this standard deviation,
+# then a per-element positive feature rescaling drawn from this range
+AUGMENT_NOISE_SCALE = 0.1
 AUGMENT_SCALE_RANGE = (0.9, 1.1)
 
 
@@ -58,44 +60,34 @@ def entropy_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
     return float((p * ls).sum() * scale), _through_log_softmax(scale * p + (scale * ls) * p, p)
 
 
-def consistency_loss(logits: np.ndarray, aug_logits: np.ndarray, kind: str = "sigmoid") -> tuple[float, np.ndarray]:
+def consistency_loss(logits: np.ndarray, aug_logits: np.ndarray) -> tuple[float, np.ndarray]:
     """Cross-entropy-style agreement L between clean and augmented logits,
     and dL/d(aug_logits).
 
     The clean logits z act as pseudo label and are detached: the loss is
-    differentiated only through the augmented logits zh. ``kind="sigmoid"``
-    weighs each class term by w = sigmoid(z) against log sigmoid(zh), so
-    dL/dzh = -w * (1 - sigmoid(zh)) / n; ``kind="softmax"`` pairs
-    w = softmax(z) with log_softmax(zh), so dL/dzh = -(w - softmax(zh) *
-    sum_c w) / n.
+    differentiated only through the augmented logits zh. Each class term
+    weighs w = sigmoid(z) against log sigmoid(zh), so
+    dL/dzh = -w * (1 - sigmoid(zh)) / n.
     """
     z = np.asarray(logits, dtype=np.float64)
     zh = np.asarray(aug_logits, dtype=np.float64)
     if z.shape != zh.shape:
         raise ShapeError(f"consistency_loss: incompatible shapes {z.shape} and {zh.shape}")
     scale = -1.0 / z.shape[0]
-    if kind == "sigmoid":
-        weights = _stable_sigmoid(z)
-        log_term = -np.logaddexp(0.0, -zh)
-        grad = (scale * weights) * (1.0 - _stable_sigmoid(zh))
-    elif kind == "softmax":
-        weights = np.exp(log_softmax(z))
-        log_term = log_softmax(zh)
-        grad = _through_log_softmax(scale * weights, np.exp(log_term))
-    else:
-        raise ValueError(f"unknown consistency kind {kind!r}")
+    weights = _stable_sigmoid(z)
+    log_term = -np.logaddexp(0.0, -zh)
+    grad = (scale * weights) * (1.0 - _stable_sigmoid(zh))
     return float((weights * log_term).sum() * scale), grad
 
 
-def augment(batch: np.ndarray, rng: np.random.Generator, noise_scale: float, out=None) -> np.ndarray:
-    """Additive Gaussian jitter (skipped at a zero ``noise_scale``) plus mild
-    positive feature rescaling, written into ``out`` when given; draws are
-    fully determined by the generator state."""
+def augment(batch: np.ndarray, rng: np.random.Generator, out=None) -> np.ndarray:
+    """Additive Gaussian jitter plus mild positive feature rescaling, written
+    into ``out`` when given; draws are fully determined by the generator
+    state."""
     x = np.asarray(batch, dtype=np.float64)
     if x.size == 0:
         raise ValueError("augment: empty batch")
-    if noise_scale > 0.0:
-        x = x + noise_scale * rng.standard_normal(x.shape)
+    x = x + AUGMENT_NOISE_SCALE * rng.standard_normal(x.shape)
     return np.multiply(x, rng.uniform(*AUGMENT_SCALE_RANGE, size=x.shape), out=out)
 
 

@@ -1,10 +1,10 @@
 """Bounded per-layer learning rates and the layer-wise weighted update.
 
 Raw learning weights are unbounded, so they pass through an exponential
-min-max scaler ((w - min) / (max - min + eps)) ** tau before multiplying
-the base rate. tau > 1 damps over-scaled mid weights, tau < 1 boosts
-under-scaled ones, and tau = 0 is defined to yield all-ones weights,
-reducing the method to uniform-rate fine-tuning.
+min-max scaler ((w - min) / (max - min + EPSILON)) ** tau before
+multiplying the base rate. tau > 1 damps over-scaled mid weights, tau < 1
+boosts under-scaled ones, and tau = 0 is defined to yield all-ones
+weights, reducing the method to uniform-rate fine-tuning.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from .model import Model
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_EPSILON = 1e-8
+EPSILON = 1e-8  # keeps the scaler finite when every weight is equal
 
 
-def exp_minmax_scale(w, tau: float, eps: float = DEFAULT_EPSILON) -> np.ndarray:
+def exp_minmax_scale(w, tau: float) -> np.ndarray:
     """Scale raw per-layer weights into [0, 1], preserving their order."""
     arr = np.asarray(w, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
@@ -29,14 +29,12 @@ def exp_minmax_scale(w, tau: float, eps: float = DEFAULT_EPSILON) -> np.ndarray:
         )
     if tau < 0:
         raise ValueError(f"exp_minmax_scale: tau must be >= 0, got {tau}")
-    if eps <= 0:
-        raise ValueError(f"exp_minmax_scale: eps must be > 0, got {eps}")
     if tau == 0.0:
         # defined as uniform all-ones rather than evaluating 0**0
         return np.ones_like(arr)
     lo = arr.min()
     hi = arr.max()
-    return ((arr - lo) / (hi - lo + eps)) ** tau
+    return ((arr - lo) / (hi - lo + EPSILON)) ** tau
 
 
 def layer_rates(w_bar, eta: float) -> np.ndarray:

@@ -69,6 +69,8 @@ class SourceSpec:
             raise ValueError(
                 "a regular simplex of class means needs input_dim >= class_count - 1"
             )
+        if not np.isfinite(self.margin):
+            raise ValueError(f"margin must be finite, got {self.margin}")
 
 
 @dataclass

@@ -26,10 +26,8 @@ def desk_setup():
             model = build_classifier(
                 spec.input_dim, DESK_HIDDEN, spec.class_count, seed=seed
             )
-            result = harness.pretrain(
-                model, source, epochs=DESK_EPOCHS, eta_pre=DESK_ETA_PRE, seed=seed
-            )
-            cache[seed] = (spec, model, result.accuracy)
+            accuracy = harness.pretrain(model, source, epochs=DESK_EPOCHS, eta_pre=DESK_ETA_PRE, seed=seed)
+            cache[seed] = (spec, model, accuracy)
         return cache[seed]
 
     return get

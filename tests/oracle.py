@@ -60,14 +60,10 @@ def tape_entropy_loss(logits: ad.Tensor) -> ad.Tensor:
     return ad.sum_all(ad.mul(ad.exp(ls), ls)) * (-1.0 / logits.data.shape[0])
 
 
-def tape_consistency_loss(logits: ad.Tensor, aug_logits: ad.Tensor, kind: str = "sigmoid") -> ad.Tensor:
+def tape_consistency_loss(logits: ad.Tensor, aug_logits: ad.Tensor) -> ad.Tensor:
     """Consistency of ``aug_logits`` with the detached clean ``logits``."""
-    if kind == "sigmoid":
-        weights = ad.sigmoid(logits.detach())
-        log_term = ad.log_sigmoid(aug_logits)
-    else:
-        weights = ad.exp(ad.log_softmax(logits.detach()))
-        log_term = ad.log_softmax(aug_logits)
+    weights = ad.sigmoid(logits.detach())
+    log_term = ad.log_sigmoid(aug_logits)
     return ad.sum_all(ad.mul(weights, log_term)) * (-1.0 / logits.data.shape[0])
 
 

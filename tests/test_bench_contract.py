@@ -1,6 +1,10 @@
-"""Calls per batch through the attributes ``bench/run.py`` patches.
+"""The calls ``bench/run.py`` makes into the package, and the calls per
+batch through the attributes it patches.
 
-The benchmark times the loop by replacing the module and class attributes
+The benchmark sets up and runs the loop through keyword calls such as
+``AdaptConfig(method=..., seed=...)``; a removed or renamed parameter
+would crash it, so every such call is bound to its callee's signature
+here. It times the loop by replacing the module and class attributes
 listed in its ``SPAN_TARGETS`` (``Model.forward``,
 ``harness.collect_grads``, ``fisher.*``, ``losses.*``, ``scheduler.*``,
 ``stream.corrupt``) and probes host speed on ``collect_grads`` during
@@ -15,6 +19,7 @@ from __future__ import annotations
 import ast
 import functools
 import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -27,9 +32,13 @@ from fimtta.stream import ScheduleStream, SourceSpec, gen_source, make_schedule
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
-def _span_targets() -> dict:
+def _bench_tree() -> ast.Module:
     # parsed, not imported: importing bench/run.py pins the BLAS thread count
-    for node in ast.parse(BENCH_RUN.read_text(encoding="utf-8")).body:
+    return ast.parse(BENCH_RUN.read_text(encoding="utf-8"))
+
+
+def _span_targets() -> dict:
+    for node in _bench_tree().body:
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SPAN_TARGETS"]:
             return ast.literal_eval(node.value)
     raise AssertionError(f"no SPAN_TARGETS in {BENCH_RUN}")
@@ -110,3 +119,29 @@ def test_adapt_stream_calls_per_batch(monkeypatch, name):
     records = adapt_stream(model.clone(), ScheduleStream(spec, schedule), config)
     assert len(records) == 6
     assert {attr: calls / 6 for attr, calls in counts.items()} == PER_BATCH[name]
+
+
+# functions and classes the benchmark calls by name, through the modules it imports
+PACKAGE_CALLABLES = {
+    name: obj for module in ("harness", "model", "stream")
+    for name, obj in vars(importlib.import_module(f"fimtta.{module}")).items()
+    if callable(obj) and getattr(obj, "__module__", "").startswith("fimtta.")
+}
+
+
+def test_bench_calls_bind_to_the_package_signatures():
+    bound = Counter()
+    for node in ast.walk(_bench_tree()):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name not in PACKAGE_CALLABLES:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in node.args), f"line {node.lineno}: *args"
+        assert all(kw.arg is not None for kw in node.keywords), f"line {node.lineno}: **kwargs"
+        try:
+            inspect.signature(PACKAGE_CALLABLES[name]).bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"{BENCH_RUN.name} line {node.lineno}: {name}(...) does not bind: {exc}") from None
+        bound[name] += 1
+    assert {"AdaptConfig", "pretrain", "build_classifier", "make_schedule", "SourceSpec"} <= set(bound)

@@ -40,6 +40,24 @@ def test_pretrain_reports_accuracy(tmp_path, capsys):
     assert "source train accuracy" in text
 
 
+@pytest.mark.parametrize("flag,value,setting", [
+    ("--eta-pre", "nan", "eta_pre"),  # every step was rejected
+    ("--eta-pre", "-0.01", "eta_pre"),  # gradient ascent
+    ("--epochs", "-1", "epochs"),
+    ("--n", "60", "n"),  # fewer rows than one batch of 64: no step
+    ("--margin", "nan", "margin"),
+])
+def test_pretrain_setting_that_trains_nothing_aborts_before_any_artifact(tmp_path, caplog, flag, value, setting):
+    out = tmp_path / "m"
+    code = main([
+        "pretrain", "--d", "6", "--classes", "3", "--n", "240", "--hidden", "8,8", "--epochs", "2",
+        "--out", str(out), f"{flag}={value}",
+    ])
+    assert code == 1
+    assert not out.exists()
+    assert f"{setting} must be" in caplog.text
+
+
 def test_adapt_writes_artifacts_and_prints_schedule(pretrained, tmp_path, capsys):
     ckpt, sched = pretrained
     out = tmp_path / "run"
@@ -137,6 +155,19 @@ def test_seeds_flag_refused_where_it_would_be_ignored(pretrained, tmp_path, caps
     assert not out.exists()
 
 
+def test_fixed_settings_have_no_flag(pretrained, tmp_path, capsys):
+    ckpt, sched = pretrained
+    for flag, value in (("--epsilon", "1e-8"), ("--noise-scale", "0.1"), ("--consistency", "sigmoid")):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "adapt", "--checkpoint", str(ckpt), "--schedule", str(sched),
+                "--out", str(tmp_path / "none"), flag, value,
+            ])
+        assert exc.value.code != 0
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
+
+
 def test_ablate_writes_sorted_table(pretrained, tmp_path, capsys):
     ckpt, sched = pretrained
     out = tmp_path / "abl"
@@ -230,7 +261,7 @@ def test_dump_weights_emits_diagonals(pretrained, tmp_path):
     assert "diag" in rec and "w" in rec and "w_bar" in rec
 
 
-@pytest.mark.parametrize("flag,value", [("--tau", "-1"), ("--eta", "0"), ("--epsilon", "-1e-8")])
+@pytest.mark.parametrize("flag,value", [("--tau", "-1"), ("--eta", "0")])
 def test_bad_rate_setting_aborts_before_any_artifact(pretrained, tmp_path, flag, value):
     ckpt, sched = pretrained
     out = tmp_path / "run"
@@ -246,7 +277,6 @@ def test_bad_rate_setting_aborts_before_any_artifact(pretrained, tmp_path, flag,
     ("--seed", "-1", "seed"),
     ("--lambda", "nan", "lam"),
     ("--eta", "inf", "eta"),
-    ("--noise-scale", "-0.1", "noise_scale"),
 ])
 def test_value_that_breaks_a_run_aborts_before_any_artifact(pretrained, tmp_path, caplog, flag, value, field):
     ckpt, sched = pretrained

@@ -42,16 +42,15 @@ def cases(draw):
     batch_stats = draw(st.booleans())
     loss = draw(st.sampled_from(["entropy", "nll", "total"]))
     lam = draw(st.sampled_from([0.0, 0.1, 2.5]))
-    kind = draw(st.sampled_from(["sigmoid", "softmax"]))
     seed = draw(st.integers(0, 2**32 - 1))
     biased = draw(st.booleans())  # every dense layer with a bias: the older layout
-    return input_dim, hidden, class_count, n, batch_stats, loss, lam, kind, seed, biased
+    return input_dim, hidden, class_count, n, batch_stats, loss, lam, seed, biased
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(cases())
 def test_collect_grads_matches_tape_oracle(case):
-    input_dim, hidden, class_count, n, batch_stats, loss, lam, kind, seed, biased = case
+    input_dim, hidden, class_count, n, batch_stats, loss, lam, seed, biased = case
     rng = np.random.default_rng(seed)
     model = build_classifier(input_dim, hidden, class_count, seed=seed)
     if biased:
@@ -74,9 +73,9 @@ def test_collect_grads_matches_tape_oracle(case):
         g = losses.nll_loss(y, labels)[1]
         tape_loss = tape_nll_loss(tape_y, labels)
     else:  # entropy + lam * consistency, composed as the online loop does: one grouped forward
-        g = np.stack([losses.entropy_loss(y)[1], lam * losses.consistency_loss(y, y_aug, kind=kind)[1]])
+        g = np.stack([losses.entropy_loss(y)[1], lam * losses.consistency_loss(y, y_aug)[1]])
         saved = model.forward(np.stack([x, x_aug]), batch_stats=batch_stats)[1]
-        tape_loss = tape_entropy_loss(tape_y) + tape_consistency_loss(tape_y, tape_y_aug, kind) * lam
+        tape_loss = tape_entropy_loss(tape_y) + tape_consistency_loss(tape_y, tape_y_aug) * lam
 
     got = harness.collect_grads(model, saved, g)
     assert got.shape == model.theta.shape
@@ -98,7 +97,7 @@ def _entries(kept):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(cases(), st.integers(1, 3))
 def test_grouped_pass_matches_per_group_passes(case, groups):
-    input_dim, hidden, class_count, n, batch_stats, _, lam, kind, seed, biased = case
+    input_dim, hidden, class_count, n, batch_stats, _, lam, seed, biased = case
     rng = np.random.default_rng(seed)
     model = build_classifier(input_dim, hidden, class_count, seed=seed)
     if biased:
@@ -120,7 +119,7 @@ def test_grouped_pass_matches_per_group_passes(case, groups):
     # the one backward against the per-group tapes' gradients, summed, for the
     # loop's loss heads: entropy on group 0, lam * consistency with it on the others
     cotangent = np.stack([losses.entropy_loss(logits[0])[1]] + [
-        lam * losses.consistency_loss(logits[0], logits[k], kind=kind)[1] for k in range(1, groups)])
+        lam * losses.consistency_loss(logits[0], logits[k])[1] for k in range(1, groups)])
     leaves = tape_params(model)
     per_group = [
         tape_grads(leaves, tape_forward(model, x[k], leaves, batch_stats=batch_stats), seed=cotangent[k])

@@ -59,7 +59,6 @@ def test_consistency_is_nonnegative():
         y = rng.standard_normal((5, 3)) * 5
         yhat = rng.standard_normal((5, 3)) * 5
         assert consistency_loss(y, yhat)[0] >= 0.0
-        assert consistency_loss(y, yhat, kind="softmax")[0] >= 0.0
 
 
 def _model_and_batch(rng, input_dim, hidden, n, seed):
@@ -72,24 +71,22 @@ def test_consistency_gradient_matches_finite_differences():
     x_aug = x + 0.1 * rng.standard_normal(x.shape)
     y_const = m.forward(x)[0]  # pseudo-label branch held fixed
     y_aug = m.forward(x_aug)[0]
-    for kind in ("sigmoid", "softmax"):
-        _, g = consistency_loss(y_const, y_aug, kind=kind)
-        fd = finite_diff(lambda: consistency_loss(y_const, y_aug, kind=kind)[0], y_aug)
-        assert max_rel_err(g, fd) < 1e-4
+    _, g = consistency_loss(y_const, y_aug)
+    fd = finite_diff(lambda: consistency_loss(y_const, y_aug)[0], y_aug)
+    assert max_rel_err(g, fd) < 1e-4
 
 
 def test_consistency_gradient_wrt_pseudo_label_is_zero():
     # the tape oracle differentiates both inputs: the clean one gets exactly
     # nothing, the augmented one what the closed form returns
     rng = np.random.default_rng(4)
-    for kind in ("sigmoid", "softmax"):
-        y = ad.param(rng.standard_normal((4, 3)))
-        yhat = ad.param(rng.standard_normal((4, 3)))
-        grads = ad.grads_of(tape_consistency_loss(y, yhat, kind=kind), [y, yhat])
-        assert np.array_equal(grads[0], np.zeros((4, 3)))
-        _, g = consistency_loss(y.data, yhat.data, kind=kind)
-        assert not np.array_equal(g, np.zeros((4, 3)))
-        assert np.allclose(g, grads[1], rtol=1e-12, atol=1e-15)
+    y = ad.param(rng.standard_normal((4, 3)))
+    yhat = ad.param(rng.standard_normal((4, 3)))
+    grads = ad.grads_of(tape_consistency_loss(y, yhat), [y, yhat])
+    assert np.array_equal(grads[0], np.zeros((4, 3)))
+    _, g = consistency_loss(y.data, yhat.data)
+    assert not np.array_equal(g, np.zeros((4, 3)))
+    assert np.allclose(g, grads[1], rtol=1e-12, atol=1e-15)
 
 
 def test_consistency_shape_mismatch_rejected():
@@ -182,7 +179,6 @@ def test_closed_form_heads_match_tape_heads(case):
         (entropy_loss(z), tape_entropy_loss(leaf), leaf),
         (nll_loss(z, labels), tape_nll_loss(leaf, labels), leaf),
         (consistency_loss(z, zh), tape_consistency_loss(leaf, aug_leaf), aug_leaf),
-        (consistency_loss(z, zh, kind="softmax"), tape_consistency_loss(leaf, aug_leaf, "softmax"), aug_leaf),
     ]
     for (value, g), tape_loss, wrt in pairs:
         (ref,) = ad.grads_of(tape_loss, [wrt])
@@ -192,21 +188,21 @@ def test_closed_form_heads_match_tape_heads(case):
 
 def test_augment_deterministic_under_seed():
     x = np.random.default_rng(0).standard_normal((8, 5))
-    a = augment(x, np.random.default_rng(42), 0.1)
-    b = augment(x, np.random.default_rng(42), 0.1)
+    a = augment(x, np.random.default_rng(42))
+    b = augment(x, np.random.default_rng(42))
     assert np.array_equal(a, b)
 
 
 def test_augment_rejects_empty_batch():
     with pytest.raises(ValueError, match="empty"):
-        augment(np.zeros((0, 3)), np.random.default_rng(0), 0.1)
+        augment(np.zeros((0, 3)), np.random.default_rng(0))
 
 
 def test_augment_jitter_is_unbiased_monte_carlo():
     # N = 1e5 draws of a fixed row; mean drift within 3 sigma / sqrt(N)
     rng = np.random.default_rng(123)
     x = np.tile(np.array([0.5, -1.5, 2.0, 0.0]), (100_000, 1))
-    out = augment(x, rng, 0.2)
+    out = augment(x, rng)
     drift = out - x
     bound = 3.0 * drift.std(axis=0) / np.sqrt(drift.shape[0])
     assert (np.abs(drift.mean(axis=0)) < bound).all()
@@ -244,11 +240,9 @@ def test_nll_rejects_out_of_range_labels():
 
 
 def test_loss_config_validation():
-    # the loop's lambda and consistency kind are checked when the config is built
+    # the loop's lambda is checked when the config is built
     with pytest.raises(ValueError, match="lam"):
         AdaptConfig(lam=-0.1)
-    with pytest.raises(ValueError, match="consistency"):
-        AdaptConfig(consistency="tanh")
 
 
 def test_entropy_gradient_matches_finite_differences():

@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 
 from fimtta.losses import entropy_loss
 from fimtta.model import build_classifier
-from fimtta.scheduler import AdamState, exp_minmax_scale, layer_rates, weighted_step
+from fimtta.scheduler import EPSILON, AdamState, exp_minmax_scale, layer_rates, weighted_step
 from oracle import batch_grads, layer_grads, param_snapshot
 
 
 def test_linear_minmax_with_vanishing_eps():
-    out = exp_minmax_scale([0.0, 1.0, 2.0], tau=1.0, eps=1e-12)
-    assert np.allclose(out, [0.0, 0.5, 1.0], atol=1e-9)
+    out = exp_minmax_scale([0.0, 1.0, 2.0], tau=1.0)
+    assert np.array_equal(out, np.array([0.0, 1.0, 2.0]) / (2.0 + EPSILON))
 
 
 def test_squared_minmax_with_vanishing_eps():
-    out = exp_minmax_scale([0.0, 1.0, 2.0], tau=2.0, eps=1e-12)
-    assert np.allclose(out, [0.0, 0.25, 1.0], atol=1e-9)
+    out = exp_minmax_scale([0.0, 1.0, 2.0], tau=2.0)
+    assert np.array_equal(out, (np.array([0.0, 1.0, 2.0]) / (2.0 + EPSILON)) ** 2)
 
 
 def test_constant_weights_collapse_to_zero_or_one():
@@ -41,8 +41,6 @@ def test_scaler_rejects_single_layer_and_bad_params():
         exp_minmax_scale([1.0], tau=1.0)
     with pytest.raises(ValueError, match="tau"):
         exp_minmax_scale([1.0, 2.0], tau=-0.5)
-    with pytest.raises(ValueError, match="eps"):
-        exp_minmax_scale([1.0, 2.0], tau=1.0, eps=0.0)
 
 
 def test_scaled_weights_bounded_and_rank_preserving():
@@ -59,19 +57,15 @@ def test_scaled_weights_bounded_and_rank_preserving():
 
 
 def test_max_weight_approaches_one_as_eps_vanishes():
-    w = np.array([1.0, 3.0, 7.0])
-    coarse = exp_minmax_scale(w, tau=1.0, eps=1e-2)
-    fine = exp_minmax_scale(w, tau=1.0, eps=1e-12)
-    assert coarse.max() < 1.0
-    assert fine.max() < 1.0
-    assert fine.max() > coarse.max()
-    assert fine.max() == pytest.approx(1.0, abs=1e-9)
+    out = exp_minmax_scale(np.array([1.0, 3.0, 7.0]), tau=1.0)
+    assert out.max() == 6.0 / (6.0 + EPSILON)
+    assert 1.0 - 1e-8 < out.max() < 1.0
 
 
 def test_interior_points_shrink_as_tau_grows():
     w = np.array([0.0, 2.0, 5.0, 10.0])
     taus = [0.25, 0.5, 1.0, 2.0, 4.0]
-    scaled = [exp_minmax_scale(w, tau=t, eps=1e-12) for t in taus]
+    scaled = [exp_minmax_scale(w, tau=t) for t in taus]
     for a, b in zip(scaled, scaled[1:]):
         assert (b[1:3] <= a[1:3] + 1e-15).all()
 

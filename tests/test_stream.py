@@ -62,6 +62,9 @@ def test_gen_source_validation():
         SourceSpec(input_dim=2, class_count=4)  # simplex needs d >= C-1
     with pytest.raises(ValueError):
         SourceSpec(input_dim=1)
+    for margin in (float("nan"), float("inf")):  # NaN class means: pretraining diverged at its first step
+        with pytest.raises(ValueError, match="margin"):
+            SourceSpec(margin=margin)
     SourceSpec(input_dim=2, class_count=3)  # planar three-blob task is valid
 
 
