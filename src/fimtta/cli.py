@@ -25,10 +25,21 @@ ADAPT_FLAGS = {
 }
 
 
-def _seed_count(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1 seed, got {text}")
-    return int(text)
+def _parsed(convert, many: bool = False, low: int | None = None):
+    """An argparse type: a ``convert`` value, or with ``many`` a comma-separated
+    list of them, each at least ``low``; argparse names the flag of a refused one."""
+    need = f"{'comma-separated ' * many}{convert.__name__}{'s' * many}" + ("" if low is None else f" >= {low}")
+
+    def parse(text: str):
+        try:
+            values = [convert(tok) for tok in text.split(",") if tok.strip()] if many else [convert(text)]
+            if low is None or min(values, default=low) >= low:
+                return values if many else values[0]
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {need}, got {text!r}")
+
+    return parse
 
 
 def _add_adapt_flags(p: argparse.ArgumentParser, methods: tuple[str, ...] | None, seeds: bool = False) -> None:
@@ -46,7 +57,7 @@ def _add_adapt_flags(p: argparse.ArgumentParser, methods: tuple[str, ...] | None
                 required=allowed is not None and default not in allowed,
             )
     if seeds:
-        p.add_argument("--seeds", type=_seed_count, default=1, help="repeat with seed offsets and report mean/std")
+        p.add_argument("--seeds", type=_parsed(int, low=1), default=1, help="repeat with seed offsets; report mean/std")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,10 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--margin", type=float, default=4.5)
     p.add_argument("--n", type=int, default=1920, help="source sample count")
-    p.add_argument("--hidden", default="32,32,32,32", help="comma-separated hidden widths")
+    p.add_argument("--hidden", type=_parsed(int, many=True, low=1), default="32,32,32,32", help="comma-separated widths")
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--eta-pre", type=float, default=1e-2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parsed(int, low=0), default=0)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("adapt", help="run the layer-wise weighted adaptation")
@@ -75,17 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="factorial sweep over tau, lambda, gamma")
     _add_adapt_flags(p, harness.WEIGHTED_METHODS)
-    p.add_argument("--taus", default="1.0", help="comma-separated tau grid")
-    p.add_argument("--lambdas", default="0.1", help="comma-separated lambda grid")
-    p.add_argument("--gammas", default="1.0", help="comma-separated gamma grid")
+    p.add_argument("--taus", type=_parsed(float, many=True), default="1.0", help="comma-separated tau grid")
+    p.add_argument("--lambdas", type=_parsed(float, many=True), default="0.1", help="comma-separated lambda grid")
+    p.add_argument("--gammas", type=_parsed(float, many=True), default="1.0", help="comma-separated gamma grid")
 
     p = sub.add_parser("dump-weights", help="layerwise run that also dumps trace diagonals")
     _add_adapt_flags(p, None)
     return parser
-
-
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _run_setup(args, **fixed):
@@ -116,12 +123,9 @@ def _run_setup(args, **fixed):
 
 
 def cmd_pretrain(args) -> int:
-    hidden = [int(tok) for tok in args.hidden.split(",") if tok.strip()]
-    spec = SourceSpec(
-        input_dim=args.d, class_count=args.classes, margin=args.margin, seed=args.seed
-    )
+    spec = SourceSpec(input_dim=args.d, class_count=args.classes, margin=args.margin, seed=args.seed)
     source = gen_source(spec, args.n)
-    model = build_classifier(args.d, hidden, args.classes, seed=args.seed)
+    model = build_classifier(args.d, args.hidden, args.classes, seed=args.seed)
     accuracy = harness.pretrain(model, source, epochs=args.epochs, eta_pre=args.eta_pre, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -134,7 +138,7 @@ def cmd_pretrain(args) -> int:
             "classes": str(args.classes),
             "margin": repr(args.margin),
             "source_seed": str(args.seed),
-            "hidden": args.hidden,
+            "hidden": ",".join(map(str, args.hidden)),
         },
     )
     print(f"source train accuracy: {accuracy:.4f}")
@@ -176,7 +180,7 @@ def cmd_dump_weights(args) -> int:
 
 def cmd_ablate(args) -> int:
     base, model, source, schedule = _run_setup(args)
-    grid = {"taus": _floats(args.taus), "lams": _floats(args.lambdas), "gammas": _floats(args.gammas)}
+    grid = {"taus": args.taus, "lams": args.lambdas, "gammas": args.gammas}
     harness.ablation_grid(base, **grid)  # a bad grid value aborts before the table path is probed
     (table,) = harness.writable_paths(args.out, ["ablation.json"])
     rows = harness.ablate(model, source, schedule, base=base, **grid)

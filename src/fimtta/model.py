@@ -177,7 +177,9 @@ class Model:
         slabs, in the model's two reused slab buffers, where each such norm's
         row coupling ``(xhat * g_scale + g_shift) / n`` is one batched product
         ``[xhat | 1] @ D`` (the top norm's D also carries its ``scale *
-        inv_std``, and each slice's own row is added). ``g`` is overwritten.
+        inv_std``, and each slice's own row is added), formed only where a
+        transposed product needs it: a bias-free first dense layer with input K
+        adds the norm above's as ``(K^T [xhat | 1]) @ D``. ``g`` is overwritten.
         """
         # nothing below the first weight layer needs a cotangent
         first = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
@@ -205,10 +207,11 @@ class Model:
                 np.matmul(lifted, d[:k], out=out[j : j + k])
             return out
 
-        def reverse(g, top, row, own):
+        def reverse(g, top, row, own, low):
             # [s, m, f] from layer top down; ``own``: m = 1, slice k sees cache
             # row k; a batch pass's slice k sees cache group k. ``scale`` (a norm's
-            # scale * inv_std) is still owed by g; the next dense layer folds it in
+            # scale * inv_std) is still owed by g; the next dense layer folds it in.
+            # A norm ``low`` above ``first`` leaves its row coupling to the first layer
             s, m = g.shape[:2]
             ones, scale = np.ones(m), None
             for i in range(top, first - 1, -1):
@@ -221,6 +224,8 @@ class Model:
                     # the batch gradient's weights: one GEMM over the rows of every group
                     grad_w = (kept.reshape(s * m, -1).T @ g.reshape(s * m, -1))[None] if kept.ndim == 3 else np.matmul(
                         kept[:, :, None] if own else kept.T, g, out=slabs and spare(s, *layer.params[0].shape))
+                    if i < low:  # the norm above left its coupling: + (K^T [xhat | 1]) @ D, into the spent held slab
+                        grad_w += couple(low, g_scale, g_shift, -1.0 / m, np.ndarray(grad_w.shape, buffer=slabs[0]))
                     if scale is not None:
                         grad_w *= scale
                     sink(row, col, grad_w.reshape(-1, size))
@@ -248,7 +253,7 @@ class Model:
                 if i not in folded:
                     folded[i] = layer.params[0] * inv_std
                 scale = folded[i]
-                if mean is not None and i > first:  # batch statistics couple the rows
+                if mean is not None and i > low:  # batch statistics couple the rows
                     if own:  # the caller expands the coupling
                         return i, g[:, 0]  # slice k's cotangent on its own row k, = g_shift
                     if slabs:  # the chunk loop: one product for all its slices
@@ -260,18 +265,21 @@ class Model:
                 if own or scale.ndim == 2:  # own rows keep their rounding; one transpose cannot fold a per-group scale
                     g, scale = np.multiply(g, scale[..., None, :], out=g), None
 
-        coupling = reverse(g if batch else g[:, None], len(self.layers) - 1, 0, not batch)
+        coupling = reverse(g if batch else g[:, None], len(self.layers) - 1, 0, not batch, first)
         if coupling is None:  # the batch pass, or no batch-statistic norm below the seed
             return
         i, g = coupling
         n, size = g.shape
         xhat, k = saved[i][0], min(chunk, n)
-        lifts, ds = {}, {}  # per call, for every chunk: each batch-statistic norm's [xhat | 1], a D per width
+        lifts, ds, low = {}, {}, first  # per call, for every chunk: each batch-statistic norm's [xhat | 1], a D per width
         for j in range(first + 1, i + 1):
             if self.layers[j].kind == "norm" and saved[j][2] is not None:
                 f = saved[j][0].shape[1]
                 d = ds[f] = ds[f] if f in ds else np.zeros((min(k, 8), f + 1, f))
-                lifts[j] = np.hstack([saved[j][0], np.ones((n, 1))]), d, d.reshape(len(d), -1)[:, :: f + 1], d[:, f]
+                lift = [saved[j][0], np.ones((n, 1))]
+                if j == first + 1 < i and len(self.layers[first].params) == 1:  # its coupling's only reader:
+                    low, lift = j, [saved[first].T @ a for a in lift]  # a bias-free first layer, [d_in, f + 1]
+                lifts[j] = np.hstack(lift), d, d.reshape(len(d), -1)[:, :: f + 1], d[:, f]
         dense = [layer.params[0] for layer in self.layers[first:i] if layer.kind == "dense"]
         need = k * max([n * size] + [max(w.size, n * max(w.shape)) for w in dense])
         if self._slabs[0].size < need:  # grown, never shrunk; a clone starts without
@@ -282,7 +290,7 @@ class Model:
             gj = g[row : row + chunk]  # slice j's cotangent on its own row
             coupled = couple(i, gj * xhat[row : row + chunk], gj, top, np.ndarray((len(gj), n, size), buffer=slabs[0]))
             coupled.reshape(-1, size)[row :: n + 1] += gj * scale  # row row + j of slice j
-            reverse(coupled, i - 1, row, own=False)
+            reverse(coupled, i - 1, row, False, low)
 
     def clone(self) -> "Model":
         """Deep copy: parameters packed into a new ``theta``, buffers duplicated."""

@@ -58,6 +58,16 @@ def test_pretrain_setting_that_trains_nothing_aborts_before_any_artifact(tmp_pat
     assert f"{setting} must be" in caplog.text
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--hidden", "8,x"), ("--hidden", "8,0")])
+def test_pretrain_value_that_does_not_parse_names_its_flag_before_any_artifact(tmp_path, capsys, flag, value):
+    out = tmp_path / "m"
+    with pytest.raises(SystemExit) as exc:
+        main(["pretrain", "--n", "240", "--epochs", "1", "--out", str(out), flag, value])
+    assert exc.value.code != 0
+    assert f"argument {flag}: expected " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_adapt_writes_artifacts_and_prints_schedule(pretrained, tmp_path, capsys):
     ckpt, sched = pretrained
     out = tmp_path / "run"
@@ -221,6 +231,17 @@ def test_ablate_bad_grid_value_aborts_before_any_artifact(pretrained, tmp_path, 
         "ablate", "--checkpoint", str(ckpt), "--schedule", str(sched), "--taus", "1.0,-1.0", "--out", str(out),
     ]) == 1
     assert "tau must be" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--taus", "--lambdas", "--gammas"])
+def test_ablate_grid_value_that_does_not_parse_names_its_flag_before_any_artifact(pretrained, tmp_path, capsys, flag):
+    ckpt, sched = pretrained
+    out = tmp_path / "abl"
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--checkpoint", str(ckpt), "--schedule", str(sched), "--out", str(out), flag, "1,x"])
+    assert exc.value.code != 0
+    assert f"argument {flag}: expected comma-separated floats, got '1,x'" in capsys.readouterr().err
     assert not out.exists()
 
 
