@@ -68,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pretrain", help="train a source classifier and write a checkpoint")
-    p.add_argument("--d", type=int, default=16, help="input dimension")
-    p.add_argument("--classes", type=int, default=3)
+    p.add_argument("--d", type=_parsed(int, low=2), default=16, help="input dimension")
+    p.add_argument("--classes", type=_parsed(int, low=2), default=3)
     p.add_argument("--margin", type=float, default=4.5)
     p.add_argument("--n", type=int, default=1920, help="source sample count")
     p.add_argument("--hidden", type=_parsed(int, many=True, low=1), default="32,32,32,32", help="comma-separated widths")

@@ -42,11 +42,6 @@ class FisherState:
         return cls(decay=decay, traces=np.zeros(len(model.slices)), diagonals=diagonals)
 
 
-# cap on chunk samples x batch rows in the row-coupled part of the per-sample pass: larger chunks pay
-# its fixed calls per chunk less often; the reused slab buffers (and each call's D) grow with it
-_CHUNK_ROWS = 1024
-
-
 def _score_pass(model: Model, logits: np.ndarray, saved: list, sink) -> None:
     """Per-sample ``model.backward``: sample i's seed is the gradient of its
     pseudo-label log-likelihood w.r.t. its logits, onehot(argmax) - softmax."""
@@ -54,7 +49,7 @@ def _score_pass(model: Model, logits: np.ndarray, saved: list, sink) -> None:
     ls = log_softmax(logits)
     seed = -np.exp(ls)
     seed[np.arange(n), ls.argmax(axis=1)] += 1.0
-    model.backward(saved, seed, sink, chunk=max(1, _CHUNK_ROWS // max(n, 1)))
+    model.backward(saved, seed, sink)
 
 
 def per_sample_scores(model: Model, logits: np.ndarray, saved: list) -> dict[str, np.ndarray]:
@@ -65,27 +60,23 @@ def per_sample_scores(model: Model, logits: np.ndarray, saved: list) -> dict[str
     return {name: out[:, cols] for name, cols in model.slices.items()}
 
 
-def layer_fim_trace(
-    model: Model, logits: np.ndarray, saved: list, diagonal: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
+def layer_fim_trace(model: Model, logits: np.ndarray, saved: list) -> tuple[np.ndarray, np.ndarray]:
     """Per-layer traces [L] of the per-sample scores' second-moment matrix,
-    and its diagonal [P] when ``diagonal``, over one ``model.forward`` of the
-    batch. Score blocks are squared as the reverse pass hands them over, so
-    neither the [n, P] score matrix nor a [P, P] matrix is formed."""
+    and its diagonal [P], over one ``model.forward`` of the batch: each
+    layer's trace is the sum of its columns of the diagonal. Score blocks
+    are squared as the reverse pass hands them over, so neither the [n, P]
+    score matrix nor a [P, P] matrix is formed."""
     n = logits.shape[0]
     if n == 0:
         raise ValueError("layer_fim_trace: no sample scores in an empty batch")
     sums = np.zeros(model.theta.size)
 
     def square(row: int, col: int, block: np.ndarray) -> None:
-        if diagonal:
-            sums[col : col + block.shape[1]] += np.einsum("ij,ij->j", block, block)
-        else:  # reduceat adds each layer's columns up; a dot only far below OpenBLAS's threaded 10,000 terms
-            sums[col] += np.vdot(block, block) if block.size < 4096 else np.einsum("ij,ij->", block, block)
+        sums[col : col + block.shape[1]] += np.einsum("ij,ij->j", block, block)
 
     _score_pass(model, logits, saved, square)
     sums /= n
-    return np.add.reduceat(sums, [cols.start for cols in model.slices.values()]), (sums if diagonal else None)
+    return np.add.reduceat(sums, [cols.start for cols in model.slices.values()]), sums
 
 
 def fim_diagonal(scores_per_sample: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -39,7 +39,7 @@ class AdaptConfig:
     gamma: float = 1.0
     optimizer: str = "adam"
     seed: int = 0
-    track_diagonal: bool = False
+    track_diagonal: bool = False  # output only: fold the trace diagonal into the state and the records
 
     def __post_init__(self):
         for name, choices in CHOICES.items():
@@ -203,7 +203,7 @@ def adapt_stream(
         rec.w_bar = [1.0] * n_layers  # uniform_tent
         if cfg.method in WEIGHTED_METHODS:
             clean_saved = cache_group(saved, 0) if grouped else saved
-            traces, diag = fisher.layer_fim_trace(model, clean, clean_saved, diagonal=cfg.track_diagonal)
+            traces, diag = fisher.layer_fim_trace(model, clean, clean_saved)
             if np.isfinite(traces).all():
                 fisher.accumulate(state, traces, current_diagonal=diag)
             else:

@@ -18,6 +18,9 @@ import numpy as np
 
 CHECKPOINT_HEADER = "fimtta-checkpoint v1"
 NORM_EPS = 1e-5
+# cap on chunk samples x batch rows in the row-coupled part of the per-sample pass: larger chunks pay
+# its fixed calls per chunk less often; the reused slab buffers (and each call's D) grow with it
+_CHUNK_ROWS = 1024
 
 
 class ShapeError(ValueError):
@@ -159,7 +162,7 @@ class Model:
                 raise ValueError(f"unknown layer kind {layer.kind!r}")
         return out, saved
 
-    def backward(self, saved: list, g: np.ndarray, sink, chunk: int = 1) -> None:
+    def backward(self, saved: list, g: np.ndarray, sink) -> None:
         """Gradients for a logit cotangent ``g``, handed to ``sink`` in blocks.
 
         ``g`` is [g, n, C] for the batch gradient, the one sum of ``sum(g[k] *
@@ -174,12 +177,13 @@ class Model:
         cache group k. A seed enters it as [n, 1, C]: n slices, slice k seeing
         row k of the cache only. At the first batch-statistic norm from the
         top the loop hands the seed back, and the rest runs in [chunk, n, f]
-        slabs, in the model's two reused slab buffers, where each such norm's
-        row coupling ``(xhat * g_scale + g_shift) / n`` is one batched product
-        ``[xhat | 1] @ D`` (the top norm's D also carries its ``scale *
-        inv_std``, and each slice's own row is added), formed only where a
-        transposed product needs it: a bias-free first dense layer with input K
-        adds the norm above's as ``(K^T [xhat | 1]) @ D``. ``g`` is overwritten.
+        slabs, chunk = ``_CHUNK_ROWS // n`` (at least 1), in the model's two
+        reused slab buffers, where each such norm's row coupling ``(xhat *
+        g_scale + g_shift) / n`` is one batched product ``[xhat | 1] @ D`` (the
+        top norm's D also carries its ``scale * inv_std``, and each slice's own
+        row is added), formed only where a transposed product needs it: a
+        bias-free first dense layer with input K adds the norm above's as
+        ``(K^T [xhat | 1]) @ D``. ``g`` is overwritten.
         """
         # nothing below the first weight layer needs a cotangent
         first = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
@@ -270,6 +274,7 @@ class Model:
             return
         i, g = coupling
         n, size = g.shape
+        chunk = max(1, _CHUNK_ROWS // max(n, 1))
         xhat, k = saved[i][0], min(chunk, n)
         lifts, ds, low = {}, {}, first  # per call, for every chunk: each batch-statistic norm's [xhat | 1], a D per width
         for j in range(first + 1, i + 1):

@@ -58,7 +58,9 @@ def test_pretrain_setting_that_trains_nothing_aborts_before_any_artifact(tmp_pat
     assert f"{setting} must be" in caplog.text
 
 
-@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--hidden", "8,x"), ("--hidden", "8,0")])
+@pytest.mark.parametrize("flag,value", [
+    ("--seed", "-1"), ("--hidden", "8,x"), ("--hidden", "8,0"), ("--d", "0"), ("--classes", "1"),
+])
 def test_pretrain_value_that_does_not_parse_names_its_flag_before_any_artifact(tmp_path, capsys, flag, value):
     out = tmp_path / "m"
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from unittest import mock
@@ -10,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import finite_diff, max_rel_err
-from fimtta import fisher
 from fimtta.fisher import (
     FisherState,
     accumulate,
@@ -29,8 +31,8 @@ def _scores(model, inputs, batch_stats=True):
     return per_sample_scores(model, *model.forward(inputs, batch_stats=batch_stats))
 
 
-def _traces(model, inputs, batch_stats=True, diagonal=False):
-    return layer_fim_trace(model, *model.forward(inputs, batch_stats=batch_stats), diagonal=diagonal)
+def _traces(model, inputs, batch_stats=True):
+    return layer_fim_trace(model, *model.forward(inputs, batch_stats=batch_stats))
 
 
 def test_score_is_pseudo_label_likelihood_gradient():
@@ -84,7 +86,7 @@ def test_score_does_not_mutate_parameters():
     before = param_snapshot(m)
     score(m, rng.standard_normal((6, 3)))
     _scores(m, rng.standard_normal((6, 3)))
-    _traces(m, rng.standard_normal((6, 3)), diagonal=True)
+    _traces(m, rng.standard_normal((6, 3)))
     after = param_snapshot(m)
     for name in before:
         for a, b in zip(before[name], after[name]):
@@ -148,7 +150,7 @@ def test_batched_scores_independent_of_chunking(monkeypatch, chunk_rows):
     m = _random_model(rng)
     x = rng.standard_normal((7, m.input_dim))
     ref = replay_scores(m, x, True)
-    monkeypatch.setattr(fisher, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr("fimtta.model._CHUNK_ROWS", chunk_rows)
     _assert_scores_match(_scores(m, x), ref)
 
 
@@ -185,10 +187,9 @@ def _zero_linear_classifier(input_dim):
 
 def test_trace_of_single_vector():
     m = _zero_linear_classifier(2)
-    traces, diag = _traces(m, np.array([[1.0, 2.0]]), batch_stats=False, diagonal=True)
+    traces, diag = _traces(m, np.array([[1.0, 2.0]]), batch_stats=False)
     assert traces.tolist() == [3.0]  # 0.25 * (1 + 4) * 2 + 0.25 * 2
     assert diag.tolist() == [0.25, 0.25, 1.0, 1.0, 0.25, 0.25]
-    assert _traces(m, np.array([[1.0, 2.0]]), batch_stats=False)[0].tolist() == [3.0]
 
 
 def test_trace_of_two_unit_vectors():
@@ -198,9 +199,8 @@ def test_trace_of_two_unit_vectors():
 
 def _assert_traces_match_scores(model, logits, saved, scores, rel=1e-12):
     """Streamed traces and diagonal against the explicit score matrix."""
-    traces, diag = layer_fim_trace(model, logits, saved, diagonal=True)
-    plain, none = layer_fim_trace(model, logits, saved)
-    assert none is None and traces.shape == plain.shape == (len(scores),)
+    traces, diag = layer_fim_trace(model, logits, saved)
+    assert traces.shape == (len(scores),) and diag.shape == model.theta.shape
     ref_diag = fim_diagonal(scores)
     total = sum(float((s * s).sum()) for s in scores.values()) / len(logits)
     for l, (name, s) in enumerate(scores.items()):
@@ -209,7 +209,7 @@ def _assert_traces_match_scores(model, logits, saved, scores, rel=1e-12):
         # front of a batch-statistic norm) carries rounding error on the scale
         # of the cancelled terms, so its trace is held to 1e-4 of the total
         tol = rel * max(brute, 1e-4 * total)
-        assert abs(traces[l] - brute) <= tol and abs(plain[l] - brute) <= tol, name
+        assert abs(traces[l] - brute) <= tol, name
         assert abs(traces[l] - float(ref_diag[name].sum())) <= tol, name
         assert np.abs(diag[model.slices[name]] - ref_diag[name]).max() <= tol, name
 
@@ -247,7 +247,7 @@ def test_streamed_traces_match_tape_replay(seed, n, batch_stats, chunk_rows, bia
     x = rng.standard_normal((n, m.input_dim))
     logits, saved = m.forward(x, batch_stats=batch_stats)
     theta = m.theta.copy()
-    with mock.patch.object(fisher, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch("fimtta.model._CHUNK_ROWS", chunk_rows):
         _assert_traces_match_scores(m, logits, saved, replay_scores(m, x, batch_stats))
     assert m.theta.tobytes() == theta.tobytes()  # the pass reads the parameters only
 
@@ -364,8 +364,8 @@ def test_forward_cache_is_freed_once_the_caller_drops_it(batch_stats):
             if isinstance(a, np.ndarray) and a is not x
         ]
         collect_grads(model, saved, entropy_loss(logits)[1])
-        with mock.patch.object(fisher, "_CHUNK_ROWS", 60):  # chunks of 3 of the 20 rows
-            layer_fim_trace(model, logits, saved, diagonal=True)
+        with mock.patch("fimtta.model._CHUNK_ROWS", 60):  # chunks of 3 of the 20 rows
+            layer_fim_trace(model, logits, saved)
         del saved
         assert refs and all(ref() is None for ref in refs)
     finally:
@@ -373,21 +373,19 @@ def test_forward_cache_is_freed_once_the_caller_drops_it(batch_stats):
             gc.enable()
 
 
-def _pass(model, x, batch_stats, scores, diagonal):
+def _pass(model, x, batch_stats, scores):
     """One per-sample pass over a fresh forward: the score matrix, or the
-    traces and the diagonal (``None`` unless ``diagonal``)."""
+    traces and the diagonal."""
     logits, saved = model.forward(x, batch_stats=batch_stats)
     if scores:
         return tuple(per_sample_scores(model, logits, saved).values())
-    return layer_fim_trace(model, logits, saved, diagonal=diagonal)
+    return layer_fim_trace(model, logits, saved)
 
 
 def _assert_bit_identical(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -399,7 +397,6 @@ def _assert_bit_identical(got, want):
             st.sampled_from([1, 7, 64, 200, 1024, 4096]),  # _CHUNK_ROWS
             st.booleans(),  # batch statistics
             st.booleans(),  # per_sample_scores, else layer_fim_trace
-            st.booleans(),  # the diagonal
         ),
         min_size=2,
         max_size=6,
@@ -410,13 +407,11 @@ def test_reused_workspace_gives_the_results_of_a_fresh_clone(seed, calls):
     # buffer would show as a difference from a clone that has none yet
     rng = np.random.default_rng(seed)
     model = _random_model(rng)
-    for n, chunk_rows, batch_stats, scores, diagonal in calls:
+    for n, chunk_rows, batch_stats, scores in calls:
         x = rng.standard_normal((n, model.input_dim))
         fresh = model.clone()
-        with mock.patch.object(fisher, "_CHUNK_ROWS", chunk_rows):
-            _assert_bit_identical(
-                _pass(model, x, batch_stats, scores, diagonal), _pass(fresh, x, batch_stats, scores, diagonal)
-            )
+        with mock.patch("fimtta.model._CHUNK_ROWS", chunk_rows):
+            _assert_bit_identical(_pass(model, x, batch_stats, scores), _pass(fresh, x, batch_stats, scores))
 
 
 def test_interleaved_clones_give_the_traces_of_each_run_alone():
@@ -426,18 +421,18 @@ def test_interleaved_clones_give_the_traces_of_each_run_alone():
     alone = {}
     for tag, batch_list in (("a", batches), ("b", batches[::-1])):
         model = base.clone()
-        alone[tag] = [_pass(model, x, True, False, True) for x in batch_list]
+        alone[tag] = [_pass(model, x, True, False) for x in batch_list]
     a, b = base.clone(), base.clone()
     for step, (xa, xb) in enumerate(zip(batches, batches[::-1])):
-        _assert_bit_identical(_pass(a, xa, True, False, True), alone["a"][step])
-        _assert_bit_identical(_pass(b, xb, True, False, True), alone["b"][step])
+        _assert_bit_identical(_pass(a, xa, True, False), alone["a"][step])
+        _assert_bit_identical(_pass(b, xb, True, False), alone["b"][step])
 
 
 def test_clone_and_checkpoint_leave_out_the_workspace(tmp_path):
     rng = np.random.default_rng(22)
     model = build_classifier(16, [32, 32], 3, seed=4)
     save_checkpoint(model, tmp_path / "before.txt")
-    _pass(model, rng.standard_normal((64, 16)), True, False, True)
+    _pass(model, rng.standard_normal((64, 16)), True, False)
     assert model._slabs[0].size > 0  # the pass above did use the workspace
     save_checkpoint(model, tmp_path / "after.txt")
     assert (tmp_path / "after.txt").read_bytes() == (tmp_path / "before.txt").read_bytes()
@@ -465,9 +460,9 @@ def test_coupling_product_on_mixed_widths_matches_the_tape_and_a_fresh_clone(see
     for n, chunk_rows in calls:
         x = rng.standard_normal((n, model.input_dim))
         logits, saved = model.forward(x)
-        with mock.patch.object(fisher, "_CHUNK_ROWS", chunk_rows):
+        with mock.patch("fimtta.model._CHUNK_ROWS", chunk_rows):
             _assert_traces_match_scores(model, logits, saved, replay_scores(model, x))
-            _assert_bit_identical(_pass(model, x, True, False, True), _pass(model.clone(), x, True, False, True))
+            _assert_bit_identical(_pass(model, x, True, False), _pass(model.clone(), x, True, False))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -478,10 +473,9 @@ def test_coupling_product_on_mixed_widths_matches_the_tape_and_a_fresh_clone(see
     batch_stats=st.booleans(),
     n=st.integers(2, 70),
     chunk_rows=st.sampled_from([1, 7, 64, 1024]),
-    diagonal=st.booleans(),
 )
 def test_first_layer_closed_form_coupling_matches_the_tape_and_a_fresh_clone(
-    seed, widths, first_bias, batch_stats, n, chunk_rows, diagonal
+    seed, widths, first_bias, batch_stats, n, chunk_rows
 ):
     # under batch statistics with two or more hidden blocks, a bias-free first
     # dense layer adds the coupling of the norm above it as (K^T [xhat | 1]) @ D,
@@ -499,36 +493,48 @@ def test_first_layer_closed_form_coupling_matches_the_tape_and_a_fresh_clone(
     record_source_stats(model, 1.5 * rng.standard_normal((50, model.input_dim)) + 0.5)
     x = rng.standard_normal((n, model.input_dim))
     logits, saved = model.forward(x, batch_stats=batch_stats)
-    with mock.patch.object(fisher, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch("fimtta.model._CHUNK_ROWS", chunk_rows):
         _assert_traces_match_scores(model, logits, saved, replay_scores(model, x, batch_stats))
         # the workspace now holds another batch's slabs, which a fresh clone has not seen
-        _pass(model, rng.standard_normal((int(rng.integers(2, 71)), model.input_dim)), batch_stats, False, diagonal)
-        _assert_bit_identical(
-            _pass(model, x, batch_stats, False, diagonal), _pass(model.clone(), x, batch_stats, False, diagonal)
-        )
+        _pass(model, rng.standard_normal((int(rng.integers(2, 71)), model.input_dim)), batch_stats, False)
+        _assert_bit_identical(_pass(model, x, batch_stats, False), _pass(model.clone(), x, batch_stats, False))
 
 
-# tracemalloc peaks of one layer_fim_trace(..., diagonal=True) call on a fresh
-# clone of the desk model since the first dense layer takes the lowest norm's
-# coupling in closed form (the highest of the readings in this file alone, in
-# the test alone and in the whole suite; numpy 2.4); the pass must not outgrow them
+# tracemalloc peaks of one layer_fim_trace call on a fresh clone of the desk
+# model since the first dense layer takes the lowest norm's coupling in closed
+# form (numpy 2.4); the pass must not outgrow them
 DESK_TRACE_PEAK_BYTES = {64: 809_990, 128: 878_382}
 
 
-@pytest.mark.parametrize("n", sorted(DESK_TRACE_PEAK_BYTES))
-def test_desk_trace_pass_peak_memory_stays_within_its_bound(n):
+def _desk_trace_peak(n: int) -> int:
+    """The tracemalloc peak of one trace pass at n rows, on a fresh clone of
+    the desk model, after one warm-up pass on a throwaway clone."""
     rng = np.random.default_rng(12)
     base = build_classifier(16, [32, 32, 32, 32], 3, seed=4)
     for layer in base.weight_layers():
         for p in layer.params:
             p += 0.1 * rng.standard_normal(p.shape)
     record_source_stats(base, rng.standard_normal((200, 16)))
+    x = np.random.default_rng(n).standard_normal((n, 16))
+    warm = base.clone()
+    layer_fim_trace(warm, *warm.forward(x))
     model = base.clone()
-    logits, saved = model.forward(np.random.default_rng(n).standard_normal((n, 16)))
+    logits, saved = model.forward(x)
     tracemalloc.start()
     try:
-        layer_fim_trace(model, logits, saved, diagonal=True)
-        peak = tracemalloc.get_traced_memory()[1]
+        layer_fim_trace(model, logits, saved)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", sorted(DESK_TRACE_PEAK_BYTES))
+def test_desk_trace_pass_peak_memory_stays_within_its_bound(n):
+    # read in a fresh interpreter: in this one numpy's caches hold what earlier tests left
+    proc = subprocess.run(
+        [sys.executable, "-c", f"from test_fisher import _desk_trace_peak; print(_desk_trace_peak({n}))"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak = int(proc.stdout)
     assert peak <= DESK_TRACE_PEAK_BYTES[n], peak

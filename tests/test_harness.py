@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import gc
+import json
 import logging
 import weakref
 from unittest import mock
@@ -321,8 +322,6 @@ def test_run_experiment_writes_weight_dumps_with_diag(tmp_path):
     spec, model = tiny_setup()
     cfg = AdaptConfig(seed=0, track_diagonal=True)
     result = run_experiment(model, spec, tiny_schedule(), cfg, tmp_path, tag="dump")
-    import json
-
     lines = result.weights_path.read_text().splitlines()
     assert len(lines) == 6
     rec = json.loads(lines[0])
@@ -336,6 +335,23 @@ def test_run_experiment_writes_weight_dumps_with_diag(tmp_path):
         "w_bar": dict(zip(names, first.w_bar)),
         "diag": {name: d.tolist() for name, d in first.diag.items()},
     }
+
+
+@pytest.mark.parametrize("method", harness.WEIGHTED_METHODS)
+def test_tracking_the_diagonal_changes_only_what_is_written(tmp_path, method):
+    # the diagonal is summed on every run; tracking it only adds it to the dumps
+    spec, model = tiny_setup()
+    runs = [
+        run_experiment(model, spec, tiny_schedule(), AdaptConfig(method=method, seed=0, track_diagonal=track),
+                       tmp_path / str(track), tag="run")
+        for track in (False, True)
+    ]
+    plain, tracked = runs
+    assert plain.csv_path.read_bytes() == tracked.csv_path.read_bytes()
+    assert plain.summary_path.read_bytes() == tracked.summary_path.read_bytes()
+    lines = [[json.loads(line) for line in run.weights_path.read_text().splitlines()] for run in runs]
+    assert [(rec["w"], rec["w_bar"]) for rec in lines[0]] == [(rec["w"], rec["w_bar"]) for rec in lines[1]]
+    assert all("diag" in rec for rec in lines[1]) and not any("diag" in rec for rec in lines[0])
 
 
 @pytest.mark.parametrize("method", ["layerwise", "bn1"])
