@@ -105,17 +105,12 @@ def _run_setup(args, **fixed):
     config = AdaptConfig(**flags, **fixed)
     model, meta = load_checkpoint(args.checkpoint)
     try:
-        d, classes = int(meta["d"]), int(meta["classes"])
-        if (d, classes) != (model.input_dim, model.class_count):
-            raise ValueError(
-                f"metadata d={d} classes={classes} disagree with the model's "
-                f"{model.input_dim} inputs and {model.class_count} classes"
-            )
-        source = SourceSpec(input_dim=d, class_count=classes, margin=float(meta["margin"]), seed=int(meta["source_seed"]))
+        source = SourceSpec(model.input_dim, model.class_count, margin=float(meta["margin"]), seed=int(meta["source_seed"]))
     except KeyError as exc:
         raise ValueError(f"{args.checkpoint}: checkpoint lacks source metadata ({exc})") from exc
-    except ValueError as exc:  # a malformed or inconsistent metadata value
+    except ValueError as exc:  # a malformed metadata value
         raise ValueError(f"{args.checkpoint}: {exc}") from None
+    harness.check_weight_layers(config.method, model, args.checkpoint)
     schedule = parse_schedule_file(args.schedule)
     harness.check_batch_rows(config.method, schedule.batch_size, f"{args.schedule}: each batch")
     print(describe_schedule(schedule))
@@ -130,17 +125,7 @@ def cmd_pretrain(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "checkpoint.txt"
-    save_checkpoint(
-        model,
-        ckpt,
-        meta={
-            "d": str(args.d),
-            "classes": str(args.classes),
-            "margin": repr(args.margin),
-            "source_seed": str(args.seed),
-            "hidden": ",".join(map(str, args.hidden)),
-        },
-    )
+    save_checkpoint(model, ckpt, meta={"margin": repr(args.margin), "source_seed": str(args.seed)})
     print(f"source train accuracy: {accuracy:.4f}")
     print(f"checkpoint written to {ckpt}")
     return 0
@@ -180,10 +165,10 @@ def cmd_dump_weights(args) -> int:
 
 def cmd_ablate(args) -> int:
     base, model, source, schedule = _run_setup(args)
-    grid = {"taus": args.taus, "lams": args.lambdas, "gammas": args.gammas}
-    harness.ablation_grid(base, **grid)  # a bad grid value aborts before the table path is probed
+    # a bad grid value aborts before the table path is probed
+    configs = harness.ablation_grid(base, args.taus, args.lambdas, args.gammas)
     (table,) = harness.writable_paths(args.out, ["ablation.json"])
-    rows = harness.ablate(model, source, schedule, base=base, **grid)
+    rows = harness.ablate(model, source, schedule, configs)
     table.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{'tau':>6} {'lambda':>8} {'gamma':>6} {'mean_error':>11}")
     for row in rows:

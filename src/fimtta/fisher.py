@@ -6,40 +6,17 @@ pseudo-labels (argmax of the current predictions) with respect to that
 layer's parameters. The trace of the empirical second-moment matrix of
 per-sample scores is computed directly as the mean squared score norm,
 so the full |theta| x |theta| matrix is never materialized; its square
-root is the layer's raw learning weight.
+root is the layer's raw learning weight. The caller keeps the running
+traces (and diagonal) as plain arrays, and ``accumulate`` folds each
+batch into them with the run's decay: gamma * old + batch.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import log_softmax
 from .model import Model, row_writer
-
-
-@dataclass
-class FisherState:
-    """Accumulated per-layer traces [L] with decay, plus an optional
-    diagonal [P] laid out like ``Model.theta``.
-
-    ``decay`` = 1 accumulates over the whole stream (traces never
-    decrease); ``decay`` = 0 keeps only the current batch.
-    """
-
-    decay: float
-    traces: np.ndarray
-    diagonals: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.decay <= 1.0:
-            raise ValueError(f"decay must lie in [0, 1], got {self.decay}")
-
-    @classmethod
-    def for_model(cls, model: Model, decay: float = 1.0, track_diagonal: bool = False) -> "FisherState":
-        diagonals = np.zeros(model.theta.size) if track_diagonal else None
-        return cls(decay=decay, traces=np.zeros(len(model.slices)), diagonals=diagonals)
 
 
 def _score_pass(model: Model, logits: np.ndarray, saved: list, sink) -> None:
@@ -90,24 +67,17 @@ def fim_diagonal(scores_per_sample: dict[str, np.ndarray]) -> dict[str, np.ndarr
     return out
 
 
-def accumulate(
-    state: FisherState,
-    current: np.ndarray,
-    current_diagonal: np.ndarray | None = None,
-) -> FisherState:
-    """Fold a batch's traces into the running state: new = decay*old + batch."""
-    if current.shape != state.traces.shape:
-        raise ValueError(
-            f"accumulate: layer mismatch, state has {state.traces.shape[0]} layers, "
-            f"batch has {current.shape}"
-        )
-    state.traces = state.decay * state.traces + current
-    if state.diagonals is not None and current_diagonal is not None:
-        state.diagonals = state.decay * state.diagonals + current_diagonal
-    return state
+def accumulate(total: np.ndarray, batch: np.ndarray, decay: float) -> None:
+    """Fold a batch's traces [L] (or diagonal [P]) into their running total
+    in place: total = decay * total + batch. ``decay`` = 1 accumulates over
+    the whole stream (traces never decrease); ``decay`` = 0 keeps only the
+    current batch."""
+    if batch.shape != total.shape:
+        raise ValueError(f"accumulate: layer mismatch, total has shape {total.shape}, batch has {batch.shape}")
+    total *= decay
+    total += batch
 
 
-def learning_weights(state: FisherState) -> np.ndarray:
+def learning_weights(traces: np.ndarray) -> np.ndarray:
     """Raw per-layer weights [L]: square roots of the accumulated traces."""
-    return np.sqrt(state.traces)
-
+    return np.sqrt(traces)

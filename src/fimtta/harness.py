@@ -39,7 +39,7 @@ class AdaptConfig:
     gamma: float = 1.0
     optimizer: str = "adam"
     seed: int = 0
-    track_diagonal: bool = False  # output only: fold the trace diagonal into the state and the records
+    track_diagonal: bool = False  # output only: fold the trace diagonal into a running total and the records
 
     def __post_init__(self):
         for name, choices in CHOICES.items():
@@ -147,6 +147,13 @@ def check_batch_rows(method: str, rows: int, where: str) -> None:
         raise ValueError(f"{where} has {rows} row(s); method {method!r} needs at least {min_batch_rows(method)}")
 
 
+def check_weight_layers(method: str, model: Model, where: str) -> None:
+    """Reject a ``layerwise`` run on a model of fewer than 2 weight layers:
+    its min-max scaler needs two traces to span; ``where`` names the run."""
+    if method == "layerwise" and len(model.slices) < 2:
+        raise ValueError(f"{where}: model has {len(model.slices)} weight layer(s); method 'layerwise' needs at least 2")
+
+
 def adapt_stream(
     model: Model, stream: ScheduleStream, config: AdaptConfig
 ) -> list[MetricsRecord]:
@@ -167,7 +174,8 @@ def adapt_stream(
     """
     cfg = config
     n_layers = len(model.slices)
-    state = fisher.FisherState.for_model(model, decay=cfg.gamma, track_diagonal=cfg.track_diagonal)
+    traces = np.zeros(n_layers)  # running totals, folded with cfg.gamma
+    diagonal = np.zeros(model.theta.size) if cfg.track_diagonal else None
     opt = scheduler.AdamState() if cfg.optimizer == "adam" else None
     aug_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA06)))
     updating = cfg.method in WEIGHTED_METHODS + ("uniform_tent",)
@@ -203,14 +211,16 @@ def adapt_stream(
         rec.w_bar = [1.0] * n_layers  # uniform_tent
         if cfg.method in WEIGHTED_METHODS:
             clean_saved = cache_group(saved, 0) if grouped else saved
-            traces, diag = fisher.layer_fim_trace(model, clean, clean_saved)
-            if np.isfinite(traces).all():
-                fisher.accumulate(state, traces, current_diagonal=diag)
+            batch_traces, batch_diagonal = fisher.layer_fim_trace(model, clean, clean_saved)
+            if np.isfinite(batch_traces).all():
+                fisher.accumulate(traces, batch_traces, cfg.gamma)
+                if diagonal is not None:
+                    fisher.accumulate(diagonal, batch_diagonal, cfg.gamma)
             else:
                 logger.warning("adapt_stream: step %d has non-finite traces, not accumulated", batch.step)
-            if state.diagonals is not None:
-                rec.diag = {name: state.diagonals[cols].copy() for name, cols in model.slices.items()}
-            rec.w_raw = fisher.learning_weights(state).tolist()
+            if diagonal is not None:
+                rec.diag = {name: diagonal[cols].copy() for name, cols in model.slices.items()}
+            rec.w_raw = fisher.learning_weights(traces).tolist()
             rec.w_bar = list(rec.w_raw)  # unbounded naive weighting
             if cfg.method == "layerwise":
                 rec.w_bar = scheduler.exp_minmax_scale(rec.w_raw, tau=cfg.tau).tolist()
@@ -308,9 +318,11 @@ def run_experiment(
     tag: str = "run",
 ) -> ExperimentResult:
     """One adaptation run with CSV metrics, JSON-lines weight dumps and a
-    summary block written under ``out_dir``. The schedule's batch size and
-    the output paths are checked before any adaptation starts."""
+    summary block written under ``out_dir``. The schedule's batch size, the
+    model's layers and the output paths are checked before any adaptation
+    starts."""
     check_batch_rows(config.method, schedule.batch_size, "run_experiment: each batch of the schedule")
+    check_weight_layers(config.method, model, "run_experiment")
     csv_path, weights_path, summary_path = writable_paths(
         out_dir, [f"{tag}_metrics.csv", f"{tag}_weights.jsonl", f"{tag}_summary.json"]
     )
@@ -346,26 +358,18 @@ def ablation_grid(base: AdaptConfig, taus: list[float], lams: list[float], gamma
     return [replace(base, tau=tau, lam=lam, gamma=gamma) for tau in taus for lam in lams for gamma in gammas]
 
 
-def ablate(
-    model: Model,
-    source: SourceSpec,
-    schedule: DomainSchedule,
-    base: AdaptConfig,
-    taus: list[float],
-    lams: list[float],
-    gammas: list[float],
-) -> list[dict]:
-    """Full factorial sweep; one adaptation run per grid point, seeds held
-    fixed, rows sorted by mean error. A stream only reads its schedule, so
-    every point consumes an identical stream of the one ``schedule``. Every
-    grid point and the schedule's batch size are checked before the
-    first run."""
-    configs = ablation_grid(base, taus, lams, gammas)
-    check_batch_rows(base.method, schedule.batch_size, "ablate: each batch of the schedule")
+def ablate(model: Model, source: SourceSpec, schedule: DomainSchedule, configs: list[AdaptConfig]) -> list[dict]:
+    """One adaptation run per config (``ablation_grid`` builds the full
+    factorial sweep), seeds held fixed, rows sorted by mean error. A stream
+    only reads its schedule, so every config consumes an identical stream
+    of the one ``schedule``. Every config's method is checked against the
+    schedule's batch size and the model's layers before the first run."""
+    for cfg in configs:
+        check_batch_rows(cfg.method, schedule.batch_size, "ablate: each batch of the schedule")
+        check_weight_layers(cfg.method, model, "ablate")
     rows = []
     for cfg in configs:
         records = adapt_stream(model.clone(), ScheduleStream(source, schedule), cfg)
         rows.append(summarize(records, cfg))
     rows.sort(key=lambda r: r["mean_error"])
     return rows
-

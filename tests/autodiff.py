@@ -146,16 +146,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), vjp)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _addlike_mode("sub", a, b)
-    sa, sb = a.data.shape, b.data.shape
-
-    def vjp(g: np.ndarray):
-        return _reduce_to(g, sa), _reduce_to(-g, sb)
-
-    return _make(a.data - b.data, (a, b), vjp)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same-shape tensors, or scaling by a scalar."""
     mode = _addlike_mode("mul", a, b)
@@ -170,26 +160,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(ad * bd, (a, b), vjp)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    mode = _addlike_mode("div", a, b)
-    if mode == "bias":
-        raise _shape_fail("div", a.data.shape, b.data.shape)
-    ad, bd = a.data, b.data
-    sa, sb = ad.shape, bd.shape
-
-    def vjp(g: np.ndarray):
-        return _reduce_to(g / bd, sa), _reduce_to(-g * ad / (bd * bd), sb)
-
-    return _make(ad / bd, (a, b), vjp)
-
-
-def neg(a: Tensor) -> Tensor:
-    def vjp(g: np.ndarray):
-        return (-g,)
-
-    return _make(-a.data, (a,), vjp)
-
-
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
@@ -197,15 +167,6 @@ def exp(a: Tensor) -> Tensor:
         return (g * out_data,)
 
     return _make(out_data, (a,), vjp)
-
-
-def log(a: Tensor) -> Tensor:
-    ad = a.data
-
-    def vjp(g: np.ndarray):
-        return (g / ad,)
-
-    return _make(np.log(ad), (a,), vjp)
 
 
 def relu(a: Tensor) -> Tensor:

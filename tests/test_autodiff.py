@@ -42,11 +42,6 @@ def _case_add_scalar(rng):
     return [a, b], lambda: _weighted_sum(ad.add(a, b), np.random.default_rng(0))
 
 
-def _case_sub(rng):
-    a, b = _p(rng, 3, 2), _p(rng, 3, 2)
-    return [a, b], lambda: _weighted_sum(ad.sub(a, b), np.random.default_rng(0))
-
-
 def _case_mul(rng):
     a, b = _p(rng, 2, 4), _p(rng, 2, 4)
     return [a, b], lambda: _weighted_sum(ad.mul(a, b), np.random.default_rng(0))
@@ -57,25 +52,9 @@ def _case_mul_scalar(rng):
     return [a], lambda: _weighted_sum(a * 1.7, np.random.default_rng(0))
 
 
-def _case_div(rng):
-    a = _p(rng, 2, 3)
-    b = ad.param(np.abs(rng.standard_normal((2, 3))) + 0.5)
-    return [a, b], lambda: _weighted_sum(ad.div(a, b), np.random.default_rng(0))
-
-
-def _case_neg(rng):
-    a = _p(rng, 4)
-    return [a], lambda: _weighted_sum(ad.neg(a), np.random.default_rng(0))
-
-
 def _case_exp(rng):
     a = _p(rng, 3, 2)
     return [a], lambda: _weighted_sum(ad.exp(a), np.random.default_rng(0))
-
-
-def _case_log(rng):
-    a = ad.param(np.abs(rng.standard_normal((3, 2))) + 0.5)
-    return [a], lambda: _weighted_sum(ad.log(a), np.random.default_rng(0))
 
 
 def _case_relu(rng):
@@ -135,13 +114,9 @@ OP_CASES = [
     _case_add_same,
     _case_add_bias,
     _case_add_scalar,
-    _case_sub,
     _case_mul,
     _case_mul_scalar,
-    _case_div,
-    _case_neg,
     _case_exp,
-    _case_log,
     _case_relu,
     _case_sigmoid,
     _case_log_sigmoid,
@@ -157,7 +132,7 @@ OP_CASES = [
 @pytest.mark.parametrize("case", OP_CASES, ids=lambda c: c.__name__[6:])
 @pytest.mark.parametrize("seed", range(4))
 def test_op_gradient_matches_finite_differences(case, seed):
-    # 20 ops x 4 seeds = 80 random shape/seed cases across the op set
+    # 16 ops x 4 seeds = 64 random shape/seed cases across the op set
     params, forward = case(np.random.default_rng(seed))
     out = forward()
     grads = ad.grads_of(out, params)

@@ -102,11 +102,20 @@ PER_BATCH = {
         "accumulate": 1, "learning_weights": 1, "exp_minmax_scale": 1, "augment": 1,
         "entropy_loss": 1, "consistency_loss": 1, "layer_rates": 1, "weighted_step": 1, "corrupt": 1,
     },
+    # the second accumulate folds the diagonal
+    "layerwise_track_diagonal": {
+        "forward": 1, "collect_grads": 1, "layer_fim_trace": 1,
+        "accumulate": 2, "learning_weights": 1, "exp_minmax_scale": 1, "augment": 1,
+        "entropy_loss": 1, "consistency_loss": 1, "layer_rates": 1, "weighted_step": 1, "corrupt": 1,
+    },
     "bn1": {"forward": 1, "entropy_loss": 1, "corrupt": 1},
     "source": {"forward": 1, "entropy_loss": 1, "corrupt": 1},
 }
 # a PER_BATCH row's run settings, where it is not a method's defaults
-SETTINGS = {"uniform_tent_lam0": {"method": "uniform_tent", "lam": 0.0}}
+SETTINGS = {
+    "uniform_tent_lam0": {"method": "uniform_tent", "lam": 0.0},
+    "layerwise_track_diagonal": {"method": "layerwise", "track_diagonal": True},
+}
 
 
 @pytest.mark.parametrize("name", sorted(PER_BATCH))

@@ -335,29 +335,38 @@ def test_checkpoint_without_source_meta_aborts(pretrained, tmp_path):
     ]) == 1
 
 
-@pytest.mark.parametrize(
-    "command,key,value",
-    [
-        ("adapt", "d", "8"),
-        ("adapt", "classes", "20"),  # also too many classes for a 6-d source task
-        ("baseline", "classes", "4"),
-        ("dump-weights", "d", "5"),
-        ("ablate", "classes", "2"),
-    ],
-)
-def test_source_metadata_that_disagrees_with_the_model_aborts_before_any_artifact(
-    pretrained, tmp_path, caplog, command, key, value
-):
+def test_checkpoint_with_the_older_dimension_metadata_runs_the_same(pretrained, tmp_path):
+    # pretrain once also wrote the d, classes and hidden metadata lines, which copy the model's own shape
     ckpt, sched = pretrained
-    edited = tmp_path / "edited.txt"
+    older = tmp_path / "older.txt"
     lines = ckpt.read_text().splitlines()
-    edited.write_text("\n".join(f"meta {key} {value}" if l.startswith(f"meta {key} ") else l for l in lines) + "\n")
+    assert [line.split()[1] for line in lines if line.startswith("meta ")] == ["margin", "source_seed"]
+    older.write_text("\n".join(lines[:3] + ["meta d 6", "meta classes 3", "meta hidden 8,8"] + lines[3:]) + "\n")
+    runs = []
+    for name, path in (("current", ckpt), ("older", older)):
+        assert main(["adapt", "--checkpoint", str(path), "--schedule", str(sched), "--out", str(tmp_path / name)]) == 0
+        runs.append([(tmp_path / name / f"layerwise_{kind}").read_bytes() for kind in ("metrics.csv", "summary.json")])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command,method,code", [
+    ("adapt", None, 1), ("dump-weights", None, 1), ("ablate", None, 1),
+    ("adapt", "naive_eq6", 0), ("baseline", "uniform_tent", 0),  # only the scaler needs two layers
+])
+def test_layerwise_run_on_a_single_weight_layer_aborts_before_any_artifact(
+    pretrained, tmp_path, caplog, command, method, code
+):
+    _, sched = pretrained
+    linear = tmp_path / "linear"
+    assert main([
+        "pretrain", "--d", "6", "--classes", "3", "--n", "240", "--hidden", "", "--epochs", "1", "--out", str(linear),
+    ]) == 0
     out = tmp_path / "run"
-    args = [command, "--checkpoint", str(edited), "--schedule", str(sched), "--out", str(out)]
-    assert main(args + (["--method", "bn1"] if command == "baseline" else [])) == 1
-    assert "edited.txt: metadata " in caplog.text and f"{key}={value}" in caplog.text
-    assert "disagree with the model's 6 inputs and 3 classes" in caplog.text
-    assert not out.exists()
+    args = [command, "--checkpoint", str(linear / "checkpoint.txt"), "--schedule", str(sched), "--out", str(out)]
+    assert main(args + (["--method", method] if method else [])) == code
+    if code:
+        assert "checkpoint.txt: model has 1 weight layer(s); method 'layerwise' needs at least 2" in caplog.text
+    assert out.exists() == (code == 0)
 
 
 def test_unwritable_out_aborts(pretrained):

@@ -14,14 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import finite_diff, max_rel_err
 from fimtta.fisher import (
-    FisherState,
     accumulate,
     fim_diagonal,
     layer_fim_trace,
     learning_weights,
     per_sample_scores,
 )
-from fimtta.harness import collect_grads
+from fimtta.harness import AdaptConfig, collect_grads
 from fimtta.losses import entropy_loss, log_softmax, nll_loss
 from fimtta.model import Model, build_classifier, record_source_stats, save_checkpoint
 from oracle import param_snapshot, replay_scores, score, with_dense_biases
@@ -197,12 +196,12 @@ def test_trace_of_two_unit_vectors():
     assert traces.tolist() == [1.0]
 
 
-def _assert_traces_match_scores(model, logits, saved, scores, rel=1e-12):
+def _assert_traces_match_scores(model, traces_and_diagonal, scores, rel=1e-12):
     """Streamed traces and diagonal against the explicit score matrix."""
-    traces, diag = layer_fim_trace(model, logits, saved)
+    traces, diag = traces_and_diagonal
     assert traces.shape == (len(scores),) and diag.shape == model.theta.shape
     ref_diag = fim_diagonal(scores)
-    total = sum(float((s * s).sum()) for s in scores.values()) / len(logits)
+    total = sum(float((s * s).sum()) for s in scores.values()) / len(next(iter(scores.values())))
     for l, (name, s) in enumerate(scores.items()):
         brute = float(np.trace(s.T @ s / s.shape[0]))
         # a layer whose scores are what cancellation leaves (a dense layer in
@@ -219,7 +218,7 @@ def test_trace_matches_brute_force_outer_product_matrix():
     for _ in range(25):
         m = _random_model(rng)
         logits, saved = m.forward(rng.standard_normal((20, m.input_dim)))
-        _assert_traces_match_scores(m, logits, saved, per_sample_scores(m, logits, saved))
+        _assert_traces_match_scores(m, layer_fim_trace(m, logits, saved), per_sample_scores(m, logits, saved))
 
 
 def test_trace_identity_on_real_model_layers():
@@ -229,27 +228,9 @@ def test_trace_identity_on_real_model_layers():
     assert max(l.param_count() for l in m.weight_layers()) <= 32
     x = rng.standard_normal((9, 3))
     logits, saved = m.forward(x)
-    _assert_traces_match_scores(m, logits, saved, per_sample_scores(m, logits, saved))
-    _assert_traces_match_scores(m, logits, saved, replay_scores(m, x))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 70),
-    batch_stats=st.booleans(),
-    chunk_rows=st.sampled_from([1, 7, 64, 200, 512, 4096]),
-    biased=st.booleans(),
-)
-def test_streamed_traces_match_tape_replay(seed, n, batch_stats, chunk_rows, biased):
-    rng = np.random.default_rng(seed)
-    m = _random_model(rng, biased)
-    x = rng.standard_normal((n, m.input_dim))
-    logits, saved = m.forward(x, batch_stats=batch_stats)
-    theta = m.theta.copy()
-    with mock.patch("fimtta.model._CHUNK_ROWS", chunk_rows):
-        _assert_traces_match_scores(m, logits, saved, replay_scores(m, x, batch_stats))
-    assert m.theta.tobytes() == theta.tobytes()  # the pass reads the parameters only
+    traces_and_diagonal = layer_fim_trace(m, logits, saved)
+    _assert_traces_match_scores(m, traces_and_diagonal, per_sample_scores(m, logits, saved))
+    _assert_traces_match_scores(m, traces_and_diagonal, replay_scores(m, x))
 
 
 def test_trace_rejects_empty_scores():
@@ -269,80 +250,81 @@ def test_diagonal_of_zero_scores_is_zero():
 
 
 def test_accumulate_examples():
-    s = FisherState(decay=1.0, traces=np.zeros(1))
-    accumulate(s, np.array([5.0]))
-    assert s.traces.tolist() == [5.0]
+    total = np.zeros(1)
+    accumulate(total, np.array([5.0]), 1.0)
+    assert total.tolist() == [5.0]
 
-    s = FisherState(decay=0.0, traces=np.array([4.0]))
-    accumulate(s, np.array([2.0]))
-    assert s.traces.tolist() == [2.0]
+    total = np.array([4.0])
+    accumulate(total, np.array([2.0]), 0.0)
+    assert total.tolist() == [2.0]
 
-    s = FisherState(decay=0.5, traces=np.array([4.0, 1.0]))
-    accumulate(s, np.array([2.0, 0.5]))
-    assert s.traces.tolist() == [4.0, 1.0]
+    total = np.array([4.0, 1.0])
+    accumulate(total, np.array([2.0, 0.5]), 0.5)
+    assert total.tolist() == [4.0, 1.0]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 40),
+    decay=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_accumulate_in_place_is_bit_identical_to_decay_times_old_plus_batch(seed, size, decay):
+    rng = np.random.default_rng(seed)
+    old, batch = rng.uniform(0, 1e3, size), rng.uniform(0, 1e3, size)
+    total = old.copy()
+    accumulate(total, batch, decay)
+    assert total.tobytes() == (decay * old + batch).tobytes()
 
 
 def test_accumulate_rejects_layer_mismatch():
-    s = FisherState(decay=1.0, traces=np.zeros(1))
     with pytest.raises(ValueError, match="layer mismatch"):
-        accumulate(s, np.ones(2))
-    s = FisherState(decay=1.0, traces=np.zeros(3))
+        accumulate(np.zeros(1), np.ones(2), 1.0)
     with pytest.raises(ValueError, match="layer mismatch"):
-        accumulate(s, np.ones(1))  # would broadcast silently
+        accumulate(np.zeros(3), np.ones(1), 1.0)  # would broadcast silently
 
 
 def test_decay_validated_at_configuration_time():
-    with pytest.raises(ValueError, match="decay"):
-        FisherState(decay=1.5, traces=np.zeros(0))
-    with pytest.raises(ValueError, match="decay"):
-        FisherState(decay=-0.1, traces=np.zeros(0))
+    # the run's gamma is the one decay accumulate folds with
+    with pytest.raises(ValueError, match="gamma"):
+        AdaptConfig(gamma=1.5)
+    with pytest.raises(ValueError, match="gamma"):
+        AdaptConfig(gamma=-0.1)
 
 
 def test_learning_weights_are_square_roots():
-    s = FisherState(decay=1.0, traces=np.array([9.0, 0.0]))
-    assert learning_weights(s).tolist() == [3.0, 0.0]
+    assert learning_weights(np.array([9.0, 0.0])).tolist() == [3.0, 0.0]
 
 
 def test_learning_weights_monotone_in_trace():
     rng = np.random.default_rng(7)
-    s = FisherState(decay=1.0, traces=np.sort(rng.uniform(0, 100, size=20)))
-    w = learning_weights(s)
+    w = learning_weights(np.sort(rng.uniform(0, 100, size=20)))
     assert (np.diff(w) >= 0).all()
 
 
 def test_full_decay_traces_never_decrease():
     rng = np.random.default_rng(8)
-    s = FisherState(decay=1.0, traces=np.zeros(2))
-    prev = s.traces.copy()
+    total = np.zeros(2)
+    prev = total.copy()
     for _ in range(50):
-        accumulate(s, rng.uniform(0, 2, size=2))
-        assert (s.traces >= prev).all()
-        prev = s.traces.copy()
+        accumulate(total, rng.uniform(0, 2, size=2), 1.0)
+        assert (total >= prev).all()
+        prev = total.copy()
 
 
 def test_zero_decay_depends_only_on_current_batch():
     rng = np.random.default_rng(9)
-    s = FisherState(decay=0.0, traces=np.zeros(1))
+    total = np.zeros(1)
     for value in rng.uniform(0, 3, size=10):
-        accumulate(s, np.array([value]))
-        assert s.traces.tolist() == [value]
-
-
-def test_for_model_initializes_all_weight_layers():
-    m = build_classifier(4, [5, 6], 3, seed=0)
-    s = FisherState.for_model(m, decay=0.7, track_diagonal=True)
-    assert s.traces.shape == (len(m.weight_layers()),) and not s.traces.any()
-    assert s.diagonals.shape == m.theta.shape and not s.diagonals.any()
-    assert FisherState.for_model(m).diagonals is None
+        accumulate(total, np.array([value]), 0.0)
+        assert total.tolist() == [value]
 
 
 def test_diagonal_accumulates_with_decay():
-    m = build_classifier(2, [], 2, seed=0)
-    s = FisherState.for_model(m, decay=0.5, track_diagonal=True)
-    ones = np.ones(6)
-    accumulate(s, np.array([1.0]), current_diagonal=ones)
-    accumulate(s, np.array([1.0]), current_diagonal=ones)
-    assert np.allclose(s.diagonals, 1.5)
+    diagonal = np.zeros(6)
+    accumulate(diagonal, np.ones(6), 0.5)
+    accumulate(diagonal, np.ones(6), 0.5)
+    assert np.allclose(diagonal, 1.5)
 
 
 @pytest.mark.parametrize("batch_stats", [True, False])
@@ -388,32 +370,6 @@ def _assert_bit_identical(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    calls=st.lists(
-        st.tuples(
-            st.integers(1, 70),  # batch rows, up and down across the calls
-            st.sampled_from([1, 7, 64, 200, 1024, 4096]),  # _CHUNK_ROWS
-            st.booleans(),  # batch statistics
-            st.booleans(),  # per_sample_scores, else layer_fim_trace
-        ),
-        min_size=2,
-        max_size=6,
-    ),
-)
-def test_reused_workspace_gives_the_results_of_a_fresh_clone(seed, calls):
-    # the model keeps its slab buffers across calls: a stale or undersized
-    # buffer would show as a difference from a clone that has none yet
-    rng = np.random.default_rng(seed)
-    model = _random_model(rng)
-    for n, chunk_rows, batch_stats, scores in calls:
-        x = rng.standard_normal((n, model.input_dim))
-        fresh = model.clone()
-        with mock.patch("fimtta.model._CHUNK_ROWS", chunk_rows):
-            _assert_bit_identical(_pass(model, x, batch_stats, scores), _pass(fresh, x, batch_stats, scores))
-
-
 def test_interleaved_clones_give_the_traces_of_each_run_alone():
     rng = np.random.default_rng(21)
     base = build_classifier(16, [32, 32, 32, 32], 3, seed=4)
@@ -439,51 +395,40 @@ def test_clone_and_checkpoint_leave_out_the_workspace(tmp_path):
     assert all(slab.size == 0 for slab in model.clone()._slabs)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    widths=st.lists(st.integers(1, 12), min_size=2, max_size=4, unique=True),  # no two levels alike
-    calls=st.lists(
-        st.tuples(st.integers(2, 40), st.sampled_from([1, 9, 64, 200, 1024])),  # batch rows, _CHUNK_ROWS
-        min_size=2,
-        max_size=4,
-    ),
-)
-def test_coupling_product_on_mixed_widths_matches_the_tape_and_a_fresh_clone(seed, widths, calls):
-    # each batch-statistic norm's coupling is a product with a D laid out for
-    # its own width; one model's workspace is reused as n and the chunk change
-    rng = np.random.default_rng(seed)
-    model = build_classifier(int(rng.integers(1, 6)), widths, int(rng.integers(2, 5)), seed=int(rng.integers(1000)))
-    for layer in model.weight_layers():
-        for p in layer.params:
-            p += 0.3 * rng.standard_normal(p.shape)
-    for n, chunk_rows in calls:
-        x = rng.standard_normal((n, model.input_dim))
-        logits, saved = model.forward(x)
-        with mock.patch("fimtta.model._CHUNK_ROWS", chunk_rows):
-            _assert_traces_match_scores(model, logits, saved, replay_scores(model, x))
-            _assert_bit_identical(_pass(model, x, True, False), _pass(model.clone(), x, True, False))
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    widths=st.lists(st.integers(1, 12), min_size=1, max_size=4),  # depth 1-4
-    first_bias=st.booleans(),
-    batch_stats=st.booleans(),
-    n=st.integers(2, 70),
-    chunk_rows=st.sampled_from([1, 7, 64, 1024]),
+    widths=st.one_of(
+        st.lists(st.integers(1, 12), max_size=4),  # depth 0-4
+        st.lists(st.integers(1, 12), min_size=2, max_size=4, unique=True),  # no two levels alike
+        st.tuples(st.integers(1, 12), st.integers(2, 4)).map(lambda wd: [wd[0]] * wd[1]),  # every level alike
+    ),
+    bias=st.sampled_from(["none", "first", "every"]),  # which dense layers carry a bias
+    calls=st.lists(
+        st.tuples(
+            st.integers(1, 70),  # batch rows, up and down across the calls
+            st.sampled_from([1, 7, 9, 64, 200, 1024, 4096]),  # _CHUNK_ROWS
+            st.booleans(),  # batch statistics
+            st.booleans(),  # per_sample_scores, else layer_fim_trace
+        ),
+        min_size=1,
+        max_size=4,
+    ),
 )
-def test_first_layer_closed_form_coupling_matches_the_tape_and_a_fresh_clone(
-    seed, widths, first_bias, batch_stats, n, chunk_rows
-):
-    # under batch statistics with two or more hidden blocks, a bias-free first
-    # dense layer adds the coupling of the norm above it as (K^T [xhat | 1]) @ D,
-    # written into the held slab; a biased first layer (the older layout), one
-    # hidden block or fixed statistics keep the coupled slab or need none
+def test_per_sample_pass_matches_the_tape_and_a_fresh_clone(seed, widths, bias, calls):
+    # Each call is held to the tape, and to a clone whose workspace is fresh:
+    # the model keeps its slab buffers across calls, so a stale or undersized
+    # buffer shows as a difference. Each batch-statistic norm's coupling is a
+    # product with a D laid out for its own width. Under batch statistics with
+    # two or more hidden blocks, a bias-free first dense layer adds the
+    # coupling of the norm above it as (K^T [xhat | 1]) @ D, written into the
+    # held slab; a biased first layer (the older layout), one hidden block or
+    # fixed statistics keep the coupled slab or need none.
     rng = np.random.default_rng(seed)
     model = build_classifier(int(rng.integers(1, 7)), widths, int(rng.integers(2, 5)), seed=int(rng.integers(1000)))
-    if first_bias:
+    if bias == "every":
+        model = with_dense_biases(model, rng)
+    elif bias == "first" and len(model.layers[0].params) == 1:
         layers = model.layers
         layers[0].params.append(rng.standard_normal(layers[0].params[0].shape[1]))
         model = Model(layers, model.input_dim, model.class_count)
@@ -491,13 +436,18 @@ def test_first_layer_closed_form_coupling_matches_the_tape_and_a_fresh_clone(
         for p in layer.params:
             p += 0.3 * rng.standard_normal(p.shape)
     record_source_stats(model, 1.5 * rng.standard_normal((50, model.input_dim)) + 0.5)
-    x = rng.standard_normal((n, model.input_dim))
-    logits, saved = model.forward(x, batch_stats=batch_stats)
-    with mock.patch("fimtta.model._CHUNK_ROWS", chunk_rows):
-        _assert_traces_match_scores(model, logits, saved, replay_scores(model, x, batch_stats))
-        # the workspace now holds another batch's slabs, which a fresh clone has not seen
-        _pass(model, rng.standard_normal((int(rng.integers(2, 71)), model.input_dim)), batch_stats, False)
-        _assert_bit_identical(_pass(model, x, batch_stats, False), _pass(model.clone(), x, batch_stats, False))
+    for n, chunk_rows, batch_stats, scores in calls:
+        x = rng.standard_normal((n, model.input_dim))
+        theta = model.theta.copy()
+        with mock.patch("fimtta.model._CHUNK_ROWS", chunk_rows):
+            got = _pass(model, x, batch_stats, scores)
+            _assert_bit_identical(got, _pass(model.clone(), x, batch_stats, scores))
+        ref = replay_scores(model, x, batch_stats)
+        if scores:
+            _assert_scores_match(dict(zip(ref, got)), ref)
+        else:
+            _assert_traces_match_scores(model, got, ref)
+        assert model.theta.tobytes() == theta.tobytes()  # the pass reads the parameters only
 
 
 # tracemalloc peaks of one layer_fim_trace call on a fresh clone of the desk

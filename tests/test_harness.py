@@ -79,10 +79,8 @@ def test_ablate_validates_every_grid_point_before_the_first_run(monkeypatch):
     runs = []
     monkeypatch.setattr(harness, "adapt_stream", lambda *args: runs.append(args) or [])
     with pytest.raises(ValueError, match="tau"):
-        harness.ablate(
-            model, spec, schedule=tiny_schedule(batches=2),
-            base=AdaptConfig(seed=0), taus=[1.0, -1.0], lams=[0.1], gammas=[1.0],
-        )
+        configs = harness.ablation_grid(AdaptConfig(seed=0), [1.0, -1.0], [0.1], [1.0])
+        harness.ablate(model, spec, tiny_schedule(batches=2), configs)
     assert runs == []
 
 
@@ -337,6 +335,19 @@ def test_run_experiment_writes_weight_dumps_with_diag(tmp_path):
     }
 
 
+def test_running_traces_start_at_zero_for_every_weight_layer():
+    # whatever gamma, the first batch's raw weights are the square roots of
+    # its own traces, and its diagonal is its own
+    spec, model = tiny_setup()
+    config = AdaptConfig(gamma=0.7, track_diagonal=True)
+    records = adapt_stream(model.clone(), ScheduleStream(spec, tiny_schedule()), config)
+    first = next(iter(ScheduleStream(spec, tiny_schedule())))
+    traces, diagonal = fisher.layer_fim_trace(model, *model.forward(first.inputs))
+    assert records[0].w_raw == np.sqrt(traces).tolist()
+    assert records[0].diag.keys() == model.slices.keys()
+    assert all(np.array_equal(records[0].diag[name], diagonal[cols]) for name, cols in model.slices.items())
+
+
 @pytest.mark.parametrize("method", harness.WEIGHTED_METHODS)
 def test_tracking_the_diagonal_changes_only_what_is_written(tmp_path, method):
     # the diagonal is summed on every run; tracking it only adds it to the dumps
@@ -368,22 +379,29 @@ def test_ablate_rejects_single_row_schedule_before_the_first_run(monkeypatch):
     runs = []
     monkeypatch.setattr(harness, "adapt_stream", lambda *args: runs.append(args) or [])
     with pytest.raises(ValueError, match="ablate: each batch of the schedule has 1 row"):
-        harness.ablate(model, spec, tiny_schedule(batch_size=1), AdaptConfig(), [1.0], [0.1], [1.0])
+        harness.ablate(model, spec, tiny_schedule(batch_size=1), [AdaptConfig()])
+    assert runs == []
+
+
+def test_layerwise_on_a_single_weight_layer_is_rejected_before_any_file_or_run(tmp_path, monkeypatch):
+    # its min-max scaler used to fail at the first batch, after the run's files existed
+    spec, linear = SourceSpec(input_dim=6, class_count=3, margin=5.0, seed=0), build_classifier(6, [], 3, seed=0)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="run_experiment: model has 1 weight layer.*'layerwise' needs at least 2"):
+        run_experiment(linear, spec, tiny_schedule(), AdaptConfig(), out)
+    assert not out.exists()
+    runs = []
+    monkeypatch.setattr(harness, "adapt_stream", lambda *args: runs.append(args) or [])
+    with pytest.raises(ValueError, match="ablate: model has 1 weight layer"):
+        harness.ablate(linear, spec, tiny_schedule(), [AdaptConfig(method="naive_eq6"), AdaptConfig()])
     assert runs == []
 
 
 def test_lambda_sweep_emits_one_row_per_lambda():
     spec, model = tiny_setup()
     lams = [0.0, 0.01, 0.1, 1.0, 10.0, 100.0]
-    rows = harness.ablate(
-        model,
-        spec,
-        schedule=tiny_schedule(batches=2),
-        base=AdaptConfig(seed=0),
-        taus=[1.0],
-        lams=lams,
-        gammas=[1.0],
-    )
+    configs = harness.ablation_grid(AdaptConfig(seed=0), [1.0], lams, [1.0])
+    rows = harness.ablate(model, spec, tiny_schedule(batches=2), configs)
     assert len(rows) == 6
     assert sorted(r["lambda"] for r in rows) == sorted(lams)
     errs = [r["mean_error"] for r in rows]
@@ -392,25 +410,11 @@ def test_lambda_sweep_emits_one_row_per_lambda():
 
 def test_ablate_grid_shape_and_degenerate_point(tmp_path):
     spec, model = tiny_setup()
-    rows = harness.ablate(
-        model,
-        spec,
-        schedule=tiny_schedule(batches=2),
-        base=AdaptConfig(seed=0),
-        taus=[0.5, 1.0],
-        lams=[0.0, 0.1],
-        gammas=[1.0],
-    )
+    configs = harness.ablation_grid(AdaptConfig(seed=0), [0.5, 1.0], [0.0, 0.1], [1.0])
+    assert [(c.tau, c.lam) for c in configs] == [(0.5, 0.0), (0.5, 0.1), (1.0, 0.0), (1.0, 0.1)]
+    rows = harness.ablate(model, spec, tiny_schedule(batches=2), configs)
     assert len(rows) == 4
-    single = harness.ablate(
-        model,
-        spec,
-        schedule=tiny_schedule(batches=2),
-        base=AdaptConfig(seed=0),
-        taus=[1.0],
-        lams=[0.1],
-        gammas=[1.0],
-    )
+    single = harness.ablate(model, spec, tiny_schedule(batches=2), [AdaptConfig(seed=0, tau=1.0, lam=0.1, gamma=1.0)])
     direct = run_experiment(
         model,
         spec,
@@ -422,9 +426,7 @@ def test_ablate_grid_shape_and_degenerate_point(tmp_path):
     # the grid's last run reads the schedule three runs have already streamed
     assert [r["mean_error"] for r in rows if (r["tau"], r["lambda"]) == (1.0, 0.1)] == [direct.summary["mean_error"]]
     with pytest.raises(ValueError, match="grid"):
-        harness.ablate(
-            model, spec, tiny_schedule(), AdaptConfig(), [], [0.1], [1.0]
-        )
+        harness.ablation_grid(AdaptConfig(), [], [0.1], [1.0])
 
 
 def test_rejected_step_leaves_model_intact_and_continues(monkeypatch, caplog):
@@ -492,9 +494,9 @@ def test_nan_batch_is_skipped_and_later_steps_apply(monkeypatch, caplog, optimiz
     snapshots, folds, forwards = [], [], []
     real_accumulate, real_step, real_forward = fisher.accumulate, scheduler.weighted_step, Model.forward
 
-    def accumulate(state, traces, current_diagonal=None):
-        folds.append(traces)
-        return real_accumulate(state, traces, current_diagonal=current_diagonal)
+    def accumulate(total, batch, decay):
+        folds.append(batch)
+        real_accumulate(total, batch, decay)
 
     def step(model_, grad, rates, optimizer=None):
         applied = real_step(model_, grad, rates, optimizer=optimizer)
@@ -517,8 +519,8 @@ def test_nan_batch_is_skipped_and_later_steps_apply(monkeypatch, caplog, optimiz
         records = adapt_stream(work, stream, cfg)
     assert len(records) == 8
     assert "non-finite traces" in caplog.text and "rejected" in caplog.text
-    assert len(folds) == 7  # every batch but the NaN one is folded in
-    assert all(np.isfinite(traces).all() for traces in folds)
+    assert len(folds) == 2 * 7  # every batch but the NaN one folds its traces and its diagonal in
+    assert all(np.isfinite(batch).all() for batch in folds)
     assert [applied for applied, _ in snapshots] == [True, True, False] + [True] * 5
     # the rejected step left the model as the step before it did ...
     for name, params in snapshots[1][1].items():
@@ -619,12 +621,12 @@ def test_non_finite_rows_are_dropped_and_counted(method, bad):
     assume(max(kept) >= least)
     spec, model = _pretrained()
     work = model.clone()
-    states, optimizers = [], []
-    for_model, adam = fisher.FisherState.for_model, scheduler.AdamState
+    totals, optimizers = [], []
+    real_accumulate, adam = fisher.accumulate, scheduler.AdamState
 
-    def new_state(*args, **kwargs):
-        states.append(for_model(*args, **kwargs))
-        return states[-1]
+    def accumulate(total, batch, decay):
+        totals.append(total)
+        real_accumulate(total, batch, decay)
 
     def new_adam():
         optimizers.append(adam())
@@ -637,7 +639,7 @@ def test_non_finite_rows_are_dropped_and_counted(method, bad):
     logger.addHandler(handler)
     cfg = AdaptConfig(method=method, seed=0, track_diagonal=True)
     try:
-        with mock.patch.object(fisher.FisherState, "for_model", new_state), \
+        with mock.patch.object(fisher, "accumulate", accumulate), \
                 mock.patch.object(scheduler, "AdamState", new_adam):
             records = adapt_stream(work, _Rows(ScheduleStream(spec, tiny_schedule(batches=2, batch_size=8)), bad), cfg)
     finally:
@@ -646,8 +648,8 @@ def test_non_finite_rows_are_dropped_and_counted(method, bad):
     assert np.isfinite(work.theta).all()
     for opt in optimizers:
         assert opt.m is None or (np.isfinite(opt.m).all() and np.isfinite(opt.v).all())
-    for state in states:
-        assert np.isfinite(state.traces).all() and np.isfinite(state.diagonals).all()
+    for total in totals:  # the running traces and diagonal, folded in place
+        assert np.isfinite(total).all()
     summary = summarize(records, cfg)
     assert np.isfinite(summary["mean_error"]) and np.isfinite(summary["mean_entropy"])
     assert summary["dropped_rows"] == sum(8 - k for k in kept)
