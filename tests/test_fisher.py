@@ -395,35 +395,38 @@ def test_clone_and_checkpoint_leave_out_the_workspace(tmp_path):
     assert all(slab.size == 0 for slab in model.clone()._slabs)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    widths=st.one_of(
-        st.lists(st.integers(1, 12), max_size=4),  # depth 0-4
-        st.lists(st.integers(1, 12), min_size=2, max_size=4, unique=True),  # no two levels alike
-        st.tuples(st.integers(1, 12), st.integers(2, 4)).map(lambda wd: [wd[0]] * wd[1]),  # every level alike
-    ),
-    bias=st.sampled_from(["none", "first", "every"]),  # which dense layers carry a bias
-    calls=st.lists(
+_SEEDS = st.integers(0, 2**32 - 1)
+_ANY_WIDTHS = st.one_of(
+    st.lists(st.integers(1, 12), max_size=4),  # depth 0-4
+    st.lists(st.integers(1, 12), min_size=2, max_size=4, unique=True),  # no two levels alike
+    st.tuples(st.integers(1, 12), st.integers(2, 4)).map(lambda wd: [wd[0]] * wd[1]),  # every level alike
+)
+_ANY_BIAS = st.sampled_from(["none", "first", "every"])  # which dense layers carry a bias
+
+
+def _calls(min_size=1, max_size=4, batch_stats=st.booleans(), scores=st.booleans()):
+    return st.lists(
         st.tuples(
             st.integers(1, 70),  # batch rows, up and down across the calls
             st.sampled_from([1, 7, 9, 64, 200, 1024, 4096]),  # _CHUNK_ROWS
-            st.booleans(),  # batch statistics
-            st.booleans(),  # per_sample_scores, else layer_fim_trace
+            batch_stats,  # batch statistics
+            scores,  # per_sample_scores, else layer_fim_trace
         ),
-        min_size=1,
-        max_size=4,
-    ),
-)
-def test_per_sample_pass_matches_the_tape_and_a_fresh_clone(seed, widths, bias, calls):
-    # Each call is held to the tape, and to a clone whose workspace is fresh:
-    # the model keeps its slab buffers across calls, so a stale or undersized
-    # buffer shows as a difference. Each batch-statistic norm's coupling is a
-    # product with a D laid out for its own width. Under batch statistics with
-    # two or more hidden blocks, a bias-free first dense layer adds the
-    # coupling of the norm above it as (K^T [xhat | 1]) @ D, written into the
-    # held slab; a biased first layer (the older layout), one hidden block or
-    # fixed statistics keep the coupled slab or need none.
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
+def _check_per_sample_pass(seed, widths, bias, calls):
+    """The one per-sample-pass property. Each call is held to the tape, and to
+    a clone whose workspace is fresh: the model keeps its slab buffers across
+    calls, so a stale or undersized buffer shows as a difference. Each
+    batch-statistic norm's coupling is a product with a D laid out for its own
+    width. Under batch statistics with two or more hidden blocks, a bias-free
+    first dense layer adds the coupling of the norm above it as
+    (K^T [xhat | 1]) @ D, written into the held slab; a biased first layer (the
+    older layout), one hidden block or fixed statistics keep the coupled slab or
+    need none."""
     rng = np.random.default_rng(seed)
     model = build_classifier(int(rng.integers(1, 7)), widths, int(rng.integers(2, 5)), seed=int(rng.integers(1000)))
     if bias == "every":
@@ -448,6 +451,42 @@ def test_per_sample_pass_matches_the_tape_and_a_fresh_clone(seed, widths, bias, 
         else:
             _assert_traces_match_scores(model, got, ref)
         assert model.theta.tobytes() == theta.tobytes()  # the pass reads the parameters only
+
+
+# Four draws of the one property above. The first draws its whole space; the
+# other three spend their examples on the regimes their names give.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=_SEEDS, widths=_ANY_WIDTHS, bias=_ANY_BIAS, calls=_calls())
+def test_reused_workspace_gives_the_results_of_a_fresh_clone(seed, widths, bias, calls):
+    _check_per_sample_pass(seed, widths, bias, calls)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=_SEEDS, widths=_ANY_WIDTHS, bias=_ANY_BIAS, calls=_calls(max_size=1, scores=st.just(False)))
+def test_streamed_traces_match_tape_replay(seed, widths, bias, calls):
+    _check_per_sample_pass(seed, widths, bias, calls)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    seed=_SEEDS,
+    widths=st.lists(st.integers(1, 12), min_size=2, max_size=4, unique=True),  # no two levels alike
+    bias=_ANY_BIAS,
+    calls=_calls(min_size=2, batch_stats=st.just(True), scores=st.just(False)),  # traces and diagonal
+)
+def test_coupling_product_on_mixed_widths_matches_the_tape_and_a_fresh_clone(seed, widths, bias, calls):
+    _check_per_sample_pass(seed, widths, bias, calls)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    seed=_SEEDS,
+    widths=st.lists(st.integers(1, 12), min_size=1, max_size=4),  # depth 1-4
+    bias=st.sampled_from(["none", "first"]),
+    calls=_calls(min_size=2),  # the later calls find the earlier calls' slabs
+)
+def test_first_layer_closed_form_coupling_matches_the_tape_and_a_fresh_clone(seed, widths, bias, calls):
+    _check_per_sample_pass(seed, widths, bias, calls)
 
 
 # tracemalloc peaks of one layer_fim_trace call on a fresh clone of the desk
