@@ -28,6 +28,7 @@ WEIGHTED_METHODS = ("layerwise", "naive_eq6")
 BASELINE_METHODS = ("source", "bn1", "uniform_tent")
 # AdaptConfig field -> the values it accepts
 CHOICES = {"method": WEIGHTED_METHODS + BASELINE_METHODS, "optimizer": ("adam", "sgd")}
+PRETRAIN_BATCH = 64  # source rows per pretraining step
 
 
 @dataclass
@@ -81,7 +82,6 @@ def pretrain(
     epochs: int,
     eta_pre: float = 1e-2,
     seed: int = 0,
-    batch_size: int = 64,
 ) -> float:
     """Minimize NLL on the labeled source set with uniform-rate Adam,
     training ``model`` in place.
@@ -97,15 +97,15 @@ def pretrain(
         raise ValueError(f"eta_pre must be finite and > 0, got {eta_pre}")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
-    if epochs > 0 and n < batch_size:
-        raise ValueError(f"n must be >= batch_size={batch_size} for a pretraining step, got {n} source rows")
+    if epochs > 0 and n < PRETRAIN_BATCH:
+        raise ValueError(f"n must be >= PRETRAIN_BATCH={PRETRAIN_BATCH} for a pretraining step, got {n} source rows")
     rng = np.random.default_rng(seed)
     opt = scheduler.AdamState()
     uniform = np.full(len(model.weight_layers()), eta_pre)
     for epoch in range(epochs):
         order = rng.permutation(n)
-        for step, start in enumerate(range(0, n - batch_size + 1, batch_size)):
-            pick = order[start : start + batch_size]
+        for step, start in enumerate(range(0, n - PRETRAIN_BATCH + 1, PRETRAIN_BATCH)):
+            pick = order[start : start + PRETRAIN_BATCH]
             logits, saved = model.forward(source.inputs[pick], batch_stats=True)
             loss, g = losses.nll_loss(logits, source.labels[pick])
             if not np.isfinite(loss):

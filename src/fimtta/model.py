@@ -61,7 +61,6 @@ class LayerParams:
     name: str
     kind: str  # dense | norm | relu
     params: list[np.ndarray] = field(default_factory=list)
-    trainable: bool = True
     # frozen-source normalization statistics (norm layers only)
     source_mean: np.ndarray | None = None
     source_var: np.ndarray | None = None
@@ -103,17 +102,6 @@ class Model:
 
     def weight_layer_names(self) -> list[str]:
         return [layer.name for layer in self.weight_layers()]
-
-    def trainable_runs(self) -> list[slice]:
-        """Maximal ranges of ``theta`` whose layers are all trainable."""
-        runs: list[slice] = []
-        for layer in self.weight_layers():
-            cols = self.slices[layer.name]
-            if layer.trainable and runs and runs[-1].stop == cols.start:
-                runs[-1] = slice(runs[-1].start, cols.stop)
-            elif layer.trainable:
-                runs.append(cols)
-        return runs
 
     def _check_inputs(self, x: np.ndarray) -> None:
         if x.ndim not in (2, 3) or x.shape[-1] != self.input_dim:
@@ -412,9 +400,7 @@ def save_checkpoint(model: Model, path, meta: dict[str, str] | None = None) -> N
     for key, value in (meta or {}).items():
         lines.append(f"meta {key} {value}")
     for layer in model.layers:
-        lines.append(
-            f"layer {layer.name} {layer.kind} trainable={int(layer.trainable)}"
-        )
+        lines.append(f"layer {layer.name} {layer.kind} trainable=1")  # every layer adapts
         for p in layer.params:
             lines.append("param " + " ".join(str(d) for d in p.shape))
             lines.append(_fmt_vals(p))
@@ -428,9 +414,10 @@ def save_checkpoint(model: Model, path, meta: dict[str, str] | None = None) -> N
 
 
 def load_checkpoint(path) -> tuple[Model, dict[str, str]]:
-    """Read a ``save_checkpoint`` file. A malformed line, or layers that do
-    not chain ``input_dim`` features to ``class_count``, raise ``ValueError``
-    naming the file and line."""
+    """Read a ``save_checkpoint`` file. A malformed line, a layer marked
+    frozen (``trainable=0``), or layers that do not chain ``input_dim``
+    features to ``class_count``, raise ``ValueError`` naming the file and
+    line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:
@@ -450,11 +437,11 @@ def load_checkpoint(path) -> tuple[Model, dict[str, str]]:
         elif kind == "meta":
             meta[tokens[1]] = " ".join(tokens[2:])
         elif kind == "layer":
-            if tokens[2] not in ("dense", "norm", "relu") or tokens[3] not in ("trainable=0", "trainable=1"):
-                raise ValueError(f"{where}: need kind dense|norm|relu and trainable=0|1, got {lines[i]!r}")
+            if tokens[2] not in ("dense", "norm", "relu") or tokens[3] != "trainable=1":
+                raise ValueError(f"{where}: need kind dense|norm|relu and trainable=1 (no layer is frozen), got {lines[i]!r}")
             if any(layer.name == tokens[1] for layer, _ in layers):
                 raise ValueError(f"{where}: layer name {tokens[1]!r} is repeated")
-            layers.append((LayerParams(name=tokens[1], kind=tokens[2], trainable=tokens[3] == "trainable=1"), i + 1))
+            layers.append((LayerParams(name=tokens[1], kind=tokens[2]), i + 1))
         elif kind in ("param", "buffer"):
             if not layers:
                 raise ValueError(f"{where}: {kind} line before any layer line")

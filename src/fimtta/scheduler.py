@@ -21,7 +21,9 @@ EPSILON = 1e-8  # keeps the scaler finite when every weight is equal
 
 
 def exp_minmax_scale(w, tau: float) -> np.ndarray:
-    """Scale raw per-layer weights into [0, 1], preserving their order."""
+    """Scale raw per-layer weights into [0, 1], preserving their order.
+    ``tau = 0`` gives all ones: ``x ** 0.0`` is 1.0 for every float64,
+    NaN and +-inf included."""
     arr = np.asarray(w, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError(
@@ -29,9 +31,6 @@ def exp_minmax_scale(w, tau: float) -> np.ndarray:
         )
     if tau < 0:
         raise ValueError(f"exp_minmax_scale: tau must be >= 0, got {tau}")
-    if tau == 0.0:
-        # defined as uniform all-ones rather than evaluating 0**0
-        return np.ones_like(arr)
     lo = arr.min()
     hi = arr.max()
     return ((arr - lo) / (hi - lo + EPSILON)) ** tau
@@ -61,16 +60,17 @@ class AdamState:
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
 
-    def update(self, grad: np.ndarray, cols: slice) -> np.ndarray:
-        """Fold ``grad[cols]`` of a flat gradient into the moments of those
-        columns and return their unit-rate step direction."""
+    def update(self, grad: np.ndarray) -> np.ndarray:
+        """Count a step, fold a flat [P] gradient into the moments and
+        return the unit-rate step direction."""
         if self.m is None:
             self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
-        g, m, v = grad[cols], self.m[cols], self.v[cols]
+        self.step_count += 1
+        m, v = self.m, self.v
         m *= self.BETA1
-        m += (1.0 - self.BETA1) * g
+        m += (1.0 - self.BETA1) * grad
         v *= self.BETA2
-        v += (1.0 - self.BETA2) * g * g
+        v += (1.0 - self.BETA2) * grad * grad
         denom = np.sqrt(v / (1.0 - self.BETA2**self.step_count))
         denom += self.EPS
         return np.divide(m / (1.0 - self.BETA1**self.step_count), denom, out=denom)
@@ -82,15 +82,14 @@ def weighted_step(
     rates,
     optimizer: AdamState | None = None,
 ) -> bool:
-    """Descend each trainable layer by its own rate; True if applied.
+    """Descend each layer by its own rate; True if applied.
 
     ``grad`` is a flat [P] gradient laid out like ``model.theta`` and
     ``rates`` aligns with ``model.weight_layers()``. Without an
     optimizer this is the plain per-layer SGD update; with one, the rate
     multiplies the Adam step. Zero-rate layers keep their parameters but
-    still fold their gradients into the Adam moments; untrainable layers
-    are left alone. A non-finite rate, or a non-finite gradient value of
-    a trainable layer, rejects the whole step: the model and the Adam
+    still fold their gradients into the Adam moments. A non-finite rate
+    or gradient value rejects the whole step: the model and the Adam
     moments are left untouched and the incident logged.
     """
     layers = model.weight_layers()
@@ -104,17 +103,11 @@ def weighted_step(
     if not np.isfinite(rate_arr).all():
         logger.warning("weighted_step: non-finite rates %s; step rejected", rate_arr)
         return False
-    runs = model.trainable_runs()
-    if not all(np.isfinite(grad[cols]).all() for cols in runs):
+    if not np.isfinite(grad).all():
         bad = [name for name, cols in model.slices.items() if not np.isfinite(grad[cols]).all()]
         logger.warning("weighted_step: non-finite gradient in layers %s; step rejected", bad)
         return False
-    if optimizer is not None:
-        optimizer.step_count += 1
-    counts = [cols.stop - cols.start for cols in model.slices.values()]
-    elem_rates = np.repeat(rate_arr, counts)
-    for cols in runs:
-        direction = grad[cols] if optimizer is None else optimizer.update(grad, cols)
-        rate, theta = elem_rates[cols], model.theta[cols]
-        np.subtract(theta, rate * direction, out=theta, where=rate != 0.0)
+    direction = grad if optimizer is None else optimizer.update(grad)
+    rate = np.repeat(rate_arr, [cols.stop - cols.start for cols in model.slices.values()])
+    np.subtract(model.theta, rate * direction, out=model.theta, where=rate != 0.0)
     return True

@@ -12,6 +12,7 @@ replay per sample. ``batch_grads`` is the library's own path: one
 ``layer_grads`` splits its flat gradient back into per-layer arrays, and
 ``param_snapshot`` copies every layer's parameters, and ``with_dense_biases``
 gives a model the older layout in which every dense layer has a bias.
+``assert_layers_match`` holds the library's per-layer arrays to the tape's.
 """
 
 from __future__ import annotations
@@ -21,6 +22,25 @@ import numpy as np
 import autodiff as ad
 from fimtta import harness
 from fimtta.model import Model
+
+RTOL = 1e-12
+# dense biases in front of batch-stat norms have analytically zero
+# gradients and scores, so on them both sides are rounding noise
+NORM_FLOOR = 1e-3
+
+
+def assert_layers_match(got: dict[str, np.ndarray], ref: dict[str, np.ndarray]) -> None:
+    """Each layer's array of ``got`` equals ``ref``'s within RTOL of the
+    largest of its norm, the norm of every layer together and NORM_FLOOR.
+    A layer whose values are what cancellation leaves (a dense layer in
+    front of a batch-statistic norm) carries rounding error on the scale of
+    the cancelled terms, so its bound is floored at the whole's."""
+    assert got.keys() == ref.keys()
+    whole = float(np.sqrt(sum(np.vdot(r, r) for r in ref.values())))
+    for name, r in ref.items():
+        assert got[name].shape == r.shape
+        tol = RTOL * max(float(np.linalg.norm(r)), whole, NORM_FLOOR)
+        assert np.abs(got[name] - r).max() <= tol, name
 
 
 def tape_params(model: Model) -> dict[str, list[ad.Tensor]]:

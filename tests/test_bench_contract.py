@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from fimtta.harness import AdaptConfig, adapt_stream, pretrain
+from fimtta.harness import PRETRAIN_BATCH, AdaptConfig, adapt_stream, pretrain
 from fimtta.model import build_classifier
 from fimtta.stream import ScheduleStream, SourceSpec, gen_source, make_schedule
 
@@ -77,8 +77,8 @@ def _tiny_task():
 def test_pretrain_calls_collect_grads_once_per_step(monkeypatch):
     _, source, model = _tiny_task()
     counts = _count_calls(monkeypatch)
-    pretrain(model, source, epochs=2, seed=0, batch_size=32)
-    steps = 2 * (240 // 32)
+    pretrain(model, source, epochs=2, seed=0)
+    steps = 2 * (240 // PRETRAIN_BATCH)
     assert counts["collect_grads"] == steps
     # one forward per step, one to record source statistics, one for accuracy
     assert counts["forward"] == steps + 2
@@ -121,7 +121,7 @@ SETTINGS = {
 @pytest.mark.parametrize("name", sorted(PER_BATCH))
 def test_adapt_stream_calls_per_batch(monkeypatch, name):
     spec, source, model = _tiny_task()
-    pretrain(model, source, epochs=2, seed=0, batch_size=32)
+    pretrain(model, source, epochs=2, seed=0)
     schedule = make_schedule("continual", ["contrast_scale", "gaussian_noise"], 3, 16, seed=0)
     counts = _count_calls(monkeypatch)
     config = AdaptConfig(**SETTINGS.get(name, {"method": name}))

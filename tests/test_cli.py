@@ -349,6 +349,20 @@ def test_checkpoint_with_the_older_dimension_metadata_runs_the_same(pretrained, 
     assert runs[0] == runs[1]
 
 
+def test_checkpoint_with_a_frozen_layer_aborts_before_any_artifact(pretrained, tmp_path, caplog):
+    # every layer adapts, so a layer a file marks trainable=0 is refused rather than adapted
+    ckpt, sched = pretrained
+    frozen = tmp_path / "frozen.txt"
+    lines = ckpt.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("layer norm1 "))
+    lines[at] = "layer norm1 norm trainable=0"
+    frozen.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    assert main(["adapt", "--checkpoint", str(frozen), "--schedule", str(sched), "--out", str(out)]) == 1
+    assert f"frozen.txt: line {at + 1}: " in caplog.text and "trainable=1" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,method,code", [
     ("adapt", None, 1), ("dump-weights", None, 1), ("ablate", None, 1),
     ("adapt", "naive_eq6", 0), ("baseline", "uniform_tent", 0),  # only the scaler needs two layers

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from fimtta import fisher, harness, losses
 from fimtta.model import build_classifier, cache_group, record_source_stats
 from oracle import (
+    assert_layers_match,
     tape_consistency_loss,
     tape_entropy_loss,
     tape_forward,
@@ -26,11 +27,6 @@ from oracle import (
     tape_params,
     with_dense_biases,
 )
-
-RTOL = 1e-12
-# dense biases in front of batch-stat norms have analytically zero
-# gradients, so on them both sides are rounding noise
-NORM_FLOOR = 1e-3
 
 
 @st.composite
@@ -84,13 +80,7 @@ def test_collect_grads_matches_tape_oracle(case):
 
 def _assert_matches_tape(model, got, ref):
     flat = {name: np.concatenate([a.ravel() for a in ref_grads]) for name, ref_grads in ref.items()}
-    # a layer whose gradient is what cancellation leaves (a dense layer in front
-    # of a batch-statistic norm) carries rounding error on the scale of the
-    # cancelled terms, so its tolerance is floored at RTOL of the whole gradient
-    whole = float(np.linalg.norm(np.concatenate(list(flat.values()))))
-    for name, r in flat.items():
-        tol = RTOL * max(float(np.linalg.norm(r)), whole, NORM_FLOOR)
-        assert np.abs(got[model.slices[name]] - r).max() <= tol, name
+    assert_layers_match({name: got[cols] for name, cols in model.slices.items()}, flat)
 
 
 def _entries(kept):

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import finite_diff, max_rel_err
 from fimtta.fisher import (
@@ -23,7 +23,7 @@ from fimtta.fisher import (
 from fimtta.harness import AdaptConfig, collect_grads
 from fimtta.losses import entropy_loss, log_softmax, nll_loss
 from fimtta.model import Model, build_classifier, record_source_stats, save_checkpoint
-from oracle import param_snapshot, replay_scores, score, with_dense_biases
+from oracle import assert_layers_match, param_snapshot, replay_scores, score, with_dense_biases
 
 
 def _scores(model, inputs, batch_stats=True):
@@ -118,16 +118,6 @@ def _random_model(rng, biased=False):
     return m
 
 
-def _assert_scores_match(got, ref):
-    assert got.keys() == ref.keys()
-    for name, r in ref.items():
-        assert got[name].shape == r.shape
-        # dense biases in front of batch-stat norm have analytically zero
-        # scores; on them both sides are rounding noise
-        tol = 1e-12 * max(float(np.linalg.norm(r)), 1e-3)
-        assert np.abs(got[name] - r).max() <= tol, name
-
-
 # With 512 chunk rows, 40 samples run as chunks of 12, 12, 12 and 4, and
 # the desk batch of 64 as eight chunks of 8.
 @pytest.mark.parametrize("n", [1, 2, 7, 40, 64])
@@ -137,7 +127,7 @@ def test_batched_per_sample_scores_match_per_sample_replay(n, batch_stats):
     for _ in range(3):
         m = _random_model(rng)
         x = rng.standard_normal((n, m.input_dim))
-        _assert_scores_match(
+        assert_layers_match(
             _scores(m, x, batch_stats=batch_stats), replay_scores(m, x, batch_stats)
         )
 
@@ -150,7 +140,7 @@ def test_batched_scores_independent_of_chunking(monkeypatch, chunk_rows):
     x = rng.standard_normal((7, m.input_dim))
     ref = replay_scores(m, x, True)
     monkeypatch.setattr("fimtta.model._CHUNK_ROWS", chunk_rows)
-    _assert_scores_match(_scores(m, x), ref)
+    assert_layers_match(_scores(m, x), ref)
 
 
 def test_desk_model_batched_scores_match_per_sample_replay():
@@ -160,7 +150,7 @@ def test_desk_model_batched_scores_match_per_sample_replay():
         for p in layer.params:
             p += 0.1 * rng.standard_normal(p.shape)
     x = rng.standard_normal((64, 16))
-    _assert_scores_match(_scores(m, x), replay_scores(m, x, True))
+    assert_layers_match(_scores(m, x), replay_scores(m, x, True))
 
 
 @pytest.mark.parametrize("batch_stats", [True, False])
@@ -447,7 +437,7 @@ def _check_per_sample_pass(seed, widths, bias, calls):
             _assert_bit_identical(got, _pass(model.clone(), x, batch_stats, scores))
         ref = replay_scores(model, x, batch_stats)
         if scores:
-            _assert_scores_match(dict(zip(ref, got)), ref)
+            assert_layers_match(dict(zip(ref, got)), ref)
         else:
             _assert_traces_match_scores(model, got, ref)
         assert model.theta.tobytes() == theta.tobytes()  # the pass reads the parameters only
@@ -457,6 +447,9 @@ def _check_per_sample_pass(seed, widths, bias, calls):
 # other three spend their examples on the regimes their names give.
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=_SEEDS, widths=_ANY_WIDTHS, bias=_ANY_BIAS, calls=_calls())
+# dense1, in front of the width-1 norm, is a cancellation residue: score norm
+# ~7e-4 against ~15 for the whole, held to the whole's bound
+@example(seed=399674, widths=[10, 1], bias="none", calls=[(6, c, True, True) for c in (1, 7, 9, 64, 200, 1024, 4096)])
 def test_reused_workspace_gives_the_results_of_a_fresh_clone(seed, widths, bias, calls):
     _check_per_sample_pass(seed, widths, bias, calls)
 

@@ -35,7 +35,7 @@ def tiny_setup(seed=0):
     spec = SourceSpec(input_dim=6, class_count=3, margin=5.0, seed=seed)
     source = gen_source(spec, 240)
     model = build_classifier(6, [8, 8], 3, seed=seed)
-    pretrain(model, source, epochs=8, eta_pre=1e-2, seed=seed, batch_size=32)
+    pretrain(model, source, epochs=8, eta_pre=1e-2, seed=seed)
     return spec, model
 
 
@@ -135,20 +135,20 @@ def test_pretrain_aborts_on_non_finite_loss():
         pretrain(build_classifier(6, [8], 3, seed=0), source, epochs=2, seed=0)
 
 
-@pytest.mark.parametrize("settings,setting", [
-    ({"eta_pre": float("nan")}, "eta_pre"),  # every step was rejected
-    ({"eta_pre": float("inf")}, "eta_pre"),
-    ({"eta_pre": 0.0}, "eta_pre"),
-    ({"eta_pre": -0.01}, "eta_pre"),  # gradient ascent
-    ({"epochs": -1}, "epochs"),
-    ({"epochs": 2, "batch_size": 241}, "n"),  # fewer rows than one batch: no step
+@pytest.mark.parametrize("settings,setting,rows", [
+    ({"eta_pre": float("nan")}, "eta_pre", 240),  # every step was rejected
+    ({"eta_pre": float("inf")}, "eta_pre", 240),
+    ({"eta_pre": 0.0}, "eta_pre", 240),
+    ({"eta_pre": -0.01}, "eta_pre", 240),  # gradient ascent
+    ({"epochs": -1}, "epochs", 240),
+    ({"epochs": 2}, "n", harness.PRETRAIN_BATCH - 1),  # fewer rows than one batch: no step
 ], ids=["eta_pre-nan", "eta_pre-inf", "eta_pre-0", "eta_pre-negative", "epochs-negative", "n-below-batch_size"])
-def test_pretrain_rejects_settings_that_train_nothing_before_the_first_step(settings, setting):
+def test_pretrain_rejects_settings_that_train_nothing_before_the_first_step(settings, setting, rows):
     spec = SourceSpec(input_dim=6, class_count=3, margin=5.0, seed=0)
     model = build_classifier(6, [8], 3, seed=0)
     before = model.theta.copy()
     with pytest.raises(ValueError, match=f"^{setting} must be"):
-        pretrain(model, gen_source(spec, 240), **{"epochs": 1, **settings})
+        pretrain(model, gen_source(spec, rows), **{"epochs": 1, **settings})
     assert np.array_equal(model.theta, before)
     assert all(layer.source_mean is None for layer in model.layers if layer.kind == "norm")
 

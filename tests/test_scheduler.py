@@ -34,6 +34,9 @@ def test_tau_zero_gives_all_ones():
     for _ in range(20):
         w = rng.uniform(0, 10, size=rng.integers(2, 9))
         assert np.array_equal(exp_minmax_scale(w, tau=0.0), np.ones(w.size))
+    with np.errstate(invalid="ignore"):  # x ** 0.0 is 1.0 whatever x is
+        for w in ([np.nan, 1.0], [np.inf, -np.inf, 2.0], [0.0, np.inf]):
+            assert np.array_equal(exp_minmax_scale(w, tau=0.0), np.ones(len(w)))
 
 
 def test_scaler_rejects_single_layer_and_bad_params():
@@ -246,27 +249,24 @@ def test_adam_matches_reference_implementation():
 
 @st.composite
 def step_sequences(draw):
-    """A small model, an optimizer kind, a trainable mask and a sequence of
-    (gradient, rates) steps, some of them carrying non-finite values."""
+    """A small model, an optimizer kind and a sequence of (gradient, rates)
+    steps, some of them carrying non-finite values."""
     hidden = draw(st.sampled_from([[], [3], [4, 2]]))
     layers = 1 + 2 * len(hidden)
-    trainable = draw(st.lists(st.booleans(), min_size=layers, max_size=layers))
     steps = []
     for _ in range(draw(st.integers(1, 8))):
         rates = draw(st.lists(st.sampled_from([0.0, 1e-3, 5e-2, 0.5]), min_size=layers, max_size=layers))
         poison = draw(st.sampled_from([None, "grad", "rate"]))
         bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         steps.append((draw(st.integers(0, 2**32 - 1)), rates, poison, bad))
-    return hidden, draw(st.booleans()), trainable, steps
+    return hidden, draw(st.booleans()), steps
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(step_sequences())
 def test_steps_keep_state_finite_and_rejections_write_nothing(case):
-    hidden, use_adam, trainable, steps = case
+    hidden, use_adam, steps = case
     model = build_classifier(3, hidden, 2, seed=0)
-    for layer, flag in zip(model.weight_layers(), trainable):
-        layer.trainable = flag
     # negative zeros: a zero-rate update that subtracts 0 * direction flips them
     model.theta[np.random.default_rng(len(steps)).random(model.theta.size) < 0.3] = -0.0
     opt = AdamState() if use_adam else None
@@ -274,20 +274,19 @@ def test_steps_keep_state_finite_and_rejections_write_nothing(case):
         rng = np.random.default_rng(seed)
         grad = rng.standard_normal(model.theta.size) * rng.choice([1e-3, 1.0, 1e3])
         rates = np.array(rates)
-        runs = model.trainable_runs()
-        if poison == "grad" and runs:  # only a trainable layer's gradient is read
-            grad[rng.integers(runs[0].start, runs[0].stop)] = bad
+        if poison == "grad":  # any layer's, zero-rate ones included
+            grad[rng.integers(grad.size)] = bad
         elif poison == "rate":
             rates[rng.integers(rates.size)] = bad
-        rejected = poison == "rate" or (poison == "grad" and bool(runs))
+        rejected = poison is not None
         before = _state(model, opt)
         assert weighted_step(model, grad, rates, optimizer=opt) == (not rejected)
         after = _state(model, opt)
         if rejected:
             assert _bits(after) == _bits(before)
-        # untrainable and zero-rate layers keep their parameters bit for bit
+        # zero-rate layers keep their parameters bit for bit
         for layer, rate in zip(model.weight_layers(), rates):
-            if not layer.trainable or rate == 0.0:
+            if rate == 0.0:
                 cols = model.slices[layer.name]
                 assert after[0][cols].tobytes() == before[0][cols].tobytes()
         assert np.isfinite(model.theta).all()
