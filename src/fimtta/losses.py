@@ -35,15 +35,6 @@ def _through_log_softmax(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     return g - p * g.sum(axis=1, keepdims=True)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def entropy_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
     """Batch mean H of the Shannon entropy of softmax(logits), and dH/dlogits.
 
@@ -67,16 +58,19 @@ def consistency_loss(logits: np.ndarray, aug_logits: np.ndarray) -> tuple[float,
     The clean logits z act as pseudo label and are detached: the loss is
     differentiated only through the augmented logits zh. Each class term
     weighs w = sigmoid(z) against log sigmoid(zh), so
-    dL/dzh = -w * (1 - sigmoid(zh)) / n.
+    dL/dzh = -w * (1 - sigmoid(zh)) / n. Both sigmoids are exponentials of
+    log-sigmoids, whose exponents are <= 0: w = exp(log sigmoid(z)) and
+    1 - sigmoid(zh) = sigmoid(-zh) = exp(log sigmoid(zh) - zh), which keeps
+    its relative accuracy where sigmoid(zh) rounds to 1.
     """
     z = np.asarray(logits, dtype=np.float64)
     zh = np.asarray(aug_logits, dtype=np.float64)
     if z.shape != zh.shape:
         raise ShapeError(f"consistency_loss: incompatible shapes {z.shape} and {zh.shape}")
     scale = -1.0 / z.shape[0]
-    weights = _stable_sigmoid(z)
+    weights = np.exp(-np.logaddexp(0.0, -z))
     log_term = -np.logaddexp(0.0, -zh)
-    grad = (scale * weights) * (1.0 - _stable_sigmoid(zh))
+    grad = (scale * weights) * np.exp(log_term - zh)
     return float((weights * log_term).sum() * scale), grad
 
 

@@ -11,7 +11,6 @@ weighted update alike.
 from __future__ import annotations
 
 import copy
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -350,21 +349,11 @@ def record_source_stats(model: Model, inputs: np.ndarray) -> None:
 # checkpoint serialization (bit-exact text format)
 
 
-def _fmt_vals(arr: np.ndarray) -> str:
-    # float.hex writes every NaN as "nan"; its bit pattern keeps the sign and payload
-    return " ".join(v.hex() if v == v else "nan:" + struct.pack(">d", v).hex() for v in arr.ravel().tolist())
-
-
-def _parse_val(tok: str) -> float:
-    if tok.startswith("nan:") and len(tok) == 20:
-        val = struct.unpack(">d", bytes.fromhex(tok[4:]))[0]
-        if val != val:
-            return val
-    return float.fromhex(tok)  # which rejects a "nan:" token that is not a NaN's bits
-
-
 def _parse_vals(line: str, shape: tuple[int, ...]) -> np.ndarray:
-    return np.asarray([_parse_val(tok) for tok in line.split()], dtype=np.float64).reshape(shape)
+    vals = np.asarray([float.fromhex(tok) for tok in line.split()], dtype=np.float64).reshape(shape)
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{vals[~np.isfinite(vals)][0]} is not a finite value")
+    return vals
 
 
 def _ints(tokens: list[str], where: str) -> tuple[int, ...]:
@@ -393,7 +382,11 @@ def _out_width(layer: LayerParams, width: int) -> int:
 
 
 def save_checkpoint(model: Model, path, meta: dict[str, str] | None = None) -> None:
-    """Write layer name -> shape -> values as hex-float text; round trips exactly."""
+    """Write layer name -> shape -> values as hex-float text; round trips exactly.
+
+    A checkpoint holds finite values only: a NaN or infinite parameter or
+    source statistic raises ``ValueError`` naming its layer, before the file
+    is opened."""
     lines = [CHECKPOINT_HEADER]
     lines.append(f"input_dim {model.input_dim}")
     lines.append(f"class_count {model.class_count}")
@@ -401,23 +394,20 @@ def save_checkpoint(model: Model, path, meta: dict[str, str] | None = None) -> N
         lines.append(f"meta {key} {value}")
     for layer in model.layers:
         lines.append(f"layer {layer.name} {layer.kind} trainable=1")  # every layer adapts
-        for p in layer.params:
-            lines.append("param " + " ".join(str(d) for d in p.shape))
-            lines.append(_fmt_vals(p))
-        for buf_name in ("source_mean", "source_var"):
-            buf = getattr(layer, buf_name)
-            if buf is not None:
-                lines.append(f"buffer {buf_name} " + " ".join(str(d) for d in buf.shape))
-                lines.append(_fmt_vals(buf))
+        stats = [(f"buffer {name}", getattr(layer, name)) for name in ("source_mean", "source_var")]
+        for head, vals in [("param", p) for p in layer.params] + [(h, b) for h, b in stats if b is not None]:
+            if not np.isfinite(vals).all():
+                raise ValueError(f"save_checkpoint: layer {layer.name!r} has a non-finite {head.split()[-1]} value")
+            lines += [" ".join([head, *map(str, vals.shape)]), " ".join(v.hex() for v in vals.ravel().tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_checkpoint(path) -> tuple[Model, dict[str, str]]:
-    """Read a ``save_checkpoint`` file. A malformed line, a layer marked
-    frozen (``trainable=0``), or layers that do not chain ``input_dim``
-    features to ``class_count``, raise ``ValueError`` naming the file and
-    line."""
+    """Read a ``save_checkpoint`` file. A malformed line, a value that is not
+    a finite hex float, a layer marked frozen (``trainable=0``), or layers
+    that do not chain ``input_dim`` features to ``class_count``, raise
+    ``ValueError`` naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:

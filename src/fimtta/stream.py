@@ -211,6 +211,8 @@ def make_schedule(
         raise ScheduleError("batches", f"need >= 1 batches per segment, got {batches_per_segment}")
     if batch_size < 1:
         raise ScheduleError("batch_size", f"need batch_size >= 1, got {batch_size}")
+    if seed < 0:
+        raise ScheduleError("seed", f"need seed >= 0, got {seed}")
     if kind not in ("continual", "gradual"):
         raise ScheduleError("kind", f"schedule kind must be continual or gradual, got {kind!r}")
     severities = (5,) if kind == "continual" else GRADUAL_RAMP

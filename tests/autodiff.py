@@ -199,11 +199,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def log_sigmoid(a: Tensor) -> Tensor:
-    """log(sigmoid(x)) computed as -log1p(exp(-x)) without overflow."""
-    sd = _sigmoid(a.data)
+    """log(sigmoid(x)) computed as -log1p(exp(-x)) without overflow; its
+    derivative is 1 - sigmoid(x), taken as sigmoid(-x) so the tail where
+    sigmoid(x) rounds to 1 keeps its relative accuracy."""
+    sd = _sigmoid(-a.data)
 
     def vjp(g: np.ndarray):
-        return (g * (1.0 - sd),)
+        return (g * sd,)
 
     return _make(-np.logaddexp(0.0, -a.data), (a,), vjp)
 

@@ -363,6 +363,31 @@ def test_checkpoint_with_a_frozen_layer_aborts_before_any_artifact(pretrained, t
     assert not out.exists()
 
 
+def test_checkpoint_with_a_nan_value_aborts_before_any_artifact(pretrained, tmp_path, caplog):
+    # a NaN weight once ran to the end, every step rejected, and wrote a NaN mean entropy
+    ckpt, sched = pretrained
+    poisoned = tmp_path / "poisoned.txt"
+    lines = ckpt.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("param ")) + 1
+    lines[at] = " ".join(["nan"] + lines[at].split()[1:])
+    poisoned.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    assert main(["adapt", "--checkpoint", str(poisoned), "--schedule", str(sched), "--out", str(out)]) == 1
+    assert f"poisoned.txt: line {at + 1}: bad param values (nan is not a finite value)" in caplog.text
+    assert not out.exists()
+
+
+def test_schedule_with_a_negative_seed_aborts_before_any_artifact(pretrained, tmp_path, caplog):
+    # numpy once refused the seed after the run's files were created, naming no file or line
+    ckpt, _ = pretrained
+    sched = tmp_path / "negative.sched"
+    write_schedule_file(sched, "continual", ["contrast_scale", "gaussian_noise"], 3, 16, -1)
+    out = tmp_path / "run"
+    assert main(["adapt", "--checkpoint", str(ckpt), "--schedule", str(sched), "--out", str(out)]) == 1
+    assert "negative.sched: line 5: need seed >= 0, got -1" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,method,code", [
     ("adapt", None, 1), ("dump-weights", None, 1), ("ablate", None, 1),
     ("adapt", "naive_eq6", 0), ("baseline", "uniform_tent", 0),  # only the scaler needs two layers

@@ -89,6 +89,14 @@ def test_consistency_gradient_wrt_pseudo_label_is_zero():
     assert np.allclose(g, grads[1], rtol=1e-12, atol=1e-15)
 
 
+def test_consistency_gradient_keeps_relative_accuracy_where_sigmoid_rounds_to_one():
+    # 1 - sigmoid(zh) taken as a difference lost all its digits by zh = 40
+    z = np.tile([20.0, 30.0, 40.0, 200.0], (3, 1))
+    _, g = consistency_loss(z, z)
+    expected = -1.0 / (1.0 + np.exp(-z)) / (3 * (1.0 + np.exp(z)))
+    assert np.abs(g / expected - 1.0).max() <= 1e-12
+
+
 def test_consistency_shape_mismatch_rejected():
     with pytest.raises(ShapeError, match="consistency"):
         consistency_loss(np.zeros((2, 3)), np.zeros((2, 4)))

@@ -371,6 +371,7 @@ def test_schedule_non_integer_field_rejected(tmp_path, key, line):
     ("kind", "weekly", 1, "continual or gradual, got 'weekly'"),
     ("kinds", "gaussian_noise", 2, ">= 2 corruption kinds"),
     ("kinds", "gaussian_noise,frost", 2, "unknown corruption kind 'frost'"),
+    ("seed", "-1", 5, "need seed >= 0, got -1"),
 ])
 def test_schedule_value_rejected_with_file_and_line(tmp_path, key, value, line, message):
     # values make_schedule rejects are reported at the line of their key
