@@ -203,7 +203,7 @@ def adapt_stream(
             losses.augment(pair[0], aug_rng, out=pair[1])
         logits, saved = model.forward(inputs, batch_stats=batch_stats)
         clean = logits[0] if grouped else logits
-        rec.error = float((clean.argmax(axis=1) != labels).mean())
+        rec.error = float(np.count_nonzero(clean.argmax(axis=1) != labels) / len(labels))
         rec.entropy, g = losses.entropy_loss(clean)
         if not updating:
             return rec

@@ -38,19 +38,22 @@ def normalize(
     affine offset. The tests' tape oracle normalizes through here too, so its
     forward agrees with ``Model.forward`` bit for bit.
     """
-    grouped = mean is None and xd.ndim == 3  # a group's statistics stay [g, 1, f] against its rows
+    rows = (slice(None), None) if mean is None and xd.ndim == 3 else ()  # a group's [g, f] statistics on its rows
     if mean is None:
-        # the operations of xd.mean(-2) and xd.var(-2), without recentring twice
-        mu = xd.sum(axis=-2, keepdims=grouped) / xd.shape[-2]
-        xhat = xd - mu
-        sig2 = (xhat * xhat).sum(axis=-2, keepdims=grouped) / xd.shape[-2]
+        # mean and (biased) variance over the rows, each one GEMV per group, recentring once
+        ones = np.ones(xd.shape[-2])
+        mu = ones @ xd
+        mu /= xd.shape[-2]
+        xhat = xd - mu[rows]
+        sig2 = ones @ (xhat * xhat)
+        sig2 /= xd.shape[-2]
     else:
         mu = np.asarray(mean, dtype=np.float64)
         sig2 = np.asarray(var, dtype=np.float64)
         xhat = xd - mu
     inv_std = 1.0 / np.sqrt(sig2 + NORM_EPS)
-    xhat *= inv_std
-    return (xhat, inv_std[:, 0], mu[:, 0], sig2[:, 0]) if grouped else (xhat, inv_std, mu, sig2)
+    xhat *= inv_std[rows]
+    return xhat, inv_std, mu, sig2
 
 
 @dataclass
@@ -127,8 +130,10 @@ class Model:
         layer's ``(xhat, inv_std, mean, var)`` (moments only when they are
         the batch's own, so the backward flows through them), a ReLU's
         positive mask; a group's are those of its own forward, bit for bit.
+        A norm's affine and a ReLU write in place into arrays this pass made,
+        never into ``inputs`` or a cached array.
         """
-        out = np.asarray(inputs, dtype=np.float64)
+        out = x = np.asarray(inputs, dtype=np.float64)
         self._check_inputs(out)
         saved: list = []
         for layer in self.layers:
@@ -141,10 +146,11 @@ class Model:
                 scale, shift = layer.params
                 norm = normalize(out, *self._fixed_stats(layer, batch_stats))
                 saved.append(norm if batch_stats else norm[:2] + (None, None))
-                out = norm[0] * scale + shift
+                out = norm[0] * scale  # a fresh array: the shift and a ReLU above write into it
+                out += shift
             elif layer.kind == "relu":
                 saved.append(out > 0.0)
-                out = np.maximum(out, 0.0)
+                out = np.maximum(out, 0.0, out=None if out is x else out)  # in place unless it is the input
             else:
                 raise ValueError(f"unknown layer kind {layer.kind!r}")
         return out, saved
@@ -200,10 +206,12 @@ class Model:
 
         def reverse(g, top, row, own, low):
             # [s, m, f] from layer top down; ``own``: m = 1, slice k sees cache
-            # row k; a batch pass's slice k sees cache group k. ``scale`` (a norm's
-            # scale * inv_std) is still owed by g; the next dense layer folds it in.
-            # A norm ``low`` above ``first`` leaves its row coupling to the first layer
+            # row k; a batch pass's slice k sees cache group k. In the chunk loop
+            # ``scale`` (a norm's scale * inv_std) is still owed by g; the next
+            # dense layer folds it in. A norm ``low`` above ``first`` leaves its
+            # row coupling to the first layer
             s, m = g.shape[:2]
+            whole = not (own or slabs)  # the batch pass, whose groups' rows stack into one matrix
             ones, scale = np.ones(m), None
             for i in range(top, first - 1, -1):
                 layer, kept = self.layers[i], saved[i]
@@ -213,7 +221,7 @@ class Model:
                 col, size = self.slices[layer.name].start, layer.params[0].size
                 if layer.kind == "dense":
                     # the batch gradient's weights: one GEMM over the rows of every group
-                    grad_w = (kept.reshape(s * m, -1).T @ g.reshape(s * m, -1))[None] if kept.ndim == 3 else np.matmul(
+                    grad_w = (kept.reshape(s * m, -1).T @ g.reshape(s * m, -1))[None] if whole else np.matmul(
                         kept[:, :, None] if own else kept.T, g, out=slabs and spare(s, *layer.params[0].shape))
                     if i < low:  # the norm above left its coupling: + (K^T [xhat | 1]) @ D, into the spent held slab
                         grad_w += couple(low, g_scale, g_shift, -1.0 / m, np.ndarray(grad_w.shape, buffer=slabs[0]))
@@ -224,8 +232,8 @@ class Model:
                         sink(row, col + size, ones @ g if scale is None else (ones @ g) * scale)
                     if i > first:  # a contiguous transpose carries the owed scale down
                         if i not in folded:
-                            owed = 1.0 if scale is None else scale[:, None]
-                            folded[i] = np.multiply(layer.params[0].T, owed, order="C")
+                            folded[i] = layer.params[0].T.copy() if scale is None else np.multiply(
+                                layer.params[0].T, scale[:, None], order="C")
                         # the own-row product runs as the 2-D GEMM, whose rounding a batched one does not keep
                         g = (g[:, 0] @ folded[i])[:, None] if own else np.matmul(
                             g, folded[i], out=slabs and spare(s, m, kept.shape[1]))
@@ -236,9 +244,10 @@ class Model:
                 if scale is not None:
                     g *= scale
                 xhat, inv_std, mean, _ = kept
-                x = xhat[:, None] if own else xhat  # slice k's rows
+                x = xhat if slabs else xhat.reshape(g.shape)  # slice k's rows
                 grads = np.empty((s, 2, size))  # scale's and shift's, adjacent as in theta: one block
-                g_scale = np.einsum("snf,snf->sf" if x.ndim == 3 else "snf,nf->sf", g, x, out=grads[:, 0])
+                g_scale = np.matmul(ones, g * x, out=grads[:, 0]) if whole else np.einsum(
+                    "snf,snf->sf" if own else "snf,nf->sf", g, x, out=grads[:, 0])
                 g_shift = np.matmul(ones, g, out=grads[:, 1])
                 sink(row, col, grads.reshape(s, -1))
                 if i not in folded:
@@ -249,11 +258,11 @@ class Model:
                         return i, g[:, 0]  # slice k's cotangent on its own row k, = g_shift
                     if slabs:  # the chunk loop: one product for all its slices
                         g += couple(i, g_scale, g_shift, -1.0 / m, spare(*g.shape))
-                    else:  # at most 2 groups, where three calls cost less than the product
-                        coupled = xhat * (g_scale / m)[:, None]
-                        coupled += (g_shift / m)[:, None]
-                        g -= coupled
-                if own or scale.ndim == 2:  # own rows keep their rounding; one transpose cannot fold a per-group scale
+                    else:  # the batch pass, at most 2 groups: two broadcasts cost less than the product
+                        c = grads / -m
+                        g += x * c[:, :1]
+                        g += c[:, 1:]
+                if not slabs:  # own rows keep their rounding; a batch pass's (per-group) scale costs less here
                     g, scale = np.multiply(g, scale[..., None, :], out=g), None
 
         coupling = reverse(g if batch else g[:, None], len(self.layers) - 1, 0, not batch, first)

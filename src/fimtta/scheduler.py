@@ -68,12 +68,16 @@ class AdamState:
         self.step_count += 1
         m, v = self.m, self.v
         m *= self.BETA1
-        m += (1.0 - self.BETA1) * grad
+        term = np.multiply(grad, 1.0 - self.BETA1)  # one scratch array for every term, and one for the result
+        m += term
         v *= self.BETA2
-        v += (1.0 - self.BETA2) * grad * grad
-        denom = np.sqrt(v / (1.0 - self.BETA2**self.step_count))
+        np.multiply(grad, 1.0 - self.BETA2, out=term)
+        term *= grad
+        v += term
+        denom = np.divide(v, 1.0 - self.BETA2**self.step_count)
+        np.sqrt(denom, out=denom)
         denom += self.EPS
-        return np.divide(m / (1.0 - self.BETA1**self.step_count), denom, out=denom)
+        return np.divide(np.divide(m, 1.0 - self.BETA1**self.step_count, out=term), denom, out=denom)
 
 
 def weighted_step(

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fimtta import fisher, harness, losses
-from fimtta.model import build_classifier, cache_group, record_source_stats
+from fimtta.model import build_classifier, cache_group, normalize, record_source_stats
 from oracle import (
     assert_layers_match,
     tape_consistency_loss,
@@ -128,3 +128,55 @@ def test_grouped_pass_matches_per_group_passes(case, groups):
     got = fisher.layer_fim_trace(model, logits[0], cache_group(saved, 0))
     want = fisher.layer_fim_trace(model, alone_logits, alone)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _reference_cache(model, x, batch_stats):
+    """The entries a forward caches, layer by layer, from operations that
+    write into no array they read."""
+    out, cache = x, []
+    for layer in model.layers:
+        if layer.kind == "dense":
+            cache.append([out])
+            out = np.matmul(out, layer.params[0])
+            out = out + layer.params[1] if len(layer.params) == 2 else out
+        elif layer.kind == "norm":
+            norm = normalize(out, *((None, None) if batch_stats else (layer.source_mean, layer.source_var)))
+            cache.append(list(norm if batch_stats else norm[:2]))
+            out = norm[0] * layer.params[0] + layer.params[1]
+        else:
+            cache.append([out > 0.0])
+            out = np.maximum(out, 0.0)
+    return cache
+
+
+def _assert_cache_is(saved, want):
+    for kept, arrays in zip(saved, want, strict=True):
+        got = _entries(kept)
+        assert len(got) == len(arrays) and all(a.tobytes() == b.tobytes() for a, b in zip(got, arrays))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cases(), st.integers(1, 3))
+def test_grouped_pass_and_both_backwards_leave_input_and_cache_untouched(case, groups):
+    """The forward writes its affine and ReLU outputs in place, and the
+    backward its cotangents: none of them may land in the input batch or in
+    an array the forward cached, which the backward and the trace pass read."""
+    input_dim, hidden, class_count, n, batch_stats, _, lam, seed, biased = case
+    rng = np.random.default_rng(seed)
+    model = build_classifier(input_dim, hidden, class_count, seed=seed)
+    if biased:
+        model = with_dense_biases(model, rng)
+    record_source_stats(model, 1.5 * rng.standard_normal((40, input_dim)) + 0.5)
+    x = rng.standard_normal((groups, n, input_dim))
+    before = x.copy()
+    want = _reference_cache(model, before, batch_stats)
+
+    logits, saved = model.forward(x, batch_stats=batch_stats)
+    assert x.tobytes() == before.tobytes()
+    _assert_cache_is(saved, want)
+    cotangent = np.stack([losses.entropy_loss(logits[0])[1]] + [
+        lam * losses.consistency_loss(logits[0], logits[k])[1] for k in range(1, groups)])
+    harness.collect_grads(model, saved, cotangent)
+    fisher.layer_fim_trace(model, logits[0], cache_group(saved, 0))
+    assert x.tobytes() == before.tobytes()
+    _assert_cache_is(saved, want)

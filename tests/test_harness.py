@@ -286,6 +286,16 @@ def test_metrics_csv_has_fixed_header():
     assert text.splitlines()[0] == "step,domain,severity,error,entropy,consistency,wbar_1,wbar_2"
 
 
+@pytest.mark.parametrize("method", ["layerwise", "uniform_tent", "bn1", "source"])
+def test_metrics_csv_holds_plain_numbers(method):
+    spec, model = tiny_setup()
+    records = adapt_stream(model.clone(), ScheduleStream(spec, tiny_schedule()), AdaptConfig(method=method, seed=0))
+    assert all(type(v) is float for rec in records for v in (rec.error, rec.entropy, rec.consistency, *rec.w_bar))
+    for line in metrics_csv(records, model.weight_layer_names()).splitlines()[1:]:
+        step, _, severity, *values = line.split(",")
+        assert step.isdecimal() and severity.isdecimal() and all(np.isfinite(float(v)) for v in values)
+
+
 def test_summary_mean_is_arithmetic_mean():
     spec, model = tiny_setup()
     records = adapt_stream(

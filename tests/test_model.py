@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from fimtta.losses import log_softmax
 from fimtta.model import (
+    NORM_EPS,
     LayerParams,
     Model,
     ShapeError,
     build_classifier,
     load_checkpoint,
+    normalize,
     record_source_stats,
     save_checkpoint,
 )
@@ -402,3 +404,74 @@ def test_forward_and_source_stats_reject_dimension_mismatch():
         with pytest.raises(ShapeError, match="forward"):
             record_source_stats(m, bad)
     assert all(l.source_mean is None for l in m.layers if l.kind == "norm")
+
+
+EPS = np.finfo(np.float64).eps
+
+
+@st.composite
+def _norm_inputs(draw):
+    """[g, n, f] values around an offset; sometimes one feature is constant."""
+    g, n, f = draw(st.integers(1, 3)), draw(st.integers(1, 70)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1.0, -300.0, 1e4]))
+    x = offset + draw(st.sampled_from([1e-3, 1.0, 50.0])) * rng.standard_normal((g, n, f))
+    if draw(st.booleans()):
+        x[..., rng.integers(f)] = offset  # zero variance: the affine offset alone
+    return x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_norm_inputs())
+def test_normalize_takes_each_groups_own_moments(x):
+    """Each group's moments against numpy's definitions, and each group as a
+    call of its own. Any summation order of n terms lies within (n - 1) eps
+    of the sum of their magnitudes, so the means agree to 2 n eps mean|x|;
+    the variance, insensitive to the mean to first order, agrees to 4 n eps
+    var, plus the square of the mean's error for a near-constant feature."""
+    g, n, f = x.shape
+    before = x.copy()
+    xhat, inv_std, mean, var = normalize(x)
+    assert x.tobytes() == before.tobytes()
+    assert xhat.shape == x.shape and all(a.shape == (g, f) for a in (inv_std, mean, var))
+    want_mean, want_var = np.mean(x, axis=1), np.var(x, axis=1)
+    assert np.all(np.abs(mean - want_mean) <= 2 * n * EPS * np.mean(np.abs(x), axis=1))
+    mean_err = 4 * n * EPS * np.max(np.abs(x), axis=1)
+    assert np.all(np.abs(var - want_var) <= 4 * n * EPS * want_var + mean_err**2)
+    assert np.array_equal(inv_std, 1.0 / np.sqrt(var + NORM_EPS))
+    assert np.array_equal(xhat, (x - mean[:, None]) * inv_std[:, None])
+    for k in range(g):  # group k is bit for bit a 2-D call on its rows, a view or a copy
+        for rows in (x[k], x[k].copy()):
+            alone = normalize(rows)
+            assert all(a.tobytes() == b[k].tobytes() for a, b in zip(alone, (xhat, inv_std, mean, var)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_norm_inputs(), st.booleans())
+def test_normalize_with_fixed_statistics_is_the_affine_formula(x, grouped):
+    rows = x.reshape(-1, x.shape[-1])
+    mean, var = rows[0].copy(), np.abs(rows[-1])  # any [f] statistics
+    x = x if grouped else x[0]
+    before = x.copy()
+    xhat, inv_std, mu, sig2 = normalize(x, mean, var)
+    assert x.tobytes() == before.tobytes()
+    assert np.array_equal(mu, mean) and np.array_equal(sig2, var)
+    assert inv_std.tobytes() == (1.0 / np.sqrt(var + NORM_EPS)).tobytes()
+    assert xhat.tobytes() == ((x - mean) * inv_std).tobytes()
+
+
+def test_forward_leaves_its_input_alone_when_a_relu_reads_it_first():
+    rng = np.random.default_rng(23)
+    layers = [
+        LayerParams("relu0", "relu"),
+        LayerParams("dense1", "dense", [rng.standard_normal((4, 5))]),
+        LayerParams("norm1", "norm", [rng.standard_normal(5), rng.standard_normal(5)]),
+        LayerParams("relu1", "relu"),
+        LayerParams("head", "dense", [rng.standard_normal((5, 3)), rng.standard_normal(3)]),
+    ]
+    model = Model(layers, 4, 3)
+    for x in (rng.standard_normal((6, 4)), rng.standard_normal((2, 6, 4))):
+        before = x.copy()
+        logits, saved = model.forward(x)
+        assert x.tobytes() == before.tobytes()
+        assert np.array_equal(saved[0], before > 0.0) and np.array_equal(saved[1], np.maximum(before, 0.0))
