@@ -211,7 +211,6 @@ class Model:
             # dense layer folds it in. A norm ``low`` above ``first`` leaves its
             # row coupling to the first layer
             s, m = g.shape[:2]
-            whole = not (own or slabs)  # the batch pass, whose groups' rows stack into one matrix
             ones, scale = np.ones(m), None
             for i in range(top, first - 1, -1):
                 layer, kept = self.layers[i], saved[i]
@@ -221,7 +220,7 @@ class Model:
                 col, size = self.slices[layer.name].start, layer.params[0].size
                 if layer.kind == "dense":
                     # the batch gradient's weights: one GEMM over the rows of every group
-                    grad_w = (kept.reshape(s * m, -1).T @ g.reshape(s * m, -1))[None] if whole else np.matmul(
+                    grad_w = (kept.reshape(s * m, -1).T @ g.reshape(s * m, -1))[None] if kept.ndim == 3 else np.matmul(
                         kept[:, :, None] if own else kept.T, g, out=slabs and spare(s, *layer.params[0].shape))
                     if i < low:  # the norm above left its coupling: + (K^T [xhat | 1]) @ D, into the spent held slab
                         grad_w += couple(low, g_scale, g_shift, -1.0 / m, np.ndarray(grad_w.shape, buffer=slabs[0]))
@@ -244,10 +243,9 @@ class Model:
                 if scale is not None:
                     g *= scale
                 xhat, inv_std, mean, _ = kept
-                x = xhat if slabs else xhat.reshape(g.shape)  # slice k's rows
+                x = xhat[:, None] if own else xhat  # slice k's rows
                 grads = np.empty((s, 2, size))  # scale's and shift's, adjacent as in theta: one block
-                g_scale = np.matmul(ones, g * x, out=grads[:, 0]) if whole else np.einsum(
-                    "snf,snf->sf" if own else "snf,nf->sf", g, x, out=grads[:, 0])
+                g_scale = np.einsum("snf,snf->sf" if x.ndim == 3 else "snf,nf->sf", g, x, out=grads[:, 0])
                 g_shift = np.matmul(ones, g, out=grads[:, 1])
                 sink(row, col, grads.reshape(s, -1))
                 if i not in folded:

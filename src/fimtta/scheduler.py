@@ -68,16 +68,12 @@ class AdamState:
         self.step_count += 1
         m, v = self.m, self.v
         m *= self.BETA1
-        term = np.multiply(grad, 1.0 - self.BETA1)  # one scratch array for every term, and one for the result
-        m += term
+        m += (1.0 - self.BETA1) * grad
         v *= self.BETA2
-        np.multiply(grad, 1.0 - self.BETA2, out=term)
-        term *= grad
-        v += term
-        denom = np.divide(v, 1.0 - self.BETA2**self.step_count)
-        np.sqrt(denom, out=denom)
+        v += (1.0 - self.BETA2) * grad * grad
+        denom = np.sqrt(v / (1.0 - self.BETA2**self.step_count))
         denom += self.EPS
-        return np.divide(np.divide(m, 1.0 - self.BETA1**self.step_count, out=term), denom, out=denom)
+        return np.divide(m / (1.0 - self.BETA1**self.step_count), denom, out=denom)
 
 
 def weighted_step(
