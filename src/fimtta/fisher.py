@@ -49,7 +49,8 @@ def layer_fim_trace(model: Model, logits: np.ndarray, saved: list) -> tuple[np.n
     sums = np.zeros(model.theta.size)
 
     def square(row: int, col: int, block: np.ndarray) -> None:
-        sums[col : col + block.shape[1]] += np.einsum("ij,ij->j", block, block)
+        total = sums[col : col + block.shape[1]]
+        total += np.einsum("ij,ij->j", block, block)  # in place: ``sums[...] +=`` would copy it back
 
     _score_pass(model, logits, saved, square)
     sums /= n

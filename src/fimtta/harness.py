@@ -69,7 +69,7 @@ class MetricsRecord:
     w_raw: list[float] = field(default_factory=list)
     diag: dict[str, np.ndarray] | None = None
     dropped_rows: int = 0  # rows with a non-finite feature, left out
-    skipped: bool = False  # too few rows left: no prediction, not adapted on
+    skipped: bool = False  # too few rows left, or an overflow: no prediction, not adapted on
 
 
 class PretrainDiverged(RuntimeError):
@@ -169,8 +169,11 @@ def adapt_stream(
     and the loop continues. A batch delivered with fewer than
     ``min_batch_rows`` rows raises ``ValueError`` (``check_batch_rows``); one
     left with fewer once its non-finite rows are dropped is recorded as
-    skipped, with one warning. A batch's caches and gradient are freed
-    before the next batch's forward.
+    skipped, with one warning, and so is a batch whose forward or entropy
+    head overflows or makes a NaN (they run under ``np.errstate(over="raise",
+    invalid="raise")``): it is not predicted, folded into the traces or
+    adapted on. A batch's caches and gradient are freed before the next
+    batch's forward.
     """
     cfg = config
     n_layers = len(model.slices)
@@ -201,10 +204,16 @@ def adapt_stream(
             pair = np.empty((2, *inputs.shape))
             pair[0], inputs = inputs, pair
             losses.augment(pair[0], aug_rng, out=pair[1])
-        logits, saved = model.forward(inputs, batch_stats=batch_stats)
-        clean = logits[0] if grouped else logits
+        try:  # a finite batch that overflows on the way to its entropy is skipped
+            with np.errstate(over="raise", invalid="raise"):
+                logits, saved = model.forward(inputs, batch_stats=batch_stats)
+                clean = logits[0] if grouped else logits
+                rec.entropy, g = losses.entropy_loss(clean)
+        except FloatingPointError as exc:
+            rec.skipped = True
+            logger.warning("adapt_stream: step %d overflows (%s): skipped", batch.step, exc)
+            return rec
         rec.error = float(np.count_nonzero(clean.argmax(axis=1) != labels) / len(labels))
-        rec.entropy, g = losses.entropy_loss(clean)
         if not updating:
             return rec
 
@@ -225,7 +234,7 @@ def adapt_stream(
             if cfg.method == "layerwise":
                 rec.w_bar = scheduler.exp_minmax_scale(rec.w_raw, tau=cfg.tau).tolist()
         rates = scheduler.layer_rates(rec.w_bar, cfg.eta)
-        if grouped:
+        if grouped:  # outside the errstate: a NaN logit (a fault no input check sees) reaches the step's check
             rec.consistency, g_aug = losses.consistency_loss(clean, logits[1])
             pair = np.empty((2, *g.shape))
             pair[0], g = g, pair

@@ -17,8 +17,8 @@ import numpy as np
 
 CHECKPOINT_HEADER = "fimtta-checkpoint v1"
 NORM_EPS = 1e-5
-# cap on chunk samples x batch rows in the row-coupled part of the per-sample pass: larger chunks pay
-# its fixed calls per chunk less often; the reused slab buffers (and each call's D) grow with it
+# cap on chunk samples x batch rows in the row-coupled part of the per-sample pass; the slab buffers grow with
+# it. Layer facts are set once per model, operands and slab views once per call; a chunk runs only array calls
 _CHUNK_ROWS = 1024
 
 
@@ -76,7 +76,8 @@ class Model:
 
     Parameters live in one float64 vector ``theta`` ([P], also the gradient
     layout): layer ``name`` owns ``theta[slices[name]]``, its params are
-    C-contiguous views of it."""
+    C-contiguous views of it, and ``layer_sizes[l]`` is weight layer l's
+    column count."""
 
     def __init__(self, layers: list[LayerParams], input_dim: int, class_count: int):
         names = [layer.name for layer in layers]
@@ -97,6 +98,10 @@ class Model:
                 view[...] = p
                 layer.params.append(view)
                 start += p.size
+        self.layer_sizes = np.array([cols.stop - cols.start for cols in self.slices.values()], dtype=np.intp)  # [L]
+        # per layer, for ``backward``: its kind, first theta column, weight size and whether it has a bias
+        self._blocks = [(layer.kind, self.slices[layer.name].start, layer.params[0].size, len(layer.params) == 2)
+                        if layer.params else (layer.kind, 0, 0, False) for layer in layers]
 
     def weight_layers(self) -> list[LayerParams]:
         """Parameter-bearing layers in forward order; defines the layer index."""
@@ -156,7 +161,7 @@ class Model:
         return out, saved
 
     def backward(self, saved: list, g: np.ndarray, sink) -> None:
-        """Gradients for a logit cotangent ``g``, handed to ``sink`` in blocks.
+        """Gradients for a logit cotangent ``g`` (overwritten), handed to ``sink`` in blocks.
 
         ``g`` is [g, n, C] for the batch gradient, the one sum of ``sum(g[k] *
         logits[k])`` over the forward's g groups (1 for a 2-D forward), or a
@@ -167,22 +172,22 @@ class Model:
         block). A block may be a view the next layer overwrites: read it, do
         not keep it, and do not re-enter ``backward`` on this model from the
         sink. Both run one reverse loop over the layers, group k of g seeing
-        cache group k. A seed enters it as [n, 1, C]: n slices, slice k seeing
-        row k of the cache only. At the first batch-statistic norm from the
-        top the loop hands the seed back, and the rest runs in [chunk, n, f]
-        slabs, chunk = ``_CHUNK_ROWS // n`` (at least 1), in the model's two
-        reused slab buffers, where each such norm's row coupling ``(xhat *
-        g_scale + g_shift) / n`` is one batched product ``[xhat | 1] @ D`` (the
-        top norm's D also carries its ``scale * inv_std``, and each slice's own
-        row is added), formed only where a transposed product needs it: a
-        bias-free first dense layer with input K adds the norm above's as
-        ``(K^T [xhat | 1]) @ D``. ``g`` is overwritten.
+        cache group k; a seed enters as [n, 1, C], slice k seeing row k of the
+        cache only. At the first batch-statistic norm from the top the loop
+        hands the seed back, and the rest runs in chunks of ``max(1,
+        _CHUNK_ROWS // n)`` samples in the model's two slabs, where each such
+        norm's row coupling ``(xhat * g_scale + g_shift) / n`` is one product
+        ``[xhat | 1] @ D`` (-1/n sits in the top's D with its ``scale *
+        inv_std`` and in a lower norm's ``[xhat | 1]``; a bias-free first layer
+        with input K takes the norm above's as ``(K^T [xhat | 1]) @ D``). Layer
+        facts are set once per model; transposes, lifted operands, D buffers
+        and slab views once per call; a chunk only runs array calls.
         """
         # nothing below the first weight layer needs a cotangent
         first = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
         # per call, shared by every chunk: a dense layer's scaled transpose, a norm's scale * inv_std
         folded: dict[int, np.ndarray] = {}
-        slabs = None  # the chunk loop's [held, spare] buffers; elsewhere ``out=slabs and ...`` allocates
+        units = np.ones(g.shape[-2])  # per call: ``units[:m]`` sums a slice's m rows
         batch = g.ndim == 3
         if batch and len(g) > 1:  # blocks of one row per group sum into the one slice
             write = sink
@@ -190,54 +195,53 @@ class Model:
             def sink(row, col, block):
                 write(row, col, np.add.reduce(block, keepdims=True) if len(block) > 1 else block)
 
-        def spare(*shape):
-            return np.ndarray(shape, buffer=slabs[1])
-
-        def couple(i, g_scale, g_shift, c, out):
-            # norm i's coupling of each slice j, [xhat | 1] @ D_j, D_j = [diag(g_scale[j]); g_shift[j]] * c,
-            # in a D [at most 8 slices, f + 1, f] whose diagonal and last row alone are written: the rest is 0
-            lifted, d, diagonal, last = lifts[i]
+        def couple(lift, g_scale, g_shift, out, c=None):
+            # a norm's coupling of each slice j, [xhat | 1] @ D_j, D_j = [diag(g_scale[j]); g_shift[j]], in a D
+            # [at most 8 slices, f + 1, f] whose diagonal and last row alone are written: the rest is 0. A lower
+            # norm's lifted operand carries the factor -1/n; the top norm's D takes its ``c`` instead
+            lifted, d, diagonal, last = lift
             for j in range(0, len(out), len(d)):
                 k = min(len(d), len(out) - j)
-                np.multiply(g_scale[j : j + k], c, out=diagonal[:k])
-                np.multiply(g_shift[j : j + k], c, out=last[:k])
+                if c is None:
+                    diagonal[:k], last[:k] = g_scale[j : j + k], g_shift[j : j + k]
+                else:
+                    np.multiply(g_scale[j : j + k], c, out=diagonal[:k])
+                    np.multiply(g_shift[j : j + k], c, out=last[:k])
                 np.matmul(lifted, d[:k], out=out[j : j + k])
             return out
 
-        def reverse(g, top, row, own, low):
+        def reverse(g, top, row, own, low, outs=None):
             # [s, m, f] from layer top down; ``own``: m = 1, slice k sees cache
             # row k; a batch pass's slice k sees cache group k. In the chunk loop
-            # ``scale`` (a norm's scale * inv_std) is still owed by g; the next
-            # dense layer folds it in. A norm ``low`` above ``first`` leaves its
-            # row coupling to the first layer
+            # ``outs`` holds each layer's outputs in the slabs and ``scale`` (a
+            # norm's scale * inv_std) is still owed by g; the next dense layer
+            # folds it in. A norm ``low`` above ``first`` leaves its row coupling
+            # to the first layer
             s, m = g.shape[:2]
-            ones, scale = np.ones(m), None
+            ones, scale = units[:m] if m < len(units) else units, None  # a view only where needed: it adds to peak memory
             for i in range(top, first - 1, -1):
-                layer, kept = self.layers[i], saved[i]
-                if layer.kind == "relu":
+                (kind, col, size, bias), kept = self._blocks[i], saved[i]
+                if kind == "relu":
                     g *= kept[:, None] if own else kept  # commutes with the owed scale
                     continue
-                col, size = self.slices[layer.name].start, layer.params[0].size
-                if layer.kind == "dense":
+                out = outs and outs[i]
+                if kind == "dense":
                     # the batch gradient's weights: one GEMM over the rows of every group
                     grad_w = (kept.reshape(s * m, -1).T @ g.reshape(s * m, -1))[None] if kept.ndim == 3 else np.matmul(
-                        kept[:, :, None] if own else kept.T, g, out=slabs and spare(s, *layer.params[0].shape))
+                        kept[:, :, None] if own else kept.T, g, out=out and out[0])
                     if i < low:  # the norm above left its coupling: + (K^T [xhat | 1]) @ D, into the spent held slab
-                        grad_w += couple(low, g_scale, g_shift, -1.0 / m, np.ndarray(grad_w.shape, buffer=slabs[0]))
+                        grad_w += couple(lifts[low], g_scale, g_shift, out[1])
                     if scale is not None:
                         grad_w *= scale
                     sink(row, col, grad_w.reshape(-1, size))
-                    if len(layer.params) == 2:
+                    if bias:
                         sink(row, col + size, ones @ g if scale is None else (ones @ g) * scale)
                     if i > first:  # a contiguous transpose carries the owed scale down
                         if i not in folded:
-                            folded[i] = layer.params[0].T.copy() if scale is None else np.multiply(
-                                layer.params[0].T, scale[:, None], order="C")
+                            folded[i] = self.layers[i].params[0].T.copy() if scale is None else np.multiply(
+                                self.layers[i].params[0].T, scale[:, None], order="C")
                         # the own-row product runs as the 2-D GEMM, whose rounding a batched one does not keep
-                        g = (g[:, 0] @ folded[i])[:, None] if own else np.matmul(
-                            g, folded[i], out=slabs and spare(s, m, kept.shape[1]))
-                        if slabs:  # g now sits in the spare buffer
-                            slabs.reverse()
+                        g = (g[:, 0] @ folded[i])[:, None] if own else np.matmul(g, folded[i], out=out and out[2])
                     scale = None
                     continue
                 if scale is not None:
@@ -249,18 +253,18 @@ class Model:
                 g_shift = np.matmul(ones, g, out=grads[:, 1])
                 sink(row, col, grads.reshape(s, -1))
                 if i not in folded:
-                    folded[i] = layer.params[0] * inv_std
+                    folded[i] = self.layers[i].params[0] * inv_std
                 scale = folded[i]
                 if mean is not None and i > low:  # batch statistics couple the rows
                     if own:  # the caller expands the coupling
                         return i, g[:, 0]  # slice k's cotangent on its own row k, = g_shift
-                    if slabs:  # the chunk loop: one product for all its slices
-                        g += couple(i, g_scale, g_shift, -1.0 / m, spare(*g.shape))
+                    if outs:  # the chunk loop: one product for all its slices
+                        g += couple(lifts[i], g_scale, g_shift, out)
                     else:  # the batch pass, at most 2 groups: two broadcasts cost less than the product
                         c = grads / -m
                         g += x * c[:, :1]
                         g += c[:, 1:]
-                if not slabs:  # own rows keep their rounding; a batch pass's (per-group) scale costs less here
+                if not outs:  # own rows keep their rounding; a batch pass's (per-group) scale costs less here
                     g, scale = np.multiply(g, scale[..., None, :], out=g), None
 
         coupling = reverse(g if batch else g[:, None], len(self.layers) - 1, 0, not batch, first)
@@ -274,22 +278,40 @@ class Model:
         for j in range(first + 1, i + 1):
             if self.layers[j].kind == "norm" and saved[j][2] is not None:
                 f = saved[j][0].shape[1]
-                d = ds[f] = ds[f] if f in ds else np.zeros((min(k, 8), f + 1, f))
-                lift = [saved[j][0], np.ones((n, 1))]
+                if f not in ds:  # a D and its diagonal and last-row views
+                    d = np.zeros((min(k, 8), f + 1, f))
+                    ds[f] = d, d.reshape(len(d), -1)[:, :: f + 1], d[:, f]
+                lift = [saved[j][0], units[:, None]]
                 if j == first + 1 < i and len(self.layers[first].params) == 1:  # its coupling's only reader:
                     low, lift = j, [saved[first].T @ a for a in lift]  # a bias-free first layer, [d_in, f + 1]
-                lifts[j] = np.hstack(lift), d, d.reshape(len(d), -1)[:, :: f + 1], d[:, f]
+                lifts[j] = np.hstack(lift) / (-n if j < i else 1), *ds[f]  # a lower norm's carries the factor -1/n
         dense = [layer.params[0] for layer in self.layers[first:i] if layer.kind == "dense"]
         need = k * max([n * size] + [max(w.size, n * max(w.shape)) for w in dense])
         if self._slabs[0].size < need:  # grown, never shrunk; a clone starts without
             self._slabs = [np.empty(need), np.empty(need)]
-        slabs = self._slabs
+
+        def views(s):  # each layer's outputs for s slices, one view per buffer and shape; g's buffer and the spare swap
+            held, spare, made = *self._slabs, {}
+            def view(buffer, *shape):
+                return made.setdefault((id(buffer), shape), np.ndarray(shape, buffer=buffer))
+            outs = [None] * i + [view(held, s, n, size)]
+            for j in range(i - 1, first - 1, -1):
+                if j in lifts and j != low:  # its coupling
+                    outs[j] = view(spare, s, n, saved[j][0].shape[1])
+                elif self.layers[j].kind == "dense":  # its weight gradient, closed-form correction, transposed product
+                    shape = (s, *self.layers[j].params[0].shape)
+                    outs[j] = view(spare, *shape), j < low and view(held, *shape), j > first and view(spare, s, n, shape[1])
+                    held, spare = spare, held
+            return outs
+
+        full = views(k)
         scale, top = folded[i], folded[i] / -n  # the top norm's, folded into its D: the layer below owes none
         for row in range(0, n, chunk):  # slice j: its own row minus (shift + xhat * scale score) / n, times scale
             gj = g[row : row + chunk]  # slice j's cotangent on its own row
-            coupled = couple(i, gj * xhat[row : row + chunk], gj, top, np.ndarray((len(gj), n, size), buffer=slabs[0]))
+            outs = full if len(gj) == k else views(len(gj))
+            coupled = couple(lifts[i], gj * xhat[row : row + chunk], gj, outs[i], top)
             coupled.reshape(-1, size)[row :: n + 1] += gj * scale  # row row + j of slice j
-            reverse(coupled, i - 1, row, False, low)
+            reverse(coupled, i - 1, row, False, low, outs)
 
     def clone(self) -> "Model":
         """Deep copy: parameters packed into a new ``theta``, buffers duplicated."""

@@ -108,6 +108,7 @@ def weighted_step(
         logger.warning("weighted_step: non-finite gradient in layers %s; step rejected", bad)
         return False
     direction = grad if optimizer is None else optimizer.update(grad)
-    rate = np.repeat(rate_arr, [cols.stop - cols.start for cols in model.slices.values()])
-    np.subtract(model.theta, rate * direction, out=model.theta, where=rate != 0.0)
+    rate = np.repeat(rate_arr, model.layer_sizes)
+    # a zero-rate layer's columns are left unwritten (a -0.0 stays -0.0); with none, no mask is needed
+    np.subtract(model.theta, rate * direction, out=model.theta, where=True if rate_arr.all() else rate != 0.0)
     return True

@@ -571,6 +571,42 @@ class _Rows:
             yield dataclasses.replace(batch, inputs=inputs)
 
 
+@pytest.mark.parametrize("factor, skipped", [(1e200, True), (1e150, False)])
+def test_a_batch_that_overflows_is_skipped_and_counted(monkeypatch, caplog, factor, skipped):
+    # step 3's rows times 1e200 overflow the first norm's variance; times 1e150 they do not
+    spec, model = _pretrained()
+    work, totals, optimizers, states = model.clone(), [], [], []
+    real_accumulate, adam = fisher.accumulate, scheduler.AdamState
+
+    def accumulate(total, batch, decay):
+        totals.append(total)
+        real_accumulate(total, batch, decay)
+
+    def snapshot():  # theta, the Adam moments and the running traces, as the next batch is pulled
+        opt = optimizers[0]
+        running = [totals[0].tobytes()] if totals else []
+        states.append([work.theta.tobytes(), *[a.tobytes() for a in (opt.m, opt.v) if a is not None], *running])
+
+    class Scaled(ScheduleStream):  # step 3's rows times ``factor``
+        def __iter__(self):
+            for batch in super().__iter__():
+                snapshot()
+                yield dataclasses.replace(batch, inputs=batch.inputs * factor) if batch.step == 3 else batch
+
+    monkeypatch.setattr(harness.fisher, "accumulate", accumulate)
+    monkeypatch.setattr(harness.scheduler, "AdamState", lambda: optimizers.append(adam()) or optimizers[-1])
+    cfg = AdaptConfig(seed=0)
+    with caplog.at_level(logging.WARNING):
+        records = adapt_stream(work, Scaled(spec, tiny_schedule()), cfg)
+    assert [rec.skipped for rec in records] == [False, False, False, skipped, False, False]
+    assert summarize(records, cfg)["skipped_batches"] == int(skipped)
+    assert len(totals) == 6 - skipped  # the skipped batch folds no traces
+    assert caplog.text.count("overflows") == int(skipped) and ("step 3 overflows" in caplog.text) == skipped
+    assert (states[3] == states[4]) == skipped  # theta, moments and traces byte-identical across the skip
+    assert np.isnan(records[3].error) == skipped
+    assert all(np.isfinite(rec.w_raw).all() for rec in records if not rec.skipped)
+
+
 @pytest.mark.parametrize("method", ["layerwise", "uniform_tent", "bn1"])
 def test_batch_state_is_freed_before_the_next_forward(monkeypatch, method):
     # weak references to every array a forward caches or returns; those of a

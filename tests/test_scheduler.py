@@ -294,6 +294,26 @@ def test_steps_keep_state_finite_and_rejections_write_nothing(case):
             assert np.isfinite(opt.m).all() and np.isfinite(opt.v).all()
 
 
+@pytest.mark.parametrize("use_adam", [False, True])
+def test_nonzero_rates_write_the_bytes_of_the_masked_subtraction(use_adam):
+    # with no zero rate the step subtracts unmasked; it must write what the
+    # masked subtraction writes, negative zeros in theta and gradient included
+    model = build_classifier(3, [4, 5], 2, seed=1)
+    rng = np.random.default_rng(7)
+    model.theta[rng.random(model.theta.size) < 0.3] = -0.0
+    opt, ref_opt = (AdamState(), AdamState()) if use_adam else (None, None)
+    for scale in (1e-3, 1.0, 1e3):
+        grad = rng.standard_normal(model.theta.size) * scale
+        grad[rng.random(grad.size) < 0.2] = -0.0
+        rates = rng.uniform(1e-4, 0.5, len(model.slices))
+        want = model.theta.copy()
+        direction = grad if ref_opt is None else ref_opt.update(grad)
+        rate = np.repeat(rates, [cols.stop - cols.start for cols in model.slices.values()])
+        np.subtract(want, rate * direction, out=want, where=rate != 0.0)
+        assert weighted_step(model, grad, rates, optimizer=opt)
+        assert model.theta.tobytes() == want.tobytes()
+
+
 def _state(model, opt):
     """Copies of everything a step may write: theta, and Adam's m, v and step count."""
     if opt is None:
