@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .losses import log_softmax
-from .model import Model, row_writer
+from .model import Model
 
 
 def _score_pass(model: Model, logits: np.ndarray, saved: list, sink) -> None:
@@ -27,6 +27,15 @@ def _score_pass(model: Model, logits: np.ndarray, saved: list, sink) -> None:
     seed = -np.exp(ls)
     seed[np.arange(n), ls.argmax(axis=1)] += 1.0
     model.backward(saved, seed, sink)
+
+
+def row_writer(out: np.ndarray):
+    """A ``Model.backward`` sink that writes each block into ``out`` [rows, P]."""
+
+    def write(row: int, col: int, block: np.ndarray) -> None:
+        out[row : row + len(block), col : col + block.shape[1]] = block
+
+    return write
 
 
 def per_sample_scores(model: Model, logits: np.ndarray, saved: list) -> dict[str, np.ndarray]:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fisher, losses, scheduler
-from .model import Model, cache_group, record_source_stats, row_writer
+from .model import Model, cache_group, record_source_stats
 from .stream import Dataset, DomainSchedule, ScheduleStream, SourceSpec
 
 logger = logging.getLogger(__name__)
@@ -124,12 +124,17 @@ def collect_grads(model: Model, saved: list, g: np.ndarray) -> np.ndarray:
     ``saved`` is that forward's cache and ``g`` the loss's gradient with
     respect to its logits, of their shape ([n, C], or [g, n, C] for a
     grouped forward): the second result of a ``losses`` function, scaled by
-    its weight in the loss. One ``model.backward`` turns it into the
-    gradient, overwriting ``g``.
+    its weight in the loss. One ``model.backward`` turns it into a gradient
+    row per group, overwriting ``g``, and the sink sums the rows: bit for bit
+    the sum, in group order, of the gradients of each group's own forward.
     """
-    grad = np.empty((1, model.theta.size))
-    model.backward(saved, g if g.ndim == 3 else g[None], row_writer(grad))
-    return grad[0]
+    grad = np.empty(model.theta.size)
+
+    def add(row: int, col: int, block: np.ndarray) -> None:
+        np.add.reduce(block, out=grad[col : col + block.shape[1]])
+
+    model.backward(saved, g if g.ndim == 3 else g[None], add)
+    return grad
 
 
 def min_batch_rows(method: str) -> int:

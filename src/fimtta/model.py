@@ -163,18 +163,19 @@ class Model:
     def backward(self, saved: list, g: np.ndarray, sink) -> None:
         """Gradients for a logit cotangent ``g`` (overwritten), handed to ``sink`` in blocks.
 
-        ``g`` is [g, n, C] for the batch gradient, the one sum of ``sum(g[k] *
-        logits[k])`` over the forward's g groups (1 for a 2-D forward), or a
-        per-sample seed [n, C] for the n cotangents whose slice k is row k of
-        the seed alone. Per parameter array the pass calls ``sink(row, col,
-        block)``: ``block[j]`` is the gradient of ``theta[col:col +
-        block.shape[1]]`` for slice row + j (a norm's scale and shift are one
-        block). A block may be a view the next layer overwrites: read it, do
-        not keep it, and do not re-enter ``backward`` on this model from the
-        sink. Both run one reverse loop over the layers, group k of g seeing
-        cache group k; a seed enters as [n, 1, C], slice k seeing row k of the
-        cache only. At the first batch-statistic norm from the top the loop
-        hands the seed back, and the rest runs in chunks of ``max(1,
+        ``g`` is [g, n, C] for the batch pass, slice k the gradient of
+        ``sum(g[k] * logits[k])`` over cache group k (g = 1 for a 2-D forward),
+        or a per-sample seed [n, C], entering as [n, 1, C], whose slice k is
+        row k of the seed over row k of the cache alone. Per parameter array
+        the pass calls ``sink(row, col, block)``: on every path ``block[j]`` is
+        the gradient of ``theta[col:col + block.shape[1]]`` for slice row + j
+        (a norm's scale and shift are one block), one row per slice from its
+        own group alone, so a grouped pass's row k is bit for bit that of a
+        forward of group k alone. A block may be a view the next layer
+        overwrites: read it, do not keep it, and do not re-enter ``backward``
+        on this model from the sink. One reverse loop over the layers serves
+        both. At the first batch-statistic norm from the top the loop hands
+        the seed back, and the rest runs in chunks of ``max(1,
         _CHUNK_ROWS // n)`` samples in the model's two slabs, where each such
         norm's row coupling ``(xhat * g_scale + g_shift) / n`` is one product
         ``[xhat | 1] @ D`` (-1/n sits in the top's D with its ``scale *
@@ -189,11 +190,6 @@ class Model:
         folded: dict[int, np.ndarray] = {}
         units = np.ones(g.shape[-2])  # per call: ``units[:m]`` sums a slice's m rows
         batch = g.ndim == 3
-        if batch and len(g) > 1:  # blocks of one row per group sum into the one slice
-            write = sink
-
-            def sink(row, col, block):
-                write(row, col, np.add.reduce(block, keepdims=True) if len(block) > 1 else block)
 
         def couple(lift, g_scale, g_shift, out, c=None):
             # a norm's coupling of each slice j, [xhat | 1] @ D_j, D_j = [diag(g_scale[j]); g_shift[j]], in a D
@@ -226,9 +222,7 @@ class Model:
                     continue
                 out = outs and outs[i]
                 if kind == "dense":
-                    # the batch gradient's weights: one GEMM over the rows of every group
-                    grad_w = (kept.reshape(s * m, -1).T @ g.reshape(s * m, -1))[None] if kept.ndim == 3 else np.matmul(
-                        kept[:, :, None] if own else kept.T, g, out=out and out[0])
+                    grad_w = np.matmul(kept[:, :, None] if own else kept.swapaxes(-1, -2), g, out=out and out[0])
                     if i < low:  # the norm above left its coupling: + (K^T [xhat | 1]) @ D, into the spent held slab
                         grad_w += couple(lifts[low], g_scale, g_shift, out[1])
                     if scale is not None:
@@ -249,7 +243,7 @@ class Model:
                 xhat, inv_std, mean, _ = kept
                 x = xhat[:, None] if own else xhat  # slice k's rows
                 grads = np.empty((s, 2, size))  # scale's and shift's, adjacent as in theta: one block
-                g_scale = np.einsum("snf,snf->sf" if x.ndim == 3 else "snf,nf->sf", g, x, out=grads[:, 0])
+                g_scale = np.einsum("...nf,...nf->...f", g, x, out=grads[:, 0])
                 g_shift = np.matmul(ones, g, out=grads[:, 1])
                 sink(row, col, grads.reshape(s, -1))
                 if i not in folded:
@@ -316,15 +310,6 @@ class Model:
     def clone(self) -> "Model":
         """Deep copy: parameters packed into a new ``theta``, buffers duplicated."""
         return Model(copy.deepcopy(self.layers), self.input_dim, self.class_count)
-
-
-def row_writer(out: np.ndarray):
-    """A ``Model.backward`` sink that writes each block into ``out`` [rows, P]."""
-
-    def write(row: int, col: int, block: np.ndarray) -> None:
-        out[row : row + len(block), col : col + block.shape[1]] = block
-
-    return write
 
 
 def cache_group(saved: list, k: int) -> list:

@@ -26,7 +26,7 @@ from fimtta.stream import (
     gen_source,
     make_schedule,
 )
-from oracle import batch_grads, layer_grads
+from oracle import batch_grads, layer_grads, replay_scores
 
 SEEDS = range(5)
 
@@ -101,14 +101,15 @@ def test_criterion_01_gradient_correctness():
 
 def test_criterion_02_fim_identities():
     rng = np.random.default_rng(1)
-    model = build_classifier(3, [4], 2, seed=4)
+    # three blocks: the chunk loop meets a middle lower norm's lifted coupling and the first layer's closed form
+    model = build_classifier(3, [4, 4, 4], 2, seed=4)
     assert max(l.param_count() for l in model.weight_layers()) <= 32
     worst = 0.0
     for _ in range(100):
         x = rng.standard_normal((int(rng.integers(4, 12)), 3))
         logits, saved = model.forward(x)
         traces, _ = fisher.layer_fim_trace(model, logits, saved)
-        per = fisher.per_sample_scores(model, logits, saved)
+        per = replay_scores(model, x)  # the tape's brute force shares no code with the streamed pass
         diags = fisher.fim_diagonal(per)
         for l, (name, s) in enumerate(per.items()):
             brute = float(np.trace(s.T @ s / s.shape[0]))

@@ -6,7 +6,7 @@ generic tape through every layer and through the loss head instead
 (``tape_forward`` plus the ``tape_*_loss`` heads). On random models,
 batches and losses the two must agree to rounding. A grouped forward
 must give each group what a forward of that group alone gives, and its
-one backward the sum of the groups' gradients.
+one backward bit for bit the sum of the groups' gradients.
 """
 
 from __future__ import annotations
@@ -121,7 +121,12 @@ def test_grouped_pass_matches_per_group_passes(case, groups):
     ]
     ref = {name: [sum(grads[name][j] for grads in per_group) for j in range(len(params))]
            for name, params in leaves.items()}
-    _assert_matches_tape(model, harness.collect_grads(model, saved, cotangent.copy()), ref)
+    grouped = harness.collect_grads(model, saved, cotangent.copy())
+    _assert_matches_tape(model, grouped, ref)
+    # and bit for bit the sum, in group order, of each group's own forward and backward
+    alone = [harness.collect_grads(model, model.forward(x[k], batch_stats=batch_stats)[1], cotangent[k].copy())
+             for k in range(groups)]
+    assert np.array_equal(grouped, sum(alone[1:], alone[0]))
 
     # the per-sample trace pass reads group 0 as it reads a forward of that group alone
     alone_logits, alone = model.forward(x[0], batch_stats=batch_stats)

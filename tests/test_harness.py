@@ -3,8 +3,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import gc
+import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 import weakref
 from unittest import mock
 
@@ -24,7 +28,7 @@ from fimtta.harness import (
     run_experiment,
     summarize,
 )
-from fimtta.model import Model, build_classifier, save_checkpoint
+from fimtta.model import Model, build_classifier, record_source_stats, save_checkpoint
 from fimtta.stream import ScheduleStream, SourceSpec, gen_source, make_schedule
 from oracle import batch_grads, param_snapshot
 
@@ -316,6 +320,31 @@ def test_run_experiment_rerun_is_byte_identical(tmp_path):
     assert a.csv_path.read_bytes() == b.csv_path.read_bytes()
     assert a.weights_path.read_bytes() == b.weights_path.read_bytes()
     assert a.summary_path.read_bytes() == b.summary_path.read_bytes()
+
+
+def _wide_tent_theta_digest() -> str:
+    """SHA-256 of the final ``theta`` of a short grouped ``uniform_tent`` run
+    at a width and batch above OpenBLAS's threading threshold: a [128, 128]
+    model, no pretraining, two batches of 200 per segment."""
+    model = build_classifier(16, [128, 128], 3, seed=0)
+    record_source_stats(model, np.random.default_rng(0).standard_normal((256, 16)))
+    stream = ScheduleStream(SourceSpec(), make_schedule("continual", TINY_KINDS, 2, 200, 0))
+    adapt_stream(model, stream, AdaptConfig(method="uniform_tent", seed=0))
+    return hashlib.sha256(model.theta.tobytes()).hexdigest()
+
+
+def test_final_theta_does_not_depend_on_the_blas_thread_count():
+    # each count in a fresh interpreter: OpenBLAS reads it once, at load
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from test_harness import _wide_tent_theta_digest as d; print(d())"],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_run_experiment_aborts_on_unwritable_path_before_running():
