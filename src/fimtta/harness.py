@@ -131,7 +131,10 @@ def collect_grads(model: Model, saved: list, g: np.ndarray) -> np.ndarray:
     grad = np.empty(model.theta.size)
 
     def add(row: int, col: int, block: np.ndarray) -> None:
-        np.add.reduce(block, out=grad[col : col + block.shape[1]])
+        if len(block) == 1:  # one group: a copy, the bits a one-row reduce gives, without its call cost
+            grad[col : col + block.shape[1]] = block[0]
+        else:
+            np.add.reduce(block, out=grad[col : col + block.shape[1]])
 
     model.backward(saved, g if g.ndim == 3 else g[None], add)
     return grad

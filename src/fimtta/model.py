@@ -178,11 +178,12 @@ class Model:
         the seed back, and the rest runs in chunks of ``max(1,
         _CHUNK_ROWS // n)`` samples in the model's two slabs, where each such
         norm's row coupling ``(xhat * g_scale + g_shift) / n`` is one product
-        ``[xhat | 1] @ D`` (-1/n sits in the top's D with its ``scale *
-        inv_std`` and in a lower norm's ``[xhat | 1]``; a bias-free first layer
-        with input K takes the norm above's as ``(K^T [xhat | 1]) @ D``). Layer
-        facts are set once per model; transposes, lifted operands, D buffers
-        and slab views once per call; a chunk only runs array calls.
+        ``[xhat | 1] @ D`` (-1/n sits in every batch-statistic norm's
+        ``[xhat | 1]``, and its ``scale * inv_std`` is owed to the dense layer
+        below; a bias-free first layer with input K takes the norm above's as
+        ``(K^T [xhat | 1]) @ D``). Layer facts are set once per model;
+        transposes, lifted operands, D buffers and slab views once per call; a
+        chunk only runs array calls.
         """
         # nothing below the first weight layer needs a cotangent
         first = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
@@ -191,30 +192,26 @@ class Model:
         units = np.ones(g.shape[-2])  # per call: ``units[:m]`` sums a slice's m rows
         batch = g.ndim == 3
 
-        def couple(lift, g_scale, g_shift, out, c=None):
+        def couple(lift, g_scale, g_shift, out):
             # a norm's coupling of each slice j, [xhat | 1] @ D_j, D_j = [diag(g_scale[j]); g_shift[j]], in a D
-            # [at most 8 slices, f + 1, f] whose diagonal and last row alone are written: the rest is 0. A lower
-            # norm's lifted operand carries the factor -1/n; the top norm's D takes its ``c`` instead
+            # [at most 8 slices, f + 1, f] whose diagonal and last row alone are written: the rest is 0. The
+            # lifted operand carries the factor -1/n, so D is filled by copies
             lifted, d, diagonal, last = lift
             for j in range(0, len(out), len(d)):
                 k = min(len(d), len(out) - j)
-                if c is None:
-                    diagonal[:k], last[:k] = g_scale[j : j + k], g_shift[j : j + k]
-                else:
-                    np.multiply(g_scale[j : j + k], c, out=diagonal[:k])
-                    np.multiply(g_shift[j : j + k], c, out=last[:k])
+                diagonal[:k], last[:k] = g_scale[j : j + k], g_shift[j : j + k]
                 np.matmul(lifted, d[:k], out=out[j : j + k])
             return out
 
-        def reverse(g, top, row, own, low, outs=None):
+        def reverse(g, top, row, own, low, outs=None, scale=None):
             # [s, m, f] from layer top down; ``own``: m = 1, slice k sees cache
             # row k; a batch pass's slice k sees cache group k. In the chunk loop
             # ``outs`` holds each layer's outputs in the slabs and ``scale`` (a
-            # norm's scale * inv_std) is still owed by g; the next dense layer
-            # folds it in. A norm ``low`` above ``first`` leaves its row coupling
-            # to the first layer
+            # norm's scale * inv_std, the top norm's on entry) is still owed by g;
+            # the next dense layer folds it in. A norm ``low`` above ``first``
+            # leaves its row coupling to the first layer
             s, m = g.shape[:2]
-            ones, scale = units[:m] if m < len(units) else units, None  # a view only where needed: it adds to peak memory
+            ones = units[:m] if m < len(units) else units  # a view only where needed: it adds to peak memory
             for i in range(top, first - 1, -1):
                 (kind, col, size, bias), kept = self._blocks[i], saved[i]
                 if kind == "relu":
@@ -234,8 +231,7 @@ class Model:
                         if i not in folded:
                             folded[i] = self.layers[i].params[0].T.copy() if scale is None else np.multiply(
                                 self.layers[i].params[0].T, scale[:, None], order="C")
-                        # the own-row product runs as the 2-D GEMM, whose rounding a batched one does not keep
-                        g = (g[:, 0] @ folded[i])[:, None] if own else np.matmul(g, folded[i], out=out and out[2])
+                        g = np.matmul(g, folded[i], out=out and out[2])
                     scale = None
                     continue
                 if scale is not None:
@@ -278,7 +274,7 @@ class Model:
                 lift = [saved[j][0], units[:, None]]
                 if j == first + 1 < i and len(self.layers[first].params) == 1:  # its coupling's only reader:
                     low, lift = j, [saved[first].T @ a for a in lift]  # a bias-free first layer, [d_in, f + 1]
-                lifts[j] = np.hstack(lift) / (-n if j < i else 1), *ds[f]  # a lower norm's carries the factor -1/n
+                lifts[j] = np.hstack(lift) / -n, *ds[f]  # each carries the factor -1/n
         dense = [layer.params[0] for layer in self.layers[first:i] if layer.kind == "dense"]
         need = k * max([n * size] + [max(w.size, n * max(w.shape)) for w in dense])
         if self._slabs[0].size < need:  # grown, never shrunk; a clone starts without
@@ -299,13 +295,12 @@ class Model:
             return outs
 
         full = views(k)
-        scale, top = folded[i], folded[i] / -n  # the top norm's, folded into its D: the layer below owes none
-        for row in range(0, n, chunk):  # slice j: its own row minus (shift + xhat * scale score) / n, times scale
+        for row in range(0, n, chunk):  # slice j: its own row minus (shift + xhat * scale score) / n, scale owed
             gj = g[row : row + chunk]  # slice j's cotangent on its own row
             outs = full if len(gj) == k else views(len(gj))
-            coupled = couple(lifts[i], gj * xhat[row : row + chunk], gj, outs[i], top)
-            coupled.reshape(-1, size)[row :: n + 1] += gj * scale  # row row + j of slice j
-            reverse(coupled, i - 1, row, False, low, outs)
+            coupled = couple(lifts[i], gj * xhat[row : row + chunk], gj, outs[i])
+            coupled.reshape(-1, size)[row :: n + 1] += gj  # row row + j of slice j
+            reverse(coupled, i - 1, row, False, low, outs, folded[i])
 
     def clone(self) -> "Model":
         """Deep copy: parameters packed into a new ``theta``, buffers duplicated."""
