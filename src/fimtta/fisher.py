@@ -29,20 +29,15 @@ def _score_pass(model: Model, logits: np.ndarray, saved: list, sink) -> None:
     model.backward(saved, seed, sink)
 
 
-def row_writer(out: np.ndarray):
-    """A ``Model.backward`` sink that writes each block into ``out`` [rows, P]."""
-
-    def write(row: int, col: int, block: np.ndarray) -> None:
-        out[row : row + len(block), col : col + block.shape[1]] = block
-
-    return write
-
-
 def per_sample_scores(model: Model, logits: np.ndarray, saved: list) -> dict[str, np.ndarray]:
     """Per-sample scores, one [batch, param_count] array per layer, over one
     ``model.forward`` of the batch: the matrix ``layer_fim_trace`` never forms."""
     out = np.empty((logits.shape[0], model.theta.size))
-    _score_pass(model, logits, saved, row_writer(out))
+
+    def write(row: int, col: int, block: np.ndarray) -> None:
+        out[row : row + len(block), col : col + block.shape[1]] = block
+
+    _score_pass(model, logits, saved, write)
     return {name: out[:, cols] for name, cols in model.slices.items()}
 
 

@@ -69,7 +69,7 @@ class MetricsRecord:
     w_raw: list[float] = field(default_factory=list)
     diag: dict[str, np.ndarray] | None = None
     dropped_rows: int = 0  # rows with a non-finite feature, left out
-    skipped: bool = False  # too few rows left, or an overflow: no prediction, not adapted on
+    skipped: bool = False  # too few rows, or an overflow: no prediction, not adapted on
 
 
 class PretrainDiverged(RuntimeError):
@@ -149,8 +149,8 @@ def min_batch_rows(method: str) -> int:
 
 
 def check_batch_rows(method: str, rows: int, where: str) -> None:
-    """Reject a batch of fewer than ``min_batch_rows(method)`` rows;
-    ``where`` names the batch or schedule checked."""
+    """Reject a schedule whose batch size is below ``min_batch_rows(method)``
+    before its run starts; ``where`` names the schedule checked."""
     if rows < min_batch_rows(method):
         raise ValueError(f"{where} has {rows} row(s); method {method!r} needs at least {min_batch_rows(method)}")
 
@@ -174,14 +174,13 @@ def adapt_stream(
     is drawn first, and one grouped forward runs the clean batch and the
     copy. Non-updating methods (source, bn1) skip everything after the
     prediction. A rejected update leaves the model at its pre-step state
-    and the loop continues. A batch delivered with fewer than
-    ``min_batch_rows`` rows raises ``ValueError`` (``check_batch_rows``); one
-    left with fewer once its non-finite rows are dropped is recorded as
-    skipped, with one warning, and so is a batch whose forward or entropy
-    head overflows or makes a NaN (they run under ``np.errstate(over="raise",
-    invalid="raise")``): it is not predicted, folded into the traces or
-    adapted on. A batch's caches and gradient are freed before the next
-    batch's forward.
+    and the loop continues. A batch with fewer than ``min_batch_rows`` rows
+    once its non-finite rows are dropped, whether delivered or left short,
+    is recorded as skipped with one warning. So is a batch whose forward or
+    entropy head overflows or makes a NaN (they run under
+    ``np.errstate(over="raise", invalid="raise")``). A skipped batch is not
+    predicted, folded into the traces or adapted on. A batch's caches and
+    gradient are freed before the next batch's forward.
     """
     cfg = config
     n_layers = len(model.slices)
@@ -194,20 +193,20 @@ def adapt_stream(
     batch_stats = cfg.method != "source"
 
     def adapt(batch) -> MetricsRecord:
-        check_batch_rows(cfg.method, len(batch.inputs), f"adapt_stream: step {batch.step}")
         inputs, labels = batch.inputs, stream.labels_for(batch.step)
         finite = np.isfinite(inputs).all(axis=1)
         rec = MetricsRecord(batch.step, batch.domain, batch.severity, np.nan, np.nan, 0.0, [0.0] * n_layers)
         rec.dropped_rows = len(inputs) - int(finite.sum())
         if rec.dropped_rows:
             inputs, labels = inputs[finite], labels[finite]
-            rec.skipped = len(inputs) < min_batch_rows(cfg.method)
+        rec.skipped = len(inputs) < min_batch_rows(cfg.method)
+        if rec.dropped_rows or rec.skipped:
             logger.warning(
-                "adapt_stream: step %d drops %d row(s) with non-finite features%s", batch.step,
-                rec.dropped_rows, ", too few left: skipped" if rec.skipped else "",
+                "adapt_stream: step %d keeps %d finite row(s) of %d%s", batch.step, len(inputs),
+                len(batch.inputs), ", too few: skipped" if rec.skipped else "",
             )
-            if rec.skipped:
-                return rec
+        if rec.skipped:
+            return rec
         if grouped:  # group 0 the rows, group 1 their jittered copy, drawn straight into it
             pair = np.empty((2, *inputs.shape))
             pair[0], inputs = inputs, pair

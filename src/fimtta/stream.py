@@ -101,7 +101,7 @@ def gen_source(spec: SourceSpec, n: int) -> Dataset:
     """Labeled draws from the mixture; class counts balanced within one."""
     c = spec.class_count
     if n < c:
-        raise ValueError(f"need at least {c} samples, got {n}")
+        raise ValueError(f"n must be >= class_count={c} for a sample of every class, got {n}")
     rng = np.random.default_rng(spec.seed)
     means = class_means(spec)
     counts = [n // c + (1 if i < n % c else 0) for i in range(c)]

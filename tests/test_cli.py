@@ -45,6 +45,7 @@ def test_pretrain_reports_accuracy(tmp_path, capsys):
     ("--eta-pre", "-0.01", "eta_pre"),  # gradient ascent
     ("--epochs", "-1", "epochs"),
     ("--n", "60", "n"),  # fewer rows than one batch of 64: no step
+    ("--n", "2", "n"),  # fewer rows than classes: no source sample of some class
     ("--margin", "nan", "margin"),
 ])
 def test_pretrain_setting_that_trains_nothing_aborts_before_any_artifact(tmp_path, caplog, flag, value, setting):
@@ -417,6 +418,7 @@ def test_unwritable_out_aborts(pretrained):
 
 
 def test_cross_process_determinism(pretrained, tmp_path):
+    import os
     import subprocess
     import sys
 
@@ -430,6 +432,7 @@ def test_cross_process_determinism(pretrained, tmp_path):
                 "--checkpoint", str(ckpt), "--schedule", str(sched),
                 "--seed", "5", "--out", str(out),
             ],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
             capture_output=True,
             text=True,
         )

@@ -10,11 +10,12 @@ import os
 import subprocess
 import sys
 import weakref
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fimtta import fisher, harness, losses, scheduler
@@ -489,33 +490,6 @@ def test_rejected_step_leaves_model_intact_and_continues(monkeypatch, caplog):
     assert "rejected" in caplog.text
 
 
-class _OneRowAtStep:
-    """A stream whose batch at ``step`` is cut to its first row."""
-
-    def __init__(self, inner, step):
-        self.inner, self.step = inner, step
-
-    def labels_for(self, step):
-        labels = self.inner.labels_for(step)
-        return labels[:1] if step == self.step else labels
-
-    def __iter__(self):
-        for batch in self.inner:
-            if batch.step == self.step:
-                batch = dataclasses.replace(batch, inputs=batch.inputs[:1])
-            yield batch
-
-
-@pytest.mark.parametrize("method", ["layerwise", "naive_eq6", "uniform_tent", "bn1"])
-def test_batch_statistics_methods_reject_single_row_batch(method):
-    # one row has no batch statistics: the first norm layer would output its
-    # shift whatever the input
-    spec, model = tiny_setup()
-    stream = _OneRowAtStep(ScheduleStream(spec, tiny_schedule()), step=2)
-    with pytest.raises(ValueError, match=rf"step 2 has 1 row.*{method}"):
-        adapt_stream(model.clone(), stream, AdaptConfig(method=method, seed=0))
-
-
 def test_source_method_runs_single_row_batches():
     spec, model = tiny_setup()
     stream = ScheduleStream(spec, tiny_schedule(batch_size=1))
@@ -576,16 +550,16 @@ def test_nan_batch_is_skipped_and_later_steps_apply(monkeypatch, caplog, optimiz
 
 
 class _Rows:
-    """A stream whose batch at step k has the value ``bad[k][i]`` written into
-    feature ``i % input_dim`` of row i where it is not 0.0 (NaN or an
-    infinity), and which calls ``on_batch`` before it yields each batch. With
-    ``cut`` each batch keeps only its first ``len(bad[k])`` rows."""
+    """A stream whose batch at step k < ``len(bad)`` keeps only its first
+    ``len(bad[k])`` rows and has the value ``bad[k][i]`` written into feature
+    ``i % input_dim`` of row i where it is not 0.0 (NaN or an infinity), and
+    which calls ``on_batch`` before it yields each batch."""
 
-    def __init__(self, inner, bad=(), on_batch=lambda: None, cut=False):
-        self.inner, self.bad, self.on_batch, self.cut = inner, bad, on_batch, cut
+    def __init__(self, inner, bad=(), on_batch=lambda: None):
+        self.inner, self.bad, self.on_batch = inner, bad, on_batch
 
     def _rows(self, step):
-        return len(self.bad[step]) if self.cut else None
+        return len(self.bad[step]) if step < len(self.bad) else None
 
     def labels_for(self, step):
         return self.inner.labels_for(step)[: self._rows(step)]
@@ -684,92 +658,118 @@ def _least_rows(method):
 BAD_VALUES = [0.0, 0.0, 0.0, np.nan, np.inf, -np.inf]
 
 
+def _adapt_counting(model, spec, method, bad):
+    """``adapt_stream`` over ``_Rows(bad)`` of a 4-batch, 8-row schedule,
+    with the diagonal tracked. Returns the records, the adapted model, the
+    rows of each forward, the count of folds into the running totals and
+    those totals, the optimizers, the warnings logged, and the state
+    (theta, Adam moments and running totals, as bytes) before each batch is
+    pulled and after the last."""
+    run = SimpleNamespace(work=model.clone(), forwards=[], folds=0, running={}, optimizers=[], warnings=[], states=[])
+    real_forward, real_accumulate, adam = Model.forward, fisher.accumulate, scheduler.AdamState
+
+    def forward(self, inputs, batch_stats=True):
+        run.forwards.append(len(inputs[0] if inputs.ndim == 3 else inputs))
+        return real_forward(self, inputs, batch_stats)
+
+    def accumulate(total, batch, decay):
+        run.folds += 1
+        run.running[id(total)] = total
+        real_accumulate(total, batch, decay)
+
+    def new_adam():
+        run.optimizers.append(adam())
+        return run.optimizers[-1]
+
+    def snapshot():
+        arrays = [run.work.theta, *[a for opt in run.optimizers for a in (opt.m, opt.v) if a is not None]]
+        run.states.append([a.tobytes() for a in arrays + list(run.running.values())])
+
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: run.warnings.append(record.getMessage())
+    logger = logging.getLogger(harness.__name__)
+    logger.addHandler(handler)
+    stream = _Rows(ScheduleStream(spec, tiny_schedule(batches=2, batch_size=8)), bad, on_batch=snapshot)
+    try:
+        with mock.patch.object(Model, "forward", forward), mock.patch.object(fisher, "accumulate", accumulate), \
+                mock.patch.object(scheduler, "AdamState", new_adam):
+            run.records = adapt_stream(run.work, stream, AdaptConfig(method=method, seed=0, track_diagonal=True))
+    finally:
+        logger.removeHandler(handler)
+    snapshot()
+    return run
+
+
+def _check_skipped_and_counted(method, bad):
+    """The one skip rule of ``adapt_stream``, over ``_Rows(bad)``: bad[k] is
+    batch k as delivered, one entry per row, 0.0 for a finite row. Its
+    non-finite rows are dropped, and a batch left with fewer than the
+    method's least rows, whether it arrived short or was left short, is
+    skipped and counted."""
+    least = _least_rows(method)
+    delivered = [len(rows) for rows in bad]
+    kept = [sum(value == 0.0 for value in rows) for rows in bad]
+    skipped = [k < least for k in kept]
+    spec, model = _pretrained()
+    run = _adapt_counting(model, spec, method, bad)
+    records = run.records
+
+    assert [rec.step for rec in records] == [0, 1, 2, 3]
+    assert [rec.skipped for rec in records] == skipped
+    assert [rec.dropped_rows for rec in records] == [n - k for n, k in zip(delivered, kept)]
+    assert all(np.isnan(rec.error) for rec in records if rec.skipped)
+    summary = summarize(records, AdaptConfig(method=method))
+    assert summary["batches"] == 4
+    assert summary["dropped_rows"] == sum(delivered) - sum(kept)
+    assert summary["skipped_batches"] == sum(skipped)
+    assert np.isfinite(summary["mean_error"]) == np.isfinite(summary["mean_entropy"]) == (not all(skipped))
+    # no forward, trace fold or step for a skipped batch
+    assert run.forwards == [k for k, skip in zip(kept, skipped) if not skip]
+    assert run.folds == 2 * sum(not skip for skip in skipped) * (method in harness.WEIGHTED_METHODS)
+    assert all(run.states[k] == run.states[k + 1] for k, skip in enumerate(skipped) if skip)
+    assert np.isfinite(run.work.theta).all()
+    for opt in run.optimizers:
+        assert opt.m is None or (np.isfinite(opt.m).all() and np.isfinite(opt.v).all())
+    assert all(np.isfinite(total).all() for total in run.running.values())
+    # one warning per batch with a dropped row or too few rows, none for the others
+    assert run.warnings == [
+        f"adapt_stream: step {step} keeps {k} finite row(s) of {n}" + (", too few: skipped" if skip else "")
+        for step, (n, k, skip) in enumerate(zip(delivered, kept, skipped)) if k < n or skip
+    ]
+    # a rerun over the same stream writes the same bytes
+    again = _adapt_counting(model, spec, method, bad)
+    layers = model.weight_layer_names()
+    assert metrics_csv(again.records, layers) == metrics_csv(records, layers)
+    assert again.work.theta.tobytes() == run.work.theta.tobytes()
+
+
+METHODS = ["layerwise", "naive_eq6", "uniform_tent", "bn1", "source"]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    st.sampled_from(["layerwise", "naive_eq6", "uniform_tent", "bn1", "source"]),
+    st.sampled_from(METHODS),
     st.lists(st.one_of(st.lists(st.sampled_from(BAD_VALUES), min_size=8, max_size=8),
                        st.just([np.nan] * 8)), min_size=4, max_size=4),
 )
 def test_non_finite_rows_are_dropped_and_counted(method, bad):
-    least = _least_rows(method)
-    kept = [sum(value == 0.0 for value in rows) for rows in bad]
-    assume(max(kept) >= least)
-    spec, model = _pretrained()
-    work = model.clone()
-    totals, optimizers = [], []
-    real_accumulate, adam = fisher.accumulate, scheduler.AdamState
-
-    def accumulate(total, batch, decay):
-        totals.append(total)
-        real_accumulate(total, batch, decay)
-
-    def new_adam():
-        optimizers.append(adam())
-        return optimizers[-1]
-
-    warnings = []
-    handler = logging.Handler(logging.WARNING)
-    handler.emit = warnings.append
-    logger = logging.getLogger(harness.__name__)
-    logger.addHandler(handler)
-    cfg = AdaptConfig(method=method, seed=0, track_diagonal=True)
-    try:
-        with mock.patch.object(fisher, "accumulate", accumulate), \
-                mock.patch.object(scheduler, "AdamState", new_adam):
-            records = adapt_stream(work, _Rows(ScheduleStream(spec, tiny_schedule(batches=2, batch_size=8)), bad), cfg)
-    finally:
-        logger.removeHandler(handler)
-
-    assert np.isfinite(work.theta).all()
-    for opt in optimizers:
-        assert opt.m is None or (np.isfinite(opt.m).all() and np.isfinite(opt.v).all())
-    for total in totals:  # the running traces and diagonal, folded in place
-        assert np.isfinite(total).all()
-    summary = summarize(records, cfg)
-    assert np.isfinite(summary["mean_error"]) and np.isfinite(summary["mean_entropy"])
-    assert summary["dropped_rows"] == sum(8 - k for k in kept)
-    assert summary["skipped_batches"] == sum(k < least for k in kept)
-    assert [rec.skipped for rec in records] == [k < least for k in kept]
-    assert all(np.isnan(rec.error) for rec in records if rec.skipped)
-    # one warning per batch with a dropped row, none for the others
-    assert sorted(r.getMessage().split(" drops ")[0] for r in warnings) == [
-        f"adapt_stream: step {step}" for step, k in enumerate(kept) if k < 8
-    ]
+    _check_skipped_and_counted(method, bad)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    st.sampled_from(["layerwise", "naive_eq6", "uniform_tent", "bn1", "source"]),
-    st.lists(st.lists(st.sampled_from(BAD_VALUES), max_size=3), min_size=4, max_size=4),
-)
+@given(st.sampled_from(METHODS), st.lists(st.lists(st.sampled_from(BAD_VALUES), max_size=3), min_size=4, max_size=4))
 @example("source", [[0.0], [], [0.0], [0.0]])
+@example("layerwise", [[0.0] * 8, [0.0] * 8, [0.0], [0.0] * 8])
+@example("naive_eq6", [[0.0] * 8, [0.0] * 8, [0.0], [0.0] * 8])
+@example("uniform_tent", [[0.0] * 8, [0.0] * 8, [0.0], [0.0] * 8])
+@example("bn1", [[0.0] * 8, [0.0] * 8, [0.0], [0.0] * 8])
 def test_batches_below_the_minimum_raise_or_are_skipped(method, bad):
-    # bad[k] is batch k as delivered: one entry per row, 0.0 for a finite row
-    least = _least_rows(method)
-    delivered = [len(rows) for rows in bad]
-    kept = [sum(value == 0.0 for value in rows) for rows in bad]
-    short = next((step for step, n in enumerate(delivered) if n < least), None)
-    spec, model = _pretrained()
-    forwards = []
-    real = Model.forward
-
-    def forward(self, inputs, batch_stats=True):
-        forwards.append(len(inputs[0] if inputs.ndim == 3 else inputs))
-        return real(self, inputs, batch_stats)
-
-    stream = _Rows(ScheduleStream(spec, tiny_schedule(batches=2, batch_size=8)), bad, cut=True)
-    cfg = AdaptConfig(method=method, seed=0)
-    with mock.patch.object(Model, "forward", forward):
-        if short is not None:
-            with pytest.raises(ValueError, match=rf"step {short} has {delivered[short]} row"):
-                adapt_stream(model.clone(), stream, cfg)
+    # a schedule of a delivered size is refused exactly when a batch
+    # delivered at that size is skipped: the two checks share one minimum
+    for rows in {len(batch) for batch in bad}:
+        if rows < _least_rows(method):
+            with pytest.raises(ValueError, match=rf"has {rows} row"):
+                harness.check_batch_rows(method, rows, "schedule")
         else:
-            records = adapt_stream(model.clone(), stream, cfg)
-    # no forward for a skipped batch, nor for the one that raised
-    assert forwards == [k for k in kept[:short] if k >= least]
-    if short is None:
-        assert [rec.skipped for rec in records] == [k < least for k in kept]
-        assert [rec.dropped_rows for rec in records] == [n - k for n, k in zip(delivered, kept)]
-        summary = summarize(records, cfg)
-        assert summary["skipped_batches"] == sum(k < least for k in kept)
-        assert np.isfinite(summary["mean_error"]) == any(k >= least for k in kept)
+            harness.check_batch_rows(method, rows, "schedule")
+    _check_skipped_and_counted(method, bad)
