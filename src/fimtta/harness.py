@@ -69,7 +69,7 @@ class MetricsRecord:
     w_raw: list[float] = field(default_factory=list)
     diag: dict[str, np.ndarray] | None = None
     dropped_rows: int = 0  # rows with a non-finite feature, left out
-    skipped: bool = False  # too few rows, or an overflow: no prediction, not adapted on
+    skipped: bool = False  # too few rows, or an overflow or NaN from forward to gradient: NaN metrics, not adapted on
 
 
 class PretrainDiverged(RuntimeError):
@@ -168,19 +168,19 @@ def adapt_stream(
     """Run the online loop over a single-pass stream, one update per batch.
 
     Per batch: drop the rows with a non-finite feature, predict and record
-    the online error, estimate per-layer score second moments, fold them
-    into the running trace state, turn traces into bounded per-layer rates,
-    then descend the total loss. With a consistency term the jittered copy
-    is drawn first, and one grouped forward runs the clean batch and the
-    copy. Non-updating methods (source, bn1) skip everything after the
-    prediction. A rejected update leaves the model at its pre-step state
-    and the loop continues. A batch with fewer than ``min_batch_rows`` rows
-    once its non-finite rows are dropped, whether delivered or left short,
-    is recorded as skipped with one warning. So is a batch whose forward or
-    entropy head overflows or makes a NaN (they run under
-    ``np.errstate(over="raise", invalid="raise")``). A skipped batch is not
-    predicted, folded into the traces or adapted on. A batch's caches and
-    gradient are freed before the next batch's forward.
+    the online error, take per-layer score second moments and the loss
+    gradient, then fold the moments into the running traces, turn those
+    into bounded per-layer rates and take one step. With a consistency term
+    the jittered copy is drawn first, and one grouped forward runs the clean
+    batch and the copy. Non-updating methods (source, bn1) stop after the
+    prediction. A batch is adapted on in full, or skipped and counted with
+    one warning: NaN metrics and rates, no trace fold, no step. It is
+    skipped when fewer than ``min_batch_rows`` rows are left once its
+    non-finite rows are dropped, or when its pass from forward to gradient,
+    run under ``np.errstate(over="raise", invalid="raise")``, overflows,
+    makes a NaN or yields a NaN entropy. A step that ``weighted_step``
+    rejects leaves the model as it was. A batch's caches and gradient are
+    freed before the next batch's forward.
     """
     cfg = config
     n_layers = len(model.slices)
@@ -195,7 +195,7 @@ def adapt_stream(
     def adapt(batch) -> MetricsRecord:
         inputs, labels = batch.inputs, stream.labels_for(batch.step)
         finite = np.isfinite(inputs).all(axis=1)
-        rec = MetricsRecord(batch.step, batch.domain, batch.severity, np.nan, np.nan, 0.0, [0.0] * n_layers)
+        rec = MetricsRecord(batch.step, batch.domain, batch.severity, np.nan, np.nan, np.nan, [np.nan] * n_layers)
         rec.dropped_rows = len(inputs) - int(finite.sum())
         if rec.dropped_rows:
             inputs, labels = inputs[finite], labels[finite]
@@ -211,42 +211,42 @@ def adapt_stream(
             pair = np.empty((2, *inputs.shape))
             pair[0], inputs = inputs, pair
             losses.augment(pair[0], aug_rng, out=pair[1])
-        try:  # a finite batch that overflows on the way to its entropy is skipped
+        try:  # the whole batch pass, so that an overflow or a NaN anywhere in it skips the batch
             with np.errstate(over="raise", invalid="raise"):
                 logits, saved = model.forward(inputs, batch_stats=batch_stats)
                 clean = logits[0] if grouped else logits
-                rec.entropy, g = losses.entropy_loss(clean)
+                entropy, g = losses.entropy_loss(clean)
+                if not np.isfinite(entropy):  # a NaN logit row raises nothing on its way here
+                    raise FloatingPointError(f"entropy is {entropy}")
+                if cfg.method in WEIGHTED_METHODS:
+                    clean_saved = cache_group(saved, 0) if grouped else saved
+                    batch_traces, batch_diagonal = fisher.layer_fim_trace(model, clean, clean_saved)
+                consistency = 0.0
+                if grouped:
+                    consistency, g_aug = losses.consistency_loss(clean, logits[1])
+                    pair = np.empty((2, *g.shape))
+                    pair[0], g = g, pair
+                    np.multiply(g_aug, cfg.lam, out=pair[1])
+                grad = collect_grads(model, saved, g) if updating else None
         except FloatingPointError as exc:
             rec.skipped = True
-            logger.warning("adapt_stream: step %d overflows (%s): skipped", batch.step, exc)
+            logger.warning("adapt_stream: step %d skipped: %s", batch.step, exc)
             return rec
         rec.error = float(np.count_nonzero(clean.argmax(axis=1) != labels) / len(labels))
+        rec.entropy, rec.consistency = entropy, consistency
+        rec.w_bar = [1.0 if updating else 0.0] * n_layers  # uniform_tent's rates, or none
         if not updating:
             return rec
-
-        rec.w_bar = [1.0] * n_layers  # uniform_tent
         if cfg.method in WEIGHTED_METHODS:
-            clean_saved = cache_group(saved, 0) if grouped else saved
-            batch_traces, batch_diagonal = fisher.layer_fim_trace(model, clean, clean_saved)
-            if np.isfinite(batch_traces).all():
-                fisher.accumulate(traces, batch_traces, cfg.gamma)
-                if diagonal is not None:
-                    fisher.accumulate(diagonal, batch_diagonal, cfg.gamma)
-            else:
-                logger.warning("adapt_stream: step %d has non-finite traces, not accumulated", batch.step)
+            fisher.accumulate(traces, batch_traces, cfg.gamma)
             if diagonal is not None:
+                fisher.accumulate(diagonal, batch_diagonal, cfg.gamma)
                 rec.diag = {name: diagonal[cols].copy() for name, cols in model.slices.items()}
             rec.w_raw = fisher.learning_weights(traces).tolist()
             rec.w_bar = list(rec.w_raw)  # unbounded naive weighting
             if cfg.method == "layerwise":
                 rec.w_bar = scheduler.exp_minmax_scale(rec.w_raw, tau=cfg.tau).tolist()
-        rates = scheduler.layer_rates(rec.w_bar, cfg.eta)
-        if grouped:  # outside the errstate: a NaN logit (a fault no input check sees) reaches the step's check
-            rec.consistency, g_aug = losses.consistency_loss(clean, logits[1])
-            pair = np.empty((2, *g.shape))
-            pair[0], g = g, pair
-            np.multiply(g_aug, cfg.lam, out=pair[1])
-        if not scheduler.weighted_step(model, collect_grads(model, saved, g), rates, optimizer=opt):
+        if not scheduler.weighted_step(model, grad, scheduler.layer_rates(rec.w_bar, cfg.eta), optimizer=opt):
             logger.warning("adapt_stream: step %d rejected, model unchanged", batch.step)
         return rec
 

@@ -413,10 +413,11 @@ def save_checkpoint(model: Model, path, meta: dict[str, str] | None = None) -> N
 
 
 def load_checkpoint(path) -> tuple[Model, dict[str, str]]:
-    """Read a ``save_checkpoint`` file. A malformed line, a value that is not
-    a finite hex float, a layer marked frozen (``trainable=0``), or layers
-    that do not chain ``input_dim`` features to ``class_count``, raise
-    ``ValueError`` naming the file and line."""
+    """Read a ``save_checkpoint`` file. A malformed line, a repeated
+    dimension or ``meta`` key, a value that is not a finite hex float, a
+    layer marked frozen (``trainable=0``), or layers that do not chain
+    ``input_dim`` features to ``class_count``, raise ``ValueError`` naming
+    the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:
@@ -429,8 +430,11 @@ def load_checkpoint(path) -> tuple[Model, dict[str, str]]:
         tokens = lines[i].split() or [""]
         kind = tokens[0]
         where = f"{path}: line {i + 1}"
-        if len(tokens) < {"input_dim": 2, "class_count": 2, "meta": 2, "layer": 4, "buffer": 2}.get(kind, 1):
-            raise ValueError(f"{where}: {kind} line is missing fields: {lines[i]!r}")
+        n, least = len(tokens), {"input_dim": 2, "class_count": 2, "meta": 2, "layer": 4, "buffer": 2}.get(kind, 1)
+        if n < least or n > least and kind in ("input_dim", "class_count", "layer"):  # the others may run longer
+            raise ValueError(f"{where}: {kind} line {'is missing' if n < least else 'has extra'} fields: {lines[i]!r}")
+        if kind in dims or kind == "meta" and tokens[1] in meta:  # a later line would silently override it
+            raise ValueError(f"{where}: {f'meta key {tokens[1]!r}' if kind == 'meta' else kind} is repeated")
         if kind in ("input_dim", "class_count"):
             dims[kind] = (_ints(tokens[1:2], where)[0], i + 1)
         elif kind == "meta":

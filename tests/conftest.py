@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fimtta import harness
 from fimtta.model import Model, build_classifier
@@ -12,6 +13,11 @@ from fimtta.stream import SourceSpec, gen_source
 DESK_HIDDEN = [32, 32, 32, 32]
 DESK_EPOCHS = 20
 DESK_ETA_PRE = 1e-2
+
+# every property draws the same examples on each run and has no deadline, whose
+# timings would fail at random on a slow or loaded host; each sets its own max_examples
+settings.register_profile("fimtta", derandomize=True, deadline=None)
+settings.load_profile("fimtta")
 
 
 @pytest.fixture(scope="session")

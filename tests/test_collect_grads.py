@@ -43,7 +43,7 @@ def cases(draw):
     return input_dim, hidden, class_count, n, batch_stats, loss, lam, seed, biased
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(cases())
 def test_collect_grads_matches_tape_oracle(case):
     input_dim, hidden, class_count, n, batch_stats, loss, lam, seed, biased = case
@@ -87,7 +87,7 @@ def _entries(kept):
     return [a for a in (kept if isinstance(kept, tuple) else (kept,)) if a is not None]
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(cases(), st.integers(1, 3))
 @example((6, [4, 2], 4, 2, True, "entropy", 0.0, 1024, True), 1)  # dense1 is a cancellation residue
 def test_grouped_pass_matches_per_group_passes(case, groups):
@@ -160,7 +160,7 @@ def _assert_cache_is(saved, want):
         assert len(got) == len(arrays) and all(a.tobytes() == b.tobytes() for a, b in zip(got, arrays))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(cases(), st.integers(1, 3))
 def test_grouped_pass_and_both_backwards_leave_input_and_cache_untouched(case, groups):
     """The forward writes its affine and ReLU outputs in place, and the

@@ -253,7 +253,7 @@ def test_accumulate_examples():
     assert total.tolist() == [4.0, 1.0]
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(
     seed=st.integers(0, 2**32 - 1),
     size=st.integers(1, 40),
@@ -445,7 +445,7 @@ def _check_per_sample_pass(seed, widths, bias, calls):
 
 # Four draws of the one property above. The first draws its whole space; the
 # other three spend their examples on the regimes their names give.
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(seed=_SEEDS, widths=_ANY_WIDTHS, bias=_ANY_BIAS, calls=_calls())
 # dense1, in front of the width-1 norm, is a cancellation residue: score norm
 # ~7e-4 against ~15 for the whole, held to the whole's bound
@@ -454,13 +454,13 @@ def test_reused_workspace_gives_the_results_of_a_fresh_clone(seed, widths, bias,
     _check_per_sample_pass(seed, widths, bias, calls)
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
+@settings(max_examples=10)
 @given(seed=_SEEDS, widths=_ANY_WIDTHS, bias=_ANY_BIAS, calls=_calls(max_size=1, scores=st.just(False)))
 def test_streamed_traces_match_tape_replay(seed, widths, bias, calls):
     _check_per_sample_pass(seed, widths, bias, calls)
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
+@settings(max_examples=10)
 @given(
     seed=_SEEDS,
     widths=st.lists(st.integers(1, 12), min_size=2, max_size=4, unique=True),  # no two levels alike
@@ -471,7 +471,7 @@ def test_coupling_product_on_mixed_widths_matches_the_tape_and_a_fresh_clone(see
     _check_per_sample_pass(seed, widths, bias, calls)
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
+@settings(max_examples=10)
 @given(
     seed=_SEEDS,
     widths=st.lists(st.integers(1, 12), min_size=1, max_size=4),  # depth 1-4

@@ -178,7 +178,7 @@ def logit_cases(draw):
     return rng.standard_normal((n, c)) * spread, rng.standard_normal((n, c)) * spread, rng.integers(0, c, size=n)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(logit_cases())
 def test_closed_form_heads_match_tape_heads(case):
     z, zh, labels = case

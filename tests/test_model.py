@@ -188,7 +188,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
                 assert np.array_equal(a, b)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
     hidden=st.lists(st.integers(1, 9), max_size=3),
@@ -301,6 +301,15 @@ ZEROS = "0x0p+0 0x0p+0 0x0p+0"
         pytest.param(_put(1, "input_dim"), 2, "input_dim line is missing fields", id="short-input-dim-line"),
         pytest.param(_put(11, "buffer"), 12, "buffer line is missing fields", id="short-buffer-line"),
         pytest.param(_put(1, "input_dim two"), 2, "non-negative integers, got 'two'", id="non-integer-dimension"),
+        pytest.param(_put(1, "input_dim 2 7"), 2, "input_dim line has extra fields", id="long-input-dim-line"),
+        pytest.param(_put(2, "class_count 2 7"), 3, "class_count line has extra fields", id="long-class-count-line"),
+        pytest.param(_put(3, "layer dense1 dense trainable=1 relu"), 4, "layer line has extra fields",
+                     id="long-layer-line"),
+        # a later line would override an earlier one
+        pytest.param(_put(2, "input_dim 3", drop=0), 3, "input_dim is repeated", id="repeated-input-dim"),
+        pytest.param(_put(3, "class_count 3", drop=0), 4, "class_count is repeated", id="repeated-class-count"),
+        pytest.param(_put(3, "meta margin 4.5", "meta note two words", "meta margin 9.0", drop=0), 6,
+                     "meta key 'margin' is repeated", id="repeated-meta-key"),
         pytest.param(_put(4, "param 2 x"), 5, "non-negative integers, got '2 x'", id="non-integer-shape"),
         pytest.param(_put(4, "param -2 3"), 5, "non-negative integers, got '-2 3'", id="negative-shape"),
         pytest.param(_put(11, "buffer running_mean 3"), 12, "unknown buffer 'running_mean'", id="unknown-buffer"),
@@ -421,7 +430,7 @@ def _norm_inputs(draw):
     return x
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(_norm_inputs())
 def test_normalize_takes_each_groups_own_moments(x):
     """Each group's moments against numpy's definitions, and each group as a
@@ -446,7 +455,7 @@ def test_normalize_takes_each_groups_own_moments(x):
             assert all(a.tobytes() == b[k].tobytes() for a, b in zip(alone, (xhat, inv_std, mean, var)))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(_norm_inputs(), st.booleans())
 def test_normalize_with_fixed_statistics_is_the_affine_formula(x, grouped):
     rows = x.reshape(-1, x.shape[-1])

@@ -262,7 +262,7 @@ def step_sequences(draw):
     return hidden, draw(st.booleans()), steps
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(step_sequences())
 def test_steps_keep_state_finite_and_rejections_write_nothing(case):
     hidden, use_adam, steps = case

@@ -283,7 +283,7 @@ def test_schedule_file_round_trip(tmp_path):
     assert sched == ref
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     kind=st.sampled_from(["continual", "gradual"]),
     kinds=st.lists(st.sampled_from(CORRUPTION_KINDS), min_size=2, max_size=8),
