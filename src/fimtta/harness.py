@@ -176,9 +176,11 @@ def adapt_stream(
     prediction. A batch is adapted on in full, or skipped and counted with
     one warning: NaN metrics and rates, no trace fold, no step. It is
     skipped when fewer than ``min_batch_rows`` rows are left once its
-    non-finite rows are dropped, or when its pass from forward to gradient,
-    run under ``np.errstate(over="raise", invalid="raise")``, overflows,
-    makes a NaN or yields a NaN entropy. A step that ``weighted_step``
+    non-finite rows are dropped, or when its pass from the jitter draw to
+    the gradient, run under ``np.errstate(over="raise", invalid="raise")``,
+    overflows, makes a NaN or yields a NaN entropy; the draw comes before
+    anything that can raise, so a skipped batch moves the jitter generator
+    as a kept one does. A step that ``weighted_step``
     rejects leaves the model as it was. A batch's caches and gradient are
     freed before the next batch's forward.
     """
@@ -207,12 +209,12 @@ def adapt_stream(
             )
         if rec.skipped:
             return rec
-        if grouped:  # group 0 the rows, group 1 their jittered copy, drawn straight into it
-            pair = np.empty((2, *inputs.shape))
-            pair[0], inputs = inputs, pair
-            losses.augment(pair[0], aug_rng, out=pair[1])
         try:  # the whole batch pass, so that an overflow or a NaN anywhere in it skips the batch
             with np.errstate(over="raise", invalid="raise"):
+                if grouped:  # group 0 the rows, group 1 their jittered copy, drawn straight into it
+                    pair = np.empty((2, *inputs.shape))
+                    pair[0], inputs = inputs, pair
+                    losses.augment(pair[0], aug_rng, out=pair[1])
                 logits, saved = model.forward(inputs, batch_stats=batch_stats)
                 clean = logits[0] if grouped else logits
                 entropy, g = losses.entropy_loss(clean)

@@ -166,7 +166,11 @@ class Model:
         ``g`` is [g, n, C] for the batch pass, slice k the gradient of
         ``sum(g[k] * logits[k])`` over cache group k (g = 1 for a 2-D forward),
         or a per-sample seed [n, C], entering as [n, 1, C], whose slice k is
-        row k of the seed over row k of the cache alone. Per parameter array
+        row k of the seed over row k of the cache alone. Over a 2-D cache an
+        [r, n, C] ``g`` runs the batch pass too, slice k the gradient of
+        ``sum(g[k] * logits)`` over the whole batch: identity probes,
+        ``eye(n)[:, :, None] * seed``, give slice k sample k's seed gradient,
+        the batch statistics' coupling included. Per parameter array
         the pass calls ``sink(row, col, block)``: on every path ``block[j]`` is
         the gradient of ``theta[col:col + block.shape[1]]`` for slice row + j
         (a norm's scale and shift are one block), one row per slice from its

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,12 @@ DESK_EPOCHS = 20
 DESK_ETA_PRE = 1e-2
 
 # every property draws the same examples on each run and has no deadline, whose
-# timings would fail at random on a slow or loaded host; each sets its own max_examples
-settings.register_profile("fimtta", derandomize=True, deadline=None)
-settings.load_profile("fimtta")
+# timings would fail at random on a slow or loaded host. Each sets its own max_examples
+# but the reference-loop property, which takes the profile's: FIMTTA_PROFILE=thorough runs
+# it over the cases that set its bound
+settings.register_profile("fimtta", derandomize=True, deadline=None, max_examples=100)
+settings.register_profile("thorough", settings.get_profile("fimtta"), max_examples=2500)
+settings.load_profile(os.environ.get("FIMTTA_PROFILE", "fimtta"))
 
 
 @pytest.fixture(scope="session")

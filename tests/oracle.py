@@ -13,6 +13,9 @@ replay per sample. ``batch_grads`` is the library's own path: one
 ``param_snapshot`` copies every layer's parameters, and ``with_dense_biases``
 gives a model the older layout in which every dense layer has a bias.
 ``assert_layers_match`` holds the library's per-layer arrays to the tape's.
+``reference_adapt`` is the online loop of ``harness.adapt_stream`` as a
+plain loop over these pieces, with the traces, their fold, the scaler and
+Adam written out by their definitions.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 import autodiff as ad
 from fimtta import harness
+from fimtta.losses import AUGMENT_NOISE_SCALE, AUGMENT_SCALE_RANGE
 from fimtta.model import Model
 
 RTOL = 1e-12
@@ -146,3 +150,80 @@ def with_dense_biases(model: Model, rng: np.random.Generator) -> Model:
         if layer.kind == "dense" and len(layer.params) == 1:
             layer.params.append(rng.standard_normal(layer.params[0].shape[1]))
     return Model(layers, model.input_dim, model.class_count)
+
+
+def reference_adapt(model: Model, stream, config: harness.AdaptConfig) -> list[harness.MetricsRecord]:
+    """``harness.adapt_stream``'s records for ``stream``, built from the tape;
+    adapts ``model`` in place as that loop does.
+
+    Per batch: drop the rows with a non-finite feature; with fewer rows
+    left than the method normalizes with, record NaN metrics and change
+    nothing. Otherwise the clean forward gives the error and the entropy.
+    With a consistency term (an updating method at lam > 0) the jittered
+    copy has a forward of its own: noise, then a rescaling, drawn from a
+    generator seeded as the loop's. A weighted method takes each layer's
+    batch trace as the mean squared norm of its per-sample scores
+    (``replay_scores``), folds it into the running total as gamma * old +
+    batch, and weighs the layer by the root of the total: raw under
+    ``naive_eq6``, min-max scaled under ``layerwise``; ``uniform_tent``
+    weighs every layer 1. The step is SGD or Adam on each layer at eta times
+    its weight. Nothing here overflows or makes a NaN, so a batch the loop
+    skips for that has no counterpart.
+    """
+    cfg = config
+    layers = model.weight_layers()
+    updating = cfg.method in harness.WEIGHTED_METHODS + ("uniform_tent",)
+    weighted = cfg.method in harness.WEIGHTED_METHODS
+    batch_stats = cfg.method != "source"
+    least = 1 if cfg.method == "source" else 2  # one row has no batch statistics
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA06)))
+    traces = np.zeros(len(layers))
+    diagonal = {layer.name: np.zeros(layer.param_count()) for layer in layers}
+    m, v, t = np.zeros(model.theta.size), np.zeros(model.theta.size), 0  # Adam's moments and step count
+
+    def adapt(batch) -> harness.MetricsRecord:
+        nonlocal traces, diagonal, m, v, t
+        finite = np.isfinite(batch.inputs).all(axis=1)
+        x, labels = batch.inputs[finite], stream.labels_for(batch.step)[finite]
+        rec = harness.MetricsRecord(batch.step, batch.domain, batch.severity, np.nan, np.nan, np.nan,
+                                    [np.nan] * len(layers), dropped_rows=int((~finite).sum()), skipped=True)
+        if len(x) < least:
+            return rec
+        leaves = tape_params(model)
+        logits = tape_forward(model, x, leaves, batch_stats=batch_stats)
+        loss = entropy = tape_entropy_loss(logits)
+        rec.skipped, rec.consistency = False, 0.0
+        rec.error = float(np.mean(logits.data.argmax(axis=1) != labels))
+        rec.w_bar = [1.0 if updating else 0.0] * len(layers)
+        if updating and cfg.lam > 0.0:
+            jittered = (x + AUGMENT_NOISE_SCALE * rng.standard_normal(x.shape)) * rng.uniform(
+                *AUGMENT_SCALE_RANGE, size=x.shape)
+            consistency = tape_consistency_loss(logits, tape_forward(model, jittered, leaves, batch_stats))
+            loss = entropy + consistency * cfg.lam
+            rec.consistency = consistency.item()
+        rec.entropy = entropy.item()
+        if not updating:
+            return rec
+        grad = np.concatenate([g.ravel() for params in tape_grads(leaves, loss).values() for g in params])
+        if weighted:
+            scores = replay_scores(model, x, batch_stats=batch_stats)
+            batch_diagonal = {name: (s * s).mean(axis=0) for name, s in scores.items()}
+            traces = cfg.gamma * traces + np.array([d.sum() for d in batch_diagonal.values()])
+            diagonal = {name: cfg.gamma * diagonal[name] + d for name, d in batch_diagonal.items()}
+            if cfg.track_diagonal:
+                rec.diag = diagonal
+            w = np.sqrt(traces)
+            rec.w_raw = w.tolist()
+            if cfg.method == "layerwise":  # ((w - min) / (max - min + 1e-8)) ** tau
+                w = ((w - w.min()) / (w.max() - w.min() + 1e-8)) ** cfg.tau
+            rec.w_bar = w.tolist()
+        rates = cfg.eta * np.repeat(rec.w_bar, model.layer_sizes)
+        if cfg.optimizer == "adam":
+            t += 1
+            m = 0.9 * m + 0.1 * grad
+            v = 0.999 * v + 0.001 * grad**2
+            grad = (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+        model.theta[:] = model.theta - rates * grad
+        return rec
+
+    return [adapt(batch) for batch in stream]

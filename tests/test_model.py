@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fimtta.fisher import layer_fim_trace
 from fimtta.losses import log_softmax
 from fimtta.model import (
     NORM_EPS,
@@ -484,3 +485,28 @@ def test_forward_leaves_its_input_alone_when_a_relu_reads_it_first():
         logits, saved = model.forward(x)
         assert x.tobytes() == before.tobytes()
         assert np.array_equal(saved[0], before > 0.0) and np.array_equal(saved[1], np.maximum(before, 0.0))
+
+
+@pytest.mark.parametrize("n", [2, 64, 128])
+@pytest.mark.parametrize("hidden", [[32, 32, 32, 32], [9, 5, 7], [128, 128, 128, 128]])
+def test_identity_probes_over_a_2d_cache_give_the_trace_diagonal(hidden, n):
+    # an [n, n, C] cotangent over the one 2-D cache, slice k = e_k (x) seed_k, runs the batch pass: slice k is
+    # the gradient of sample k's pseudo-label log-likelihood over the whole batch, its per-sample score
+    rng = np.random.default_rng(n + len(hidden))
+    m = build_classifier(16, hidden, 3, seed=4)
+    for layer in m.weight_layers():
+        for p in layer.params:
+            p += 0.1 * rng.standard_normal(p.shape)
+    logits, saved = m.forward(rng.standard_normal((n, 16)))
+    _, diagonal = layer_fim_trace(m, logits, saved)
+    ls = log_softmax(logits)
+    seed = -np.exp(ls)
+    seed[np.arange(n), ls.argmax(axis=1)] += 1.0
+    sums = np.zeros(m.theta.size)
+
+    def square(row, col, block):
+        assert row == 0 and len(block) == n
+        sums[col : col + block.shape[1]] += np.einsum("ij,ij->j", block, block)
+
+    m.backward(saved, np.eye(n)[:, :, None] * seed, square)
+    assert np.abs(sums / n - diagonal).max() <= 1e-12 * np.abs(diagonal).max()
