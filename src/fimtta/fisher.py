@@ -72,15 +72,16 @@ def fim_diagonal(scores_per_sample: dict[str, np.ndarray]) -> dict[str, np.ndarr
     return out
 
 
-def accumulate(total: np.ndarray, batch: np.ndarray, decay: float) -> None:
+def accumulate(total: np.ndarray, batch: np.ndarray, decay: float) -> np.ndarray:
     """Fold a batch's traces [L] (or diagonal [P]) into their running total
-    in place: total = decay * total + batch. ``decay`` = 1 accumulates over
-    the whole stream (traces never decrease); ``decay`` = 0 keeps only the
-    current batch."""
+    in place, and return it: total = decay * total + batch. ``decay`` = 1
+    accumulates over the whole stream (traces never decrease); ``decay`` = 0
+    keeps only the current batch."""
     if batch.shape != total.shape:
         raise ValueError(f"accumulate: layer mismatch, total has shape {total.shape}, batch has {batch.shape}")
     total *= decay
     total += batch
+    return total
 
 
 def learning_weights(traces: np.ndarray) -> np.ndarray:

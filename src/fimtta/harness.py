@@ -69,7 +69,7 @@ class MetricsRecord:
     w_raw: list[float] = field(default_factory=list)
     diag: dict[str, np.ndarray] | None = None
     dropped_rows: int = 0  # rows with a non-finite feature, left out
-    skipped: bool = False  # too few rows, or an overflow or NaN from forward to gradient: NaN metrics, not adapted on
+    skipped: bool = False  # too few rows, or a fault anywhere in its pass, step included: NaN metrics, no write
 
 
 class PretrainDiverged(RuntimeError):
@@ -173,21 +173,23 @@ def adapt_stream(
     into bounded per-layer rates and take one step. With a consistency term
     the jittered copy is drawn first, and one grouped forward runs the clean
     batch and the copy. Non-updating methods (source, bn1) stop after the
-    prediction. A batch is adapted on in full, or skipped and counted with
-    one warning: NaN metrics and rates, no trace fold, no step. It is
-    skipped when fewer than ``min_batch_rows`` rows are left once its
+    prediction. A batch not adapted on in full has one outcome: skipped
+    and counted with one warning, NaN metrics and rates, and nothing
+    written, neither the running traces nor theta nor the Adam state. It
+    is skipped when fewer than ``min_batch_rows`` rows are left once its
     non-finite rows are dropped, or when its pass from the jitter draw to
-    the gradient, run under ``np.errstate(over="raise", invalid="raise")``,
-    overflows, makes a NaN or yields a NaN entropy; the draw comes before
-    anything that can raise, so a skipped batch moves the jitter generator
-    as a kept one does. A step that ``weighted_step``
-    rejects leaves the model as it was. A batch's caches and gradient are
-    freed before the next batch's forward.
+    the step, run under ``np.errstate(over="raise", invalid="raise")``,
+    overflows, makes a NaN, yields a NaN entropy or has its step rejected
+    by ``weighted_step``. The pass folds into copies and the step writes
+    last, so nothing is written until the whole pass has succeeded; the
+    draw comes first, so a skipped batch moves the jitter generator as a
+    kept one does. A batch's caches and gradient are freed before the next
+    batch's forward.
     """
     cfg = config
     n_layers = len(model.slices)
-    traces = np.zeros(n_layers)  # running totals, folded with cfg.gamma
-    diagonal = np.zeros(model.theta.size) if cfg.track_diagonal else None
+    # the running traces, and the diagonal if tracked, folded with cfg.gamma
+    running = [np.zeros(n_layers)] + ([np.zeros(model.theta.size)] if cfg.track_diagonal else [])
     opt = scheduler.AdamState() if cfg.optimizer == "adam" else None
     aug_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA06)))
     updating = cfg.method in WEIGHTED_METHODS + ("uniform_tent",)
@@ -230,26 +232,25 @@ def adapt_stream(
                     pair[0], g = g, pair
                     np.multiply(g_aug, cfg.lam, out=pair[1])
                 grad = collect_grads(model, saved, g) if updating else None
+                folded, w_raw, w_bar = running, [], [1.0 if updating else 0.0] * n_layers  # uniform_tent's, or none
+                if cfg.method in WEIGHTED_METHODS:  # into copies of the running totals, kept if the step is taken
+                    folded = [fisher.accumulate(total.copy(), new, cfg.gamma)
+                              for total, new in zip(running, (batch_traces, batch_diagonal))]
+                    w_raw = fisher.learning_weights(folded[0]).tolist()
+                    w_bar = list(w_raw)  # unbounded naive weighting
+                    if cfg.method == "layerwise":
+                        w_bar = scheduler.exp_minmax_scale(w_raw, tau=cfg.tau).tolist()
+                if updating and not scheduler.weighted_step(model, grad, scheduler.layer_rates(w_bar, cfg.eta), opt):
+                    raise FloatingPointError("weighted_step rejected the step")
         except FloatingPointError as exc:
             rec.skipped = True
             logger.warning("adapt_stream: step %d skipped: %s", batch.step, exc)
             return rec
+        running[:] = folded
         rec.error = float(np.count_nonzero(clean.argmax(axis=1) != labels) / len(labels))
-        rec.entropy, rec.consistency = entropy, consistency
-        rec.w_bar = [1.0 if updating else 0.0] * n_layers  # uniform_tent's rates, or none
-        if not updating:
-            return rec
-        if cfg.method in WEIGHTED_METHODS:
-            fisher.accumulate(traces, batch_traces, cfg.gamma)
-            if diagonal is not None:
-                fisher.accumulate(diagonal, batch_diagonal, cfg.gamma)
-                rec.diag = {name: diagonal[cols].copy() for name, cols in model.slices.items()}
-            rec.w_raw = fisher.learning_weights(traces).tolist()
-            rec.w_bar = list(rec.w_raw)  # unbounded naive weighting
-            if cfg.method == "layerwise":
-                rec.w_bar = scheduler.exp_minmax_scale(rec.w_raw, tau=cfg.tau).tolist()
-        if not scheduler.weighted_step(model, grad, scheduler.layer_rates(rec.w_bar, cfg.eta), optimizer=opt):
-            logger.warning("adapt_stream: step %d rejected, model unchanged", batch.step)
+        rec.entropy, rec.consistency, rec.w_raw, rec.w_bar = entropy, consistency, w_raw, w_bar
+        if cfg.track_diagonal and w_raw:
+            rec.diag = {name: running[1][cols].copy() for name, cols in model.slices.items()}
         return rec
 
     return [adapt(batch) for batch in stream]  # a batch's caches die with its call, before the next forward

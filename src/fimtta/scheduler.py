@@ -9,6 +9,7 @@ weights, reducing the method to uniform-rate fine-tuning.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 
 import numpy as np
@@ -60,20 +61,20 @@ class AdamState:
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
 
-    def update(self, grad: np.ndarray) -> np.ndarray:
-        """Count a step, fold a flat [P] gradient into the moments and
-        return the unit-rate step direction."""
-        if self.m is None:
-            self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
-        self.step_count += 1
-        m, v = self.m, self.v
-        m *= self.BETA1
+    @contextlib.contextmanager
+    def update(self, grad: np.ndarray):
+        """Fold a flat [P] gradient into new moments and yield the unit-rate
+        step direction; the moments and the step count are written when the
+        ``with`` block exits, so a raise in the fold or the block writes none."""
+        t = self.step_count + 1
+        m = (np.zeros_like(grad) if self.m is None else self.m) * self.BETA1
         m += (1.0 - self.BETA1) * grad
-        v *= self.BETA2
+        v = (np.zeros_like(grad) if self.v is None else self.v) * self.BETA2
         v += (1.0 - self.BETA2) * grad * grad
-        denom = np.sqrt(v / (1.0 - self.BETA2**self.step_count))
+        denom = np.sqrt(v / (1.0 - self.BETA2**t))
         denom += self.EPS
-        return np.divide(m / (1.0 - self.BETA1**self.step_count), denom, out=denom)
+        yield np.divide(m / (1.0 - self.BETA1**t), denom, out=denom)
+        self.m, self.v, self.step_count = m, v, t
 
 
 def weighted_step(
@@ -90,7 +91,8 @@ def weighted_step(
     multiplies the Adam step. Zero-rate layers keep their parameters but
     still fold their gradients into the Adam moments. A non-finite rate
     or gradient value rejects the whole step: the model and the Adam
-    moments are left untouched and the incident logged.
+    moments are left untouched and the incident logged. An overflow under
+    ``np.errstate`` raises before theta or the moments are written.
     """
     layers = model.weight_layers()
     rate_arr = np.asarray(rates, dtype=np.float64)
@@ -107,8 +109,9 @@ def weighted_step(
         bad = [name for name, cols in model.slices.items() if not np.isfinite(grad[cols]).all()]
         logger.warning("weighted_step: non-finite gradient in layers %s; step rejected", bad)
         return False
-    direction = grad if optimizer is None else optimizer.update(grad)
-    rate = np.repeat(rate_arr, model.layer_sizes)
+    with contextlib.nullcontext(grad.copy()) if optimizer is None else optimizer.update(grad) as step:
+        rate = np.repeat(rate_arr, model.layer_sizes)
+        np.subtract(model.theta, np.multiply(step, rate, out=step), out=step)
     # a zero-rate layer's columns are left unwritten (a -0.0 stays -0.0); with none, no mask is needed
-    np.subtract(model.theta, rate * direction, out=model.theta, where=True if rate_arr.all() else rate != 0.0)
+    np.copyto(model.theta, step, where=True if rate_arr.all() else rate != 0.0)
     return True

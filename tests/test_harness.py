@@ -38,10 +38,10 @@ from oracle import batch_grads, param_snapshot, reference_adapt
 TINY_KINDS = ["contrast_scale", "gaussian_noise"]
 
 
-def tiny_setup(seed=0):
+def tiny_setup(seed=0, hidden=(8, 8)):
     spec = SourceSpec(input_dim=6, class_count=3, margin=5.0, seed=seed)
     source = gen_source(spec, 240)
-    model = build_classifier(6, [8, 8], 3, seed=seed)
+    model = build_classifier(6, list(hidden), 3, seed=seed)
     pretrain(model, source, epochs=8, eta_pre=1e-2, seed=seed)
     return spec, model
 
@@ -490,6 +490,10 @@ def test_rejected_step_leaves_model_intact_and_continues(monkeypatch, caplog):
         )
     assert len(records) == 6  # the stream keeps going after the rejected step
     assert "rejected" in caplog.text
+    # a rejected step is a skip like any other: NaN metrics, and nothing written
+    assert [rec.skipped for rec in records] == [False, True, False, False, False, False]
+    assert np.isnan(records[1].error) and records[1].w_raw == [] and records[1].diag is None
+    assert "adapt_stream: step 1 skipped: weighted_step rejected the step" in caplog.text
 
 
 def test_source_method_runs_single_row_batches():
@@ -506,11 +510,14 @@ def test_source_method_runs_single_row_batches():
 # it was drawn with; "copy", a copy of the batch's row 0 as drawn; "flat",
 # feature 0 set to 1.0; "logit" or "jitter", as drawn, with the logit row of
 # the row, or of its jittered copy only, made NaN by the forward of
-# ``_adapt_counting``.
-OVERFLOWS = (1e200, 1e300)  # squared in a batch variance, a row times these overflows; times 1e150 it does not
+# ``_adapt_counting``; "sure", as drawn, with its logit rows made one-hot
+# (0 for class 0, -1e3 for the others) by that forward, so its softmax is
+# exactly one-hot and its scores are 0.
+ADAM_OVERFLOW = 1e160  # see test_a_norm_free_batch_times_adam_overflow_overflows_adams_second_moment_first
+OVERFLOWS = (ADAM_OVERFLOW, 1e200, 1e300)  # squared in a batch variance, a row times these overflows; times 1e150 not
 FACTORS = (1e150, *OVERFLOWS)
 NEAR_MAX = 1.7e308  # finite, but not 1.058 times it: the jitter's rescaling by up to 1.1 can overflow it
-MARKS = [0.0, 0.0, 0.0, np.nan, np.inf, -np.inf, *FACTORS, "max", "copy", "flat", "logit", "jitter"]
+MARKS = [0.0, 0.0, 0.0, np.nan, np.inf, -np.inf, *FACTORS, "max", "copy", "flat", "logit", "jitter", "sure"]
 
 
 def _dropped(mark) -> bool:
@@ -520,13 +527,13 @@ def _dropped(mark) -> bool:
 class _Rows:
     """A stream whose batch at step k < ``len(bad)`` keeps only its first
     ``len(bad[k])`` rows, row i delivered as its mark ``bad[k][i]`` says,
-    and which calls ``on_batch`` before it yields each batch. ``nan_logits``
-    then maps "logit" and "jitter" to the positions of the rows so marked
-    among that batch's finite rows."""
+    and which calls ``on_batch`` before it yields each batch. ``logit_rows``
+    then maps "logit", "jitter" and "sure" to the positions of the rows so
+    marked among that batch's finite rows."""
 
     def __init__(self, inner, bad=(), on_batch=lambda: None):
         self.inner, self.bad, self.on_batch = inner, bad, on_batch
-        self.nan_logits = {"logit": [], "jitter": []}
+        self.logit_rows = {"logit": [], "jitter": [], "sure": []}
 
     def _marks(self, step):
         return self.bad[step] if step < len(self.bad) else None
@@ -552,7 +559,7 @@ class _Rows:
                 elif mark in FACTORS:
                     inputs[i] *= mark
             finite = [mark for mark in marks or () if not _dropped(mark)]
-            self.nan_logits = {kind: [j for j, mark in enumerate(finite) if mark == kind] for kind in self.nan_logits}
+            self.logit_rows = {kind: [j for j, mark in enumerate(finite) if mark == kind] for kind in self.logit_rows}
             self.on_batch()
             yield dataclasses.replace(batch, inputs=inputs)
 
@@ -614,23 +621,25 @@ def _least_rows(method):
 def _adapt_counting(model, spec, method, bad, lam, optimizer):
     """``adapt_stream`` over ``_Rows(bad)`` of a 4-batch, 8-row schedule,
     at ``lam`` with ``optimizer``, the diagonal tracked, and a forward that
-    makes the logit rows that ``_Rows.nan_logits`` names NaN. Returns the
-    records, the adapted model, the rows of each forward, the rows of each
-    jitter draw and whether it overflowed, the count of folds into the
-    running totals and those totals, the optimizers, the warnings
-    logged, and the state (theta, Adam moments and running totals, as bytes)
+    makes the logit rows that ``_Rows.logit_rows`` names NaN or one-hot.
+    Returns the records, the adapted model, the rows of each forward, the
+    rows of each jitter draw and whether it overflowed, each fold into the
+    running totals (the step of its batch, a copy of the total it read, and
+    the array it folded into), the optimizers, the warnings logged, and the
+    state (theta's bytes, and each optimizer's step count and moments' bytes)
     before each batch is pulled and after the last."""
-    run = SimpleNamespace(work=model.clone(), forwards=[], jitters=[], folds=0, running={}, optimizers=[], warnings=[],
-                          states=[])
+    run = SimpleNamespace(work=model.clone(), forwards=[], jitters=[], folds=[], optimizers=[], warnings=[], states=[])
     real_forward, real_augment = Model.forward, losses.augment
     real_accumulate, adam = fisher.accumulate, scheduler.AdamState
 
     def forward(self, inputs, batch_stats=True):
         run.forwards.append(len(inputs[0] if inputs.ndim == 3 else inputs))
         logits, saved = real_forward(self, inputs, batch_stats)
-        logits[..., stream.nan_logits["logit"], :] = np.nan
+        logits[..., stream.logit_rows["sure"], :] = -1e3
+        logits[..., stream.logit_rows["sure"], 0] = 0.0
+        logits[..., stream.logit_rows["logit"], :] = np.nan
         if logits.ndim == 3:  # group 1 holds the jittered copy
-            logits[1, stream.nan_logits["jitter"], :] = np.nan
+            logits[1, stream.logit_rows["jitter"], :] = np.nan
         return logits, saved
 
     def augment(batch, rng, out=None):
@@ -640,17 +649,17 @@ def _adapt_counting(model, spec, method, bad, lam, optimizer):
         return jittered
 
     def accumulate(total, batch, decay):
-        run.folds += 1
-        run.running[id(total)] = total
-        real_accumulate(total, batch, decay)
+        run.folds.append((len(run.states) - 1, total.copy(), total))
+        return real_accumulate(total, batch, decay)
 
     def new_adam():
         run.optimizers.append(adam())
         return run.optimizers[-1]
 
     def snapshot():
-        arrays = [run.work.theta, *[a for opt in run.optimizers for a in (opt.m, opt.v) if a is not None]]
-        run.states.append([a.tobytes() for a in arrays + list(run.running.values())])
+        moments = [(opt.step_count, *[None if a is None else a.tobytes() for a in (opt.m, opt.v)])
+                   for opt in run.optimizers]
+        run.states.append([run.work.theta.tobytes(), moments])
 
     handler = logging.Handler(logging.WARNING)
     handler.emit = lambda record: run.warnings.append(record.getMessage())
@@ -669,7 +678,12 @@ def _adapt_counting(model, spec, method, bad, lam, optimizer):
     return run
 
 
-def _check_skipped_and_counted(method, bad, lam=0.1, optimizer="adam"):
+# tiny_setup's seed and widths for the checker's norm-free model, on which a
+# batch times ADAM_OVERFLOW at step 2 of NORM_FREE_BAD first overflows in Adam
+NORM_FREE, NORM_FREE_BAD = (2, ()), [[0.0] * 8, [0.0] * 8, [ADAM_OVERFLOW] * 8, [0.0] * 8]
+
+
+def _check_skipped_and_counted(method, bad, lam=0.1, optimizer="adam", norm_free=False):
     """The one skip rule of ``adapt_stream``, over ``_Rows(bad)``: bad[k] is
     batch k as delivered, one mark per row (see ``MARKS``). Its non-finite
     rows are dropped. A batch left with fewer than the method's least rows,
@@ -680,20 +694,29 @@ def _check_skipped_and_counted(method, bad, lam=0.1, optimizer="adam"):
     or a row at +-NEAR_MAX, under every method: the jitter draw, where
     there is one, may overflow first, and every forward overflows in its
     first product (see ``test_a_row_near_the_float_maximum_overflows_the_first_product``).
-    Every other batch, copies of one row and constant columns included, is
-    adapted on in full."""
+    With ``norm_free`` the model is the NORM_FREE one, and a batch all of
+    ADAM_OVERFLOW rows, under an updating method at lam > 0 with Adam, is
+    skipped after its trace fold, in Adam's second moment (calibrated on
+    NORM_FREE_BAD). Every other batch, copies of one row, constant columns
+    and one-hot logit rows included, is adapted on in full. A skipped batch
+    writes nothing: theta, the Adam state and the running totals keep their
+    bytes across it."""
     least = _least_rows(method)
     updating = method in harness.WEIGHTED_METHODS + ("uniform_tent",)
+    weighted = method in harness.WEIGHTED_METHODS
+    grouped = updating and lam > 0
     finite = [[mark for mark in rows if not _dropped(mark)] for rows in bad]
     delivered, kept = [len(rows) for rows in bad], [len(rows) for rows in finite]
     short = [k < least for k in kept]
+    late = [not s and norm_free and grouped and optimizer == "adam" and set(rows) == {ADAM_OVERFLOW}
+            for s, rows in zip(short, finite)]
     faulty = [
-        not s and ("logit" in rows or "max" in rows or (updating and lam > 0 and "jitter" in rows)
-                   or (method != "source" and any(mark in OVERFLOWS for mark in rows)))
-        for s, rows in zip(short, finite)
+        not s and ("logit" in rows or "max" in rows or (grouped and "jitter" in rows) or after_fold
+                   or (not norm_free and method != "source" and any(mark in OVERFLOWS for mark in rows)))
+        for s, rows, after_fold in zip(short, finite, late)
     ]
     skipped = [s or f for s, f in zip(short, faulty)]
-    spec, model = _pretrained()
+    spec, model = _pretrained(*NORM_FREE) if norm_free else _pretrained()
     run = _adapt_counting(model, spec, method, bad, lam, optimizer)
     records, layers = run.records, model.weight_layer_names()
 
@@ -705,7 +728,7 @@ def _check_skipped_and_counted(method, bad, lam=0.1, optimizer="adam"):
         if rec.skipped:
             assert row == ",".join([str(rec.step), rec.domain, str(rec.severity)] + ["nan"] * (3 + len(layers)))
             assert rec.w_raw == [] and rec.diag is None
-        elif method in harness.WEIGHTED_METHODS:
+        elif weighted:
             assert np.isfinite(rec.w_raw).all() and all(np.isfinite(d).all() for d in rec.diag.values())
     summary = summarize(records, AdaptConfig(method=method))
     assert summary["batches"] == 4
@@ -713,33 +736,53 @@ def _check_skipped_and_counted(method, bad, lam=0.1, optimizer="adam"):
     assert summary["skipped_batches"] == sum(skipped)
     assert np.isfinite(summary["mean_error"]) == np.isfinite(summary["mean_entropy"]) == (not all(skipped))
     # under a consistency term a jitter draw for every batch with enough rows, which overflows only on a "max" row;
-    # a forward for every batch with enough rows whose draw, if any, did not overflow first; a trace fold and a
-    # step only for a batch adapted on
-    grouped = updating and lam > 0
+    # a forward for every batch with enough rows whose draw, if any, did not overflow first
     assert [rows for rows, _ in run.jitters] == ([k for k, s in zip(kept, short) if not s] if grouped else [])
     draws = iter(over for _, over in run.jitters)
     overflowed = [not s and grouped and next(draws) for s in short]
     assert all("max" in rows for rows, over in zip(finite, overflowed) if over)
     assert run.forwards == [k for k, s, over in zip(kept, short, overflowed) if not (s or over)]
-    assert run.folds == 2 * sum(not skip for skip in skipped) * (method in harness.WEIGHTED_METHODS)
+    # a fold of the traces and of the diagonal for every batch adapted on or skipped after its fold, each reading
+    # the totals that the last batch adapted on left, zeros before the first: a batch skipped after its fold
+    # commits nothing
+    reached = [weighted and (not skip or after_fold) for skip, after_fold in zip(skipped, late)]
+    assert [step for step, _, _ in run.folds] == [k for k, r in enumerate(reached) if r for _ in range(2)]
+    totals = {}
+    for i, (step, read, folded) in enumerate(run.folds):
+        assert read.tobytes() == totals.get(i % 2, np.zeros_like(read)).tobytes()
+        if not skipped[step]:
+            totals[i % 2] = folded
+    assert all(np.isfinite(total).all() for total in totals.values())
+    # theta, the Adam state and the step count keep their bytes across a skipped batch. Theta keeps them across a
+    # kept batch too, where its rates are all 0 (a weighted method while every batch adapted on so far scored 0,
+    # its running traces all equal: the scaler's min-max spans nothing) or its step is 0 (one-hot logit rows and no
+    # consistency term give a zero gradient, and SGD or Adam with no history a zero step); it moves across every
+    # other kept batch of an updating method. The step count folds every kept batch of an updating method.
+    zero_scores = [set(rows) == {"sure"} for rows in finite]
+    all_zero_scores = all_zero_grads = True
     for k, skip in enumerate(skipped):  # states[k] is the state as batch k is pulled
-        if skip:  # theta, moments and running totals byte-identical across a skipped batch
+        if skip:
             assert run.states[k] == run.states[k + 1]
-        elif updating:  # and theta moves across every other, before a skip and after one
-            assert run.states[k][0] != run.states[k + 1][0]
+            continue
+        zero_grad = zero_scores[k] and not grouped
+        all_zero_scores, all_zero_grads = all_zero_scores and zero_scores[k], all_zero_grads and zero_grad
+        zero_step = zero_grad and (optimizer == "sgd" or all_zero_grads)
+        frozen = not updating or (weighted and all_zero_scores) or zero_step
+        assert (run.states[k][0] == run.states[k + 1][0]) == frozen, k
+    steps = sum(not skip for skip in skipped) if updating else 0
+    assert [opt.step_count for opt in run.optimizers] == ([steps] if optimizer == "adam" else [])
     assert np.isfinite(run.work.theta).all()
     for opt in run.optimizers:
         assert opt.m is None or (np.isfinite(opt.m).all() and np.isfinite(opt.v).all())
-    assert all(np.isfinite(total).all() for total in run.running.values())
     # one warning for a batch with a dropped row or too few rows, one naming the cause of any other skip,
-    # none for a batch adapted on: no step is rejected
+    # none for a batch adapted on
     expected = []
     for step, (n, k, s, f) in enumerate(zip(delivered, kept, short, faulty)):
         if k < n or s:
             expected.append(re.escape(f"adapt_stream: step {step} keeps {k} finite row(s) of {n}"
                                       + (", too few: skipped" if s else "")))
         if f:
-            cause = "overflow .*" if "max" in finite[step] else r"\S.*"
+            cause = "overflow .*" if "max" in finite[step] or late[step] else r"\S.*"
             expected.append(rf"adapt_stream: step {step} skipped: {cause}")
     assert len(run.warnings) == len(expected), run.warnings
     assert all(re.fullmatch(pattern, text) for pattern, text in zip(expected, run.warnings)), run.warnings
@@ -750,7 +793,7 @@ def _check_skipped_and_counted(method, bad, lam=0.1, optimizer="adam"):
 
 
 METHODS = ["layerwise", "naive_eq6", "uniform_tent", "bn1", "source"]
-FULL, COPIES, FLAT = [0.0] * 8, ["copy"] * 8, ["flat"] * 8
+FULL, COPIES, FLAT, SURE = [0.0] * 8, ["copy"] * 8, ["flat"] * 8, ["sure"] * 8
 
 
 def _examples(cases):
@@ -762,7 +805,7 @@ def _examples(cases):
 @given(
     st.sampled_from(METHODS),
     st.lists(st.one_of(st.lists(st.sampled_from(MARKS), min_size=8, max_size=8),
-                       st.sampled_from([[np.nan] * 8, COPIES, FLAT])), min_size=4, max_size=4),
+                       st.sampled_from([[np.nan] * 8, COPIES, FLAT, SURE])), min_size=4, max_size=4),
     st.sampled_from([0.0, 0.1]),
     st.sampled_from(["adam", "sgd"]),
 )
@@ -772,9 +815,41 @@ def _examples(cases):
 @_examples([(method, [[1e200] * 8, [1e150] * 8, FULL, [1e300, *FULL[1:]]], 0.1, "adam") for method in METHODS])
 @_examples([(method, [COPIES, FLAT, FULL, COPIES], 0.1, "sgd") for method in METHODS])
 @_examples([(method, [FULL, ["max"] * 8, FULL, ["max", *FULL[1:]]], 0.1, "adam") for method in METHODS])
+# running traces all equal (0) until a batch scores: under a weighted method theta keeps its bytes
+@_examples([(method, [SURE, SURE, FULL, SURE], lam, optimizer)
+            for method, lam, optimizer in itertools.product(METHODS, (0.0, 0.1), ("adam", "sgd"))])
 def test_non_finite_rows_are_dropped_and_counted(method, bad, lam, optimizer):
-    # 8-row batches of every mark, and whole batches of non-finite rows, copies of one row or a constant column
+    # 8-row batches of every mark, and whole batches of non-finite rows, copies of one row, a constant column or
+    # one-hot logit rows
     _check_skipped_and_counted(method, bad, lam, optimizer)
+
+
+def _norm_free_grads(method):
+    """The gradients ``adapt_stream`` takes over NORM_FREE_BAD on the
+    NORM_FREE model, under ``method`` at lam 0.1 with Adam, one per batch
+    whose pass reaches it."""
+    spec, model = _pretrained(*NORM_FREE)
+    grads = []
+    stream = _Rows(ScheduleStream(spec, tiny_schedule(batches=2, batch_size=8)), NORM_FREE_BAD)
+    with mock.patch.object(harness, "collect_grads", lambda *args: grads.append(collect_grads(*args)) or grads[-1]):
+        adapt_stream(model.clone(), stream, AdaptConfig(method=method, lam=0.1, seed=0, track_diagonal=True))
+    return grads
+
+
+@pytest.mark.parametrize("method", ["uniform_tent", "naive_eq6"])
+def test_a_norm_free_batch_times_adam_overflow_overflows_adams_second_moment_first(method):
+    # why the checker skips that batch after its trace fold: with no batch variance to overflow, its pass is finite
+    # up to a gradient of about 4e158, and Adam's (1 - beta2) * grad * grad is the first product to overflow
+    grad = _norm_free_grads(method)[2]
+    assert np.isfinite(grad).all()
+    with np.errstate(over="ignore"):
+        assert not np.isfinite((1.0 - scheduler.AdamState.BETA2) * grad * grad).all()
+
+
+@pytest.mark.parametrize("method", ["uniform_tent", "naive_eq6"])
+def test_a_batch_that_overflows_adam_is_skipped_and_counted(method):
+    # the fold, the rates and the step run in the skip rule's errstate block, and nothing is written before its end
+    _check_skipped_and_counted(method, NORM_FREE_BAD, 0.1, "adam", norm_free=True)
 
 
 @settings(max_examples=60)
@@ -815,10 +890,11 @@ class _Listed:
         self.thetas.append(self.model.theta.copy())
 
 
-def _reference_case(hidden, dim, classes, rows, seed, nan_rows, config):
+def _reference_case(hidden, dim, classes, rows, seed, nan_rows, config, scaled=()):
     """A model of ``hidden`` widths with source statistics, and a stream of
-    ``rows``-row batches, batch k with ``nan_rows[k]`` NaN rows, all drawn
-    from ``seed``; with ``config``, the arguments of ``_reference_gap``."""
+    ``rows``-row batches, batch k with ``nan_rows[k]`` NaN rows and, for k
+    in ``scaled``, every row times ADAM_OVERFLOW, all drawn from ``seed``;
+    with ``config``, the arguments of ``_reference_gap``."""
     rng = np.random.default_rng(seed)
     model = build_classifier(dim, hidden, classes, seed=seed)
     record_source_stats(model, rng.standard_normal((32, dim)))
@@ -826,6 +902,7 @@ def _reference_case(hidden, dim, classes, rows, seed, nan_rows, config):
     for step, nans in enumerate(nan_rows):
         inputs = rng.standard_normal((rows, dim)) * 2.0 + rng.standard_normal(dim)
         inputs[rng.permutation(rows)[:nans], rng.integers(dim)] = np.nan
+        inputs *= ADAM_OVERFLOW if step in scaled else 1.0
         batches.append(StreamBatch(step, f"d{step // 2}", step % 5 + 1, inputs))
         labels.append(rng.integers(classes, size=rows))
     return model, batches, labels, config
@@ -833,21 +910,24 @@ def _reference_case(hidden, dim, classes, rows, seed, nan_rows, config):
 
 @st.composite
 def _reference_cases(draw):
-    """``_reference_case`` of 1-3 hidden layers of widths 1-6, inputs of 1-6
-    features, 2-4 classes, 3-6 batches of 2-12 rows and a run's settings."""
-    hidden = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    """``_reference_case`` of 0-3 hidden layers of widths 1-6 (``layerwise``
+    needs one), inputs of 1-6 features, 2-4 classes, 3-6 batches of 2-12
+    rows, up to two of them times ADAM_OVERFLOW, and a run's settings."""
+    hidden = draw(st.lists(st.integers(1, 6), min_size=0, max_size=3))
     dim, classes, rows, seed = draw(st.integers(1, 6)), draw(st.integers(2, 4)), draw(st.integers(2, 12)), draw(
         st.integers(0, 2**32 - 1))
     # per batch the count of NaN rows; one left or none skips the batch under batch statistics
     nan_rows = draw(st.lists(st.one_of(st.just(0), st.integers(0, rows), st.sampled_from([rows - 1, rows])),
                              min_size=3, max_size=6))
+    scaled = draw(st.sets(st.integers(0, len(nan_rows) - 1), max_size=2))
     config = AdaptConfig(
-        method=draw(st.sampled_from(METHODS)), lam=draw(st.sampled_from([0.0, 0.1])),
+        method=draw(st.sampled_from([method for method in METHODS if hidden or method != "layerwise"])),
+        lam=draw(st.sampled_from([0.0, 0.1])),
         gamma=draw(st.sampled_from([0.0, 0.5, 1.0])), tau=draw(st.sampled_from([0.0, 1.0, 2.0])),
         optimizer=draw(st.sampled_from(["adam", "sgd"])), seed=draw(st.integers(0, 3)),
         track_diagonal=draw(st.booleans()),
     )
-    return _reference_case(hidden, dim, classes, rows, seed, nan_rows, config)
+    return _reference_case(hidden, dim, classes, rows, seed, nan_rows, config, scaled)
 
 
 def _reference_gap(model, batches, labels, config) -> float:
@@ -886,5 +966,8 @@ REFERENCE_RTOL = 1e-8
 # both methods that fold traces, with a skipped batch between two kept ones at a decay that shows a fold
 @_examples([(_reference_case([4, 3], 3, 3, 6, 0, [0, 6, 0, 5], AdaptConfig(method=method, gamma=0.5, seed=1)),)
             for method in harness.WEIGHTED_METHODS])
+# a norm-free model whose batch 1, every row times ADAM_OVERFLOW, overflows first in Adam, after its trace fold
+@_examples([(_reference_case([], 4, 3, 6, 0, [0, 0, 0, 0], AdaptConfig(method=method, gamma=0.5, seed=1), {1}),)
+            for method in ("uniform_tent", "naive_eq6")])
 def test_adapt_stream_matches_the_tape_reference_loop(case):
     assert _reference_gap(*case) <= REFERENCE_RTOL

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import logging
 
 import numpy as np
@@ -247,6 +248,35 @@ def test_adam_matches_reference_implementation():
             assert np.array_equal(p, ref[(layer.name, i)])
 
 
+def test_adam_update_whose_second_moment_overflows_raises_and_writes_nothing():
+    opt = AdamState()
+    rng = np.random.default_rng(3)
+    with opt.update(rng.standard_normal(5)):
+        pass
+    before = [opt.m.tobytes(), opt.v.tobytes(), opt.step_count]
+    grad = rng.standard_normal(5)
+    grad[2] = 1e200  # finite, as is its share of the first moment; (1 - beta2) * grad * grad is not
+    with pytest.raises(FloatingPointError, match="overflow"), np.errstate(over="raise"):
+        with opt.update(grad):
+            pass
+    assert [opt.m.tobytes(), opt.v.tobytes(), opt.step_count] == before
+
+
+@pytest.mark.parametrize("use_adam", [True, False])
+def test_a_step_that_overflows_under_errstate_raises_and_writes_nothing(use_adam):
+    # the new parameters overflow after the Adam fold has succeeded: neither theta nor the moments are written
+    model = build_classifier(3, [4], 2, seed=3)
+    opt = AdamState() if use_adam else None
+    rng = np.random.default_rng(1)
+    assert weighted_step(model, rng.standard_normal(model.theta.size), np.full(3, 1e-2), optimizer=opt)
+    grad = np.full(model.theta.size, 0.5)  # under SGD the step, 5e307, is finite, and the subtraction overflows
+    model.theta[0] = -1.7e308
+    before = _bits(_state(model, opt))
+    with pytest.raises(FloatingPointError, match="overflow"), np.errstate(over="raise"):
+        weighted_step(model, grad, np.full(3, 1e308), optimizer=opt)
+    assert _bits(_state(model, opt)) == before
+
+
 @st.composite
 def step_sequences(draw):
     """A small model, an optimizer kind and a sequence of (gradient, rates)
@@ -307,9 +337,9 @@ def test_nonzero_rates_write_the_bytes_of_the_masked_subtraction(use_adam):
         grad[rng.random(grad.size) < 0.2] = -0.0
         rates = rng.uniform(1e-4, 0.5, len(model.slices))
         want = model.theta.copy()
-        direction = grad if ref_opt is None else ref_opt.update(grad)
         rate = np.repeat(rates, [cols.stop - cols.start for cols in model.slices.values()])
-        np.subtract(want, rate * direction, out=want, where=rate != 0.0)
+        with contextlib.nullcontext(grad) if ref_opt is None else ref_opt.update(grad) as direction:
+            np.subtract(want, rate * direction, out=want, where=rate != 0.0)
         assert weighted_step(model, grad, rates, optimizer=opt)
         assert model.theta.tobytes() == want.tobytes()
 
