@@ -7,8 +7,8 @@ layer's parameters. The trace of the empirical second-moment matrix of
 per-sample scores is computed directly as the mean squared score norm,
 so the full |theta| x |theta| matrix is never materialized; its square
 root is the layer's raw learning weight. The caller keeps the running
-traces (and diagonal) as plain arrays, and ``accumulate`` folds each
-batch into them with the run's decay: gamma * old + batch.
+traces (and diagonal) as plain arrays, and ``accumulate`` returns a
+batch folded into them as a new array: gamma * old + batch.
 """
 
 from __future__ import annotations
@@ -73,15 +73,15 @@ def fim_diagonal(scores_per_sample: dict[str, np.ndarray]) -> dict[str, np.ndarr
 
 
 def accumulate(total: np.ndarray, batch: np.ndarray, decay: float) -> np.ndarray:
-    """Fold a batch's traces [L] (or diagonal [P]) into their running total
-    in place, and return it: total = decay * total + batch. ``decay`` = 1
-    accumulates over the whole stream (traces never decrease); ``decay`` = 0
-    keeps only the current batch."""
+    """A batch's traces [L] (or diagonal [P]) folded into their running
+    total, decay * total + batch, as a new array; ``total`` is not written.
+    ``decay`` = 1 accumulates over the whole stream (traces never decrease);
+    ``decay`` = 0 keeps only the current batch."""
     if batch.shape != total.shape:
         raise ValueError(f"accumulate: layer mismatch, total has shape {total.shape}, batch has {batch.shape}")
-    total *= decay
-    total += batch
-    return total
+    folded = total * decay
+    folded += batch
+    return folded
 
 
 def learning_weights(traces: np.ndarray) -> np.ndarray:

@@ -90,7 +90,9 @@ def pretrain(
     train accuracy on the frozen-source prediction path. ``epochs=0``
     records statistics on the untrained initialization. Settings under
     which no step, or no descent step, could be taken are rejected before
-    the first step.
+    the first step. An overflow or a NaN made under ``np.errstate``, a step
+    ``weighted_step`` refuses, or a NaN loss (an input NaN raises nothing)
+    raises ``PretrainDiverged`` naming the epoch and step.
     """
     n = source.inputs.shape[0]
     if not (np.isfinite(eta_pre) and eta_pre > 0):
@@ -101,19 +103,24 @@ def pretrain(
         raise ValueError(f"n must be >= PRETRAIN_BATCH={PRETRAIN_BATCH} for a pretraining step, got {n} source rows")
     rng = np.random.default_rng(seed)
     opt = scheduler.AdamState()
-    uniform = np.full(len(model.weight_layers()), eta_pre)
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for step, start in enumerate(range(0, n - PRETRAIN_BATCH + 1, PRETRAIN_BATCH)):
-            pick = order[start : start + PRETRAIN_BATCH]
-            logits, saved = model.forward(source.inputs[pick], batch_stats=True)
-            loss, g = losses.nll_loss(logits, source.labels[pick])
-            if not np.isfinite(loss):
-                raise PretrainDiverged(f"pretraining loss became {loss} at epoch {epoch} step {step}; aborting")
-            grad = collect_grads(model, saved, g)
-            scheduler.weighted_step(model, grad, uniform, optimizer=opt)
-    record_source_stats(model, source.inputs)
-    logits, _ = model.forward(source.inputs, batch_stats=False)
+    uniform = np.full(len(model.layer_sizes), eta_pre)
+    where = "on the initialization"  # a fault after the last step names that step: it made the weights diverge
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(epochs):
+                order = rng.permutation(n)
+                for step, start in enumerate(range(0, n - PRETRAIN_BATCH + 1, PRETRAIN_BATCH)):
+                    where = f"at epoch {epoch} step {step}"
+                    pick = order[start : start + PRETRAIN_BATCH]
+                    logits, saved = model.forward(source.inputs[pick], batch_stats=True)
+                    loss, g = losses.nll_loss(logits, source.labels[pick])
+                    if not np.isfinite(loss):
+                        raise PretrainDiverged(f"pretraining loss became {loss} {where}; aborting")
+                    scheduler.weighted_step(model, collect_grads(model, saved, g), uniform, optimizer=opt)
+            record_source_stats(model, source.inputs)
+            logits, _ = model.forward(source.inputs, batch_stats=False)
+    except FloatingPointError as exc:
+        raise PretrainDiverged(f"pretraining diverged {where}: {exc}") from exc
     return float((logits.argmax(axis=1) == source.labels).mean())
 
 
@@ -179,12 +186,12 @@ def adapt_stream(
     is skipped when fewer than ``min_batch_rows`` rows are left once its
     non-finite rows are dropped, or when its pass from the jitter draw to
     the step, run under ``np.errstate(over="raise", invalid="raise")``,
-    overflows, makes a NaN, yields a NaN entropy or has its step rejected
-    by ``weighted_step``. The pass folds into copies and the step writes
-    last, so nothing is written until the whole pass has succeeded; the
-    draw comes first, so a skipped batch moves the jitter generator as a
-    kept one does. A batch's caches and gradient are freed before the next
-    batch's forward.
+    overflows, makes a NaN, yields a NaN entropy or has its step refused
+    by ``weighted_step``; the warning names the cause. The fold returns new
+    totals and the step writes last, so nothing is written until the whole
+    pass has succeeded; the draw comes first, so a skipped batch moves the
+    jitter generator as a kept one does. A batch's caches and gradient are
+    freed before the next batch's forward.
     """
     cfg = config
     n_layers = len(model.slices)
@@ -233,15 +240,15 @@ def adapt_stream(
                     np.multiply(g_aug, cfg.lam, out=pair[1])
                 grad = collect_grads(model, saved, g) if updating else None
                 folded, w_raw, w_bar = running, [], [1.0 if updating else 0.0] * n_layers  # uniform_tent's, or none
-                if cfg.method in WEIGHTED_METHODS:  # into copies of the running totals, kept if the step is taken
-                    folded = [fisher.accumulate(total.copy(), new, cfg.gamma)
+                if cfg.method in WEIGHTED_METHODS:  # new totals, kept if the step is taken
+                    folded = [fisher.accumulate(total, new, cfg.gamma)
                               for total, new in zip(running, (batch_traces, batch_diagonal))]
                     w_raw = fisher.learning_weights(folded[0]).tolist()
                     w_bar = list(w_raw)  # unbounded naive weighting
                     if cfg.method == "layerwise":
                         w_bar = scheduler.exp_minmax_scale(w_raw, tau=cfg.tau).tolist()
-                if updating and not scheduler.weighted_step(model, grad, scheduler.layer_rates(w_bar, cfg.eta), opt):
-                    raise FloatingPointError("weighted_step rejected the step")
+                if updating:
+                    scheduler.weighted_step(model, grad, scheduler.layer_rates(w_bar, cfg.eta), opt)
         except FloatingPointError as exc:
             rec.skipped = True
             logger.warning("adapt_stream: step %d skipped: %s", batch.step, exc)
@@ -250,7 +257,7 @@ def adapt_stream(
         rec.error = float(np.count_nonzero(clean.argmax(axis=1) != labels) / len(labels))
         rec.entropy, rec.consistency, rec.w_raw, rec.w_bar = entropy, consistency, w_raw, w_bar
         if cfg.track_diagonal and w_raw:
-            rec.diag = {name: running[1][cols].copy() for name, cols in model.slices.items()}
+            rec.diag = {name: running[1][cols] for name, cols in model.slices.items()}  # views: a fold is never written
         return rec
 
     return [adapt(batch) for batch in stream]  # a batch's caches die with its call, before the next forward

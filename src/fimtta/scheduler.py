@@ -10,13 +10,10 @@ weights, reducing the method to uniform-rate fine-tuning.
 from __future__ import annotations
 
 import contextlib
-import logging
 
 import numpy as np
 
 from .model import Model
-
-logger = logging.getLogger(__name__)
 
 EPSILON = 1e-8  # keeps the scaler finite when every weight is equal
 
@@ -82,36 +79,29 @@ def weighted_step(
     grad: np.ndarray,
     rates,
     optimizer: AdamState | None = None,
-) -> bool:
-    """Descend each layer by its own rate; True if applied.
+) -> None:
+    """Descend each layer by its own rate.
 
     ``grad`` is a flat [P] gradient laid out like ``model.theta`` and
-    ``rates`` aligns with ``model.weight_layers()``. Without an
-    optimizer this is the plain per-layer SGD update; with one, the rate
-    multiplies the Adam step. Zero-rate layers keep their parameters but
-    still fold their gradients into the Adam moments. A non-finite rate
-    or gradient value rejects the whole step: the model and the Adam
-    moments are left untouched and the incident logged. An overflow under
-    ``np.errstate`` raises before theta or the moments are written.
+    ``rates`` aligns with ``model.slices``. Without an optimizer this is
+    the plain per-layer SGD update; with one, the rate multiplies the Adam
+    step. Zero-rate layers keep their parameters but still fold their
+    gradients into the Adam moments. A step that cannot be taken raises
+    ``FloatingPointError`` before theta or the moments are written: a
+    non-finite rate or gradient value, named by layer, or an overflow
+    under ``np.errstate``.
     """
-    layers = model.weight_layers()
     rate_arr = np.asarray(rates, dtype=np.float64)
-    if rate_arr.shape != (len(layers),):
-        raise ValueError(
-            f"weighted_step: expected {len(layers)} rates, got shape {rate_arr.shape}"
-        )
+    if rate_arr.shape != model.layer_sizes.shape:
+        raise ValueError(f"weighted_step: expected {len(model.layer_sizes)} rates, got shape {rate_arr.shape}")
     if grad.shape != model.theta.shape:
         raise ValueError(f"weighted_step: expected a {model.theta.shape} gradient, got {grad.shape}")
-    if not np.isfinite(rate_arr).all():
-        logger.warning("weighted_step: non-finite rates %s; step rejected", rate_arr)
-        return False
-    if not np.isfinite(grad).all():
-        bad = [name for name, cols in model.slices.items() if not np.isfinite(grad[cols]).all()]
-        logger.warning("weighted_step: non-finite gradient in layers %s; step rejected", bad)
-        return False
+    if not (np.isfinite(rate_arr).all() and np.isfinite(grad).all()):
+        bad = [name for (name, cols), rate in zip(model.slices.items(), rate_arr)
+               if not (np.isfinite(rate) and np.isfinite(grad[cols]).all())]
+        raise FloatingPointError(f"weighted_step: non-finite rate or gradient in layers {bad}")
     with contextlib.nullcontext(grad.copy()) if optimizer is None else optimizer.update(grad) as step:
         rate = np.repeat(rate_arr, model.layer_sizes)
         np.subtract(model.theta, np.multiply(step, rate, out=step), out=step)
     # a zero-rate layer's columns are left unwritten (a -0.0 stays -0.0); with none, no mask is needed
     np.copyto(model.theta, step, where=True if rate_arr.all() else rate != 0.0)
-    return True

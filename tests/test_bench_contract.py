@@ -11,7 +11,9 @@ listed in its ``SPAN_TARGETS`` (``Model.forward``,
 pretraining. These tests read that table from the benchmark's source and
 patch the same names with counters, so a refactor that moves one of them,
 stops reaching it, or calls it a different number of times, fails here
-instead of silently blinding the benchmark.
+instead of silently blinding the benchmark. It counts skipped batches by
+the warnings on the harness's logger, so a refused step warns there once
+and nowhere else.
 """
 
 from __future__ import annotations
@@ -20,11 +22,14 @@ import ast
 import functools
 import importlib
 import inspect
+import logging
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fimtta import harness, scheduler
 from fimtta.harness import PRETRAIN_BATCH, AdaptConfig, adapt_stream, pretrain
 from fimtta.model import build_classifier
 from fimtta.stream import ScheduleStream, SourceSpec, gen_source, make_schedule
@@ -128,6 +133,34 @@ def test_adapt_stream_calls_per_batch(monkeypatch, name):
     records = adapt_stream(model.clone(), ScheduleStream(spec, schedule), config)
     assert len(records) == 6
     assert {attr: calls / 6 for attr, calls in counts.items()} == PER_BATCH[name]
+
+
+def test_a_refused_step_logs_one_warning_on_the_logger_the_bench_counts(monkeypatch, caplog):
+    # the benchmark counts rejections with a handler on the harness's logger alone
+    counted = [
+        ast.unparse(node.func.value) for node in ast.walk(_bench_tree())
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "addHandler"
+    ]
+    assert counted == ["logging.getLogger(harness.__name__)"]
+    spec, source, model = _tiny_task()
+    pretrain(model, source, epochs=2, seed=0)
+    real_rates = scheduler.layer_rates
+    calls = []
+
+    def rates(w_bar, eta):  # batch 1's step gets a NaN rate, which weighted_step refuses
+        calls.append(real_rates(w_bar, eta))
+        if len(calls) == 2:
+            calls[-1][0] = np.nan
+        return calls[-1]
+
+    monkeypatch.setattr(scheduler, "layer_rates", rates)
+    schedule = make_schedule("continual", ["contrast_scale", "gaussian_noise"], 2, 16, seed=0)
+    with caplog.at_level(logging.DEBUG):
+        records = adapt_stream(model.clone(), ScheduleStream(spec, schedule), AdaptConfig())
+    assert [rec.skipped for rec in records] == [False, True, False, False]
+    assert [(r.name, r.levelno) for r in caplog.records if r.levelno >= logging.WARNING] == [
+        (harness.__name__, logging.WARNING)
+    ]
 
 
 # functions and classes the benchmark calls by name, through the modules it imports

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 
 import pytest
 
@@ -57,6 +58,18 @@ def test_pretrain_setting_that_trains_nothing_aborts_before_any_artifact(tmp_pat
     assert code == 1
     assert not out.exists()
     assert f"{setting} must be" in caplog.text
+
+
+def test_pretraining_that_diverges_exits_1_naming_its_step_without_a_checkpoint(tmp_path, caplog, capsys):
+    # the first step's weights, ~1e150, overflow the next step's forward; before, most steps were refused with a
+    # warning each and the run failed only at the checkpoint, on a non-finite source statistic
+    out = tmp_path / "m"
+    assert main(["pretrain", "--eta-pre", "1e150", "--epochs", "2", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert [(r.levelname, r.getMessage()) for r in caplog.records if r.levelno >= logging.WARNING] == [
+        ("ERROR", "pretraining diverged at epoch 0 step 1: overflow encountered in multiply")
+    ]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -240,17 +240,9 @@ def test_diagonal_of_zero_scores_is_zero():
 
 
 def test_accumulate_examples():
-    total = np.zeros(1)
-    accumulate(total, np.array([5.0]), 1.0)
-    assert total.tolist() == [5.0]
-
-    total = np.array([4.0])
-    accumulate(total, np.array([2.0]), 0.0)
-    assert total.tolist() == [2.0]
-
-    total = np.array([4.0, 1.0])
-    accumulate(total, np.array([2.0, 0.5]), 0.5)
-    assert total.tolist() == [4.0, 1.0]
+    assert accumulate(np.zeros(1), np.array([5.0]), 1.0).tolist() == [5.0]
+    assert accumulate(np.array([4.0]), np.array([2.0]), 0.0).tolist() == [2.0]
+    assert accumulate(np.array([4.0, 1.0]), np.array([2.0, 0.5]), 0.5).tolist() == [4.0, 1.0]
 
 
 @settings(max_examples=50)
@@ -259,12 +251,14 @@ def test_accumulate_examples():
     size=st.integers(1, 40),
     decay=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
 )
-def test_accumulate_in_place_is_bit_identical_to_decay_times_old_plus_batch(seed, size, decay):
+def test_accumulate_is_bit_identical_to_decay_times_old_plus_batch_and_keeps_total(seed, size, decay):
     rng = np.random.default_rng(seed)
     old, batch = rng.uniform(0, 1e3, size), rng.uniform(0, 1e3, size)
     total = old.copy()
-    accumulate(total, batch, decay)
-    assert total.tobytes() == (decay * old + batch).tobytes()
+    folded = accumulate(total, batch, decay)
+    assert folded.tobytes() == (decay * old + batch).tobytes()
+    # the fold writes nothing: a caller commits it only once the whole batch has succeeded
+    assert total.tobytes() == old.tobytes() and not np.shares_memory(folded, total)
 
 
 def test_accumulate_rejects_layer_mismatch():
@@ -294,26 +288,23 @@ def test_learning_weights_monotone_in_trace():
 
 def test_full_decay_traces_never_decrease():
     rng = np.random.default_rng(8)
-    total = np.zeros(2)
-    prev = total.copy()
+    prev = np.zeros(2)
     for _ in range(50):
-        accumulate(total, rng.uniform(0, 2, size=2), 1.0)
+        total = accumulate(prev, rng.uniform(0, 2, size=2), 1.0)
         assert (total >= prev).all()
-        prev = total.copy()
+        prev = total
 
 
 def test_zero_decay_depends_only_on_current_batch():
     rng = np.random.default_rng(9)
     total = np.zeros(1)
     for value in rng.uniform(0, 3, size=10):
-        accumulate(total, np.array([value]), 0.0)
+        total = accumulate(total, np.array([value]), 0.0)
         assert total.tolist() == [value]
 
 
 def test_diagonal_accumulates_with_decay():
-    diagonal = np.zeros(6)
-    accumulate(diagonal, np.ones(6), 0.5)
-    accumulate(diagonal, np.ones(6), 0.5)
+    diagonal = accumulate(accumulate(np.zeros(6), np.ones(6), 0.5), np.ones(6), 0.5)
     assert np.allclose(diagonal, 1.5)
 
 

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from types import SimpleNamespace
 from unittest import mock
@@ -140,6 +141,55 @@ def test_pretrain_aborts_on_non_finite_loss():
     source.inputs[row, 0] = np.nan
     with pytest.raises(PretrainDiverged, match="became nan at epoch 1 step 1;"):
         pretrain(build_classifier(6, [8], 3, seed=0), source, epochs=2, seed=0)
+
+
+@pytest.mark.parametrize("eta_pre,diverges", [(1e-2, False), (1e3, False), (1e100, True), (1e150, True), (1e300, True)])
+def test_pretraining_trains_finite_or_stops_at_the_step_that_diverged(eta_pre, diverges, caplog):
+    # a rate so large that a later forward, Adam's moments or a step overflows stops pretraining with the epoch and
+    # step; no rate lets a warning escape, logs one, or leaves theta or the source statistics non-finite
+    spec = SourceSpec(input_dim=6, class_count=3, margin=5.0, seed=0)
+    model = build_classifier(6, [8, 8], 3, seed=0)
+    norms = [layer for layer in model.layers if layer.kind == "norm"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if diverges:
+            with pytest.raises(PretrainDiverged, match=r"^pretraining diverged at epoch [01] step [0-2]: \S"):
+                pretrain(model, gen_source(spec, 240), epochs=2, eta_pre=eta_pre, seed=0)
+        else:
+            assert np.isfinite(pretrain(model, gen_source(spec, 240), epochs=2, eta_pre=eta_pre, seed=0))
+            assert all(np.isfinite(layer.source_mean).all() and np.isfinite(layer.source_var).all() for layer in norms)
+    assert np.isfinite(model.theta).all()
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
+def test_pretraining_step_that_weighted_step_refuses_stops_it(monkeypatch):
+    # a non-finite gradient that no arithmetic of its pass flagged: the refusal stops pretraining like an overflow
+    spec = SourceSpec(input_dim=6, class_count=3, margin=5.0, seed=0)
+    model = build_classifier(6, [8], 3, seed=0)
+    grads = []
+
+    def poisoned(*args):
+        grads.append(collect_grads(*args))
+        if len(grads) == 3:
+            grads[-1][0] = np.nan
+        return grads[-1]
+
+    monkeypatch.setattr(harness, "collect_grads", poisoned)
+    before = model.theta.copy()
+    with pytest.raises(PretrainDiverged, match=re.escape(
+        "pretraining diverged at epoch 0 step 2: weighted_step: non-finite rate or gradient in layers ['dense1']"
+    )):
+        pretrain(model, gen_source(spec, 240), epochs=2, seed=0)
+    assert np.isfinite(model.theta).all() and not np.array_equal(model.theta, before)
+
+
+def test_pretraining_statistics_that_overflow_stop_it():
+    # the source statistics and the accuracy pass run under the steps' rule: with no step, it names the initialization
+    spec = SourceSpec(input_dim=6, class_count=3, margin=5.0, seed=0)
+    source = gen_source(spec, 240)
+    source.inputs *= 1e200  # squared in a batch variance, it overflows
+    with pytest.raises(PretrainDiverged, match="^pretraining diverged on the initialization: overflow"):
+        pretrain(build_classifier(6, [8], 3, seed=0), source, epochs=0, seed=0)
 
 
 @pytest.mark.parametrize("settings,setting,rows", [
@@ -489,11 +539,13 @@ def test_rejected_step_leaves_model_intact_and_continues(monkeypatch, caplog):
             work, ScheduleStream(spec, tiny_schedule()), AdaptConfig(seed=0)
         )
     assert len(records) == 6  # the stream keeps going after the rejected step
-    assert "rejected" in caplog.text
-    # a rejected step is a skip like any other: NaN metrics, and nothing written
+    # a rejected step is a skip like any other: NaN metrics, nothing written, and one warning naming its cause
     assert [rec.skipped for rec in records] == [False, True, False, False, False, False]
     assert np.isnan(records[1].error) and records[1].w_raw == [] and records[1].diag is None
-    assert "adapt_stream: step 1 skipped: weighted_step rejected the step" in caplog.text
+    cause = "weighted_step: non-finite rate or gradient in layers ['dense1']"
+    assert [(r.name, r.getMessage()) for r in caplog.records if r.levelno >= logging.WARNING] == [
+        (harness.__name__, f"adapt_stream: step 1 skipped: {cause}")
+    ]
 
 
 def test_source_method_runs_single_row_batches():
@@ -624,10 +676,10 @@ def _adapt_counting(model, spec, method, bad, lam, optimizer):
     makes the logit rows that ``_Rows.logit_rows`` names NaN or one-hot.
     Returns the records, the adapted model, the rows of each forward, the
     rows of each jitter draw and whether it overflowed, each fold into the
-    running totals (the step of its batch, a copy of the total it read, and
-    the array it folded into), the optimizers, the warnings logged, and the
-    state (theta's bytes, and each optimizer's step count and moments' bytes)
-    before each batch is pulled and after the last."""
+    running totals (the step of its batch, the total it read and a copy of
+    it, and a copy of the fold it returned), the optimizers, the warnings
+    logged, and the state (theta's bytes, and each optimizer's step count
+    and moments' bytes) before each batch is pulled and after the last."""
     run = SimpleNamespace(work=model.clone(), forwards=[], jitters=[], folds=[], optimizers=[], warnings=[], states=[])
     real_forward, real_augment = Model.forward, losses.augment
     real_accumulate, adam = fisher.accumulate, scheduler.AdamState
@@ -649,8 +701,10 @@ def _adapt_counting(model, spec, method, bad, lam, optimizer):
         return jittered
 
     def accumulate(total, batch, decay):
-        run.folds.append((len(run.states) - 1, total.copy(), total))
-        return real_accumulate(total, batch, decay)
+        read = total.copy()
+        folded = real_accumulate(total, batch, decay)
+        run.folds.append((len(run.states) - 1, total, read, folded.copy()))
+        return folded
 
     def new_adam():
         run.optimizers.append(adam())
@@ -744,14 +798,16 @@ def _check_skipped_and_counted(method, bad, lam=0.1, optimizer="adam", norm_free
     assert run.forwards == [k for k, s, over in zip(kept, short, overflowed) if not (s or over)]
     # a fold of the traces and of the diagonal for every batch adapted on or skipped after its fold, each reading
     # the totals that the last batch adapted on left, zeros before the first: a batch skipped after its fold
-    # commits nothing
+    # commits nothing. No fold writes the totals it reads, so a record's diagonal keeps the bytes of its batch's fold
     reached = [weighted and (not skip or after_fold) for skip, after_fold in zip(skipped, late)]
-    assert [step for step, _, _ in run.folds] == [k for k, r in enumerate(reached) if r for _ in range(2)]
+    assert [fold[0] for fold in run.folds] == [k for k, r in enumerate(reached) if r for _ in range(2)]
     totals = {}
-    for i, (step, read, folded) in enumerate(run.folds):
-        assert read.tobytes() == totals.get(i % 2, np.zeros_like(read)).tobytes()
+    for i, (step, total, read, folded) in enumerate(run.folds):
+        assert read.tobytes() == totals.get(i % 2, np.zeros_like(read)).tobytes() == total.tobytes()
         if not skipped[step]:
             totals[i % 2] = folded
+        if i % 2 and not skipped[step]:
+            assert np.concatenate(list(records[step].diag.values())).tobytes() == folded.tobytes()
     assert all(np.isfinite(total).all() for total in totals.values())
     # theta, the Adam state and the step count keep their bytes across a skipped batch. Theta keeps them across a
     # kept batch too, where its rates are all 0 (a weighted method while every batch adapted on so far scored 0,

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import contextlib
-import logging
+import re
 
 import numpy as np
 import pytest
@@ -119,7 +119,7 @@ def test_uniform_rates_equal_plain_sgd_bit_for_bit():
     ref = m.clone()
     grad = _grads_for(m, np.random.default_rng(10))
     eta = 1e-2
-    assert weighted_step(m, grad, np.full(3, eta))
+    assert weighted_step(m, grad, np.full(3, eta)) is None
     per_layer = layer_grads(m, grad)
     for layer in ref.weight_layers():
         for p, g in zip(layer.params, per_layer[layer.name]):
@@ -136,7 +136,7 @@ def test_zero_rate_layer_is_bit_identical():
         work = m.clone()
         for step in range(3):
             grad = _grads_for(work, np.random.default_rng(step))
-            assert weighted_step(work, grad, [1e-2, 0.0, 1e-2], optimizer=opt)
+            weighted_step(work, grad, [1e-2, 0.0, 1e-2], optimizer=opt)
         for p, b in zip(work.weight_layers()[1].params, frozen_before):
             assert np.array_equal(p, b)
 
@@ -157,15 +157,18 @@ def test_sequential_disjoint_steps_equal_joint_step():
             assert np.array_equal(pa, pb)
 
 
-def test_nan_gradient_rejects_step_and_logs(caplog):
+def _refused(layers):
+    """``pytest.raises`` for the one refusal of a step, naming ``layers``."""
+    return pytest.raises(FloatingPointError, match=re.escape(f"non-finite rate or gradient in layers {layers}"))
+
+
+def test_nan_gradient_rejects_step_naming_its_layer():
     m = build_classifier(3, [4], 2, seed=3)
     before = param_snapshot(m)
     grad = _grads_for(m, np.random.default_rng(0))
     layer_grads(m, grad)["norm1"][0][1] = np.nan
-    with caplog.at_level(logging.WARNING):
-        applied = weighted_step(m, grad, np.full(3, 1e-2))
-    assert not applied
-    assert "non-finite gradient in layers ['norm1']; step rejected" in caplog.text
+    with _refused(["norm1"]):
+        weighted_step(m, grad, np.full(3, 1e-2))
     after = param_snapshot(m)
     for name in before:
         for a, b in zip(before[name], after[name]):
@@ -177,22 +180,22 @@ def test_inf_gradient_rejected_before_adam_moments_change():
     opt = AdamState()
     grad = _grads_for(m, np.random.default_rng(0))
     layer_grads(m, grad)["head"][1][0] = np.inf
-    assert not weighted_step(m, grad, np.full(3, 1e-2), optimizer=opt)
+    with _refused(["head"]):
+        weighted_step(m, grad, np.full(3, 1e-2), optimizer=opt)
     assert opt.step_count == 0 and opt.m is None and opt.v is None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("use_adam", [True, False])
-def test_non_finite_rate_rejected_before_any_write(bad, use_adam, caplog):
+def test_non_finite_rate_rejected_before_any_write(bad, use_adam):
     m = build_classifier(3, [4], 2, seed=3)
     before = param_snapshot(m)
     opt = AdamState() if use_adam else None
     grad = _grads_for(m, np.random.default_rng(0))
     rates = np.full(3, 1e-2)
     rates[1] = bad
-    with caplog.at_level(logging.WARNING):
-        assert not weighted_step(m, grad, rates, optimizer=opt)
-    assert "non-finite rates" in caplog.text
+    with _refused(["norm1"]):
+        weighted_step(m, grad, rates, optimizer=opt)
     if use_adam:
         assert opt.step_count == 0 and opt.m is None and opt.v is None
     for name, params in param_snapshot(m).items():
@@ -232,7 +235,7 @@ def test_adam_matches_reference_implementation():
             for layer in m.weight_layers()
             for i, g in enumerate(per_layer[layer.name])
         }
-        assert weighted_step(m, grad, rates, optimizer=opt)
+        weighted_step(m, grad, rates, optimizer=opt)
         for li, layer in enumerate(m.weight_layers()):
             for i in range(len(layer.params)):
                 key = (layer.name, i)
@@ -268,7 +271,7 @@ def test_a_step_that_overflows_under_errstate_raises_and_writes_nothing(use_adam
     model = build_classifier(3, [4], 2, seed=3)
     opt = AdamState() if use_adam else None
     rng = np.random.default_rng(1)
-    assert weighted_step(model, rng.standard_normal(model.theta.size), np.full(3, 1e-2), optimizer=opt)
+    weighted_step(model, rng.standard_normal(model.theta.size), np.full(3, 1e-2), optimizer=opt)
     grad = np.full(model.theta.size, 0.5)  # under SGD the step, 5e307, is finite, and the subtraction overflows
     model.theta[0] = -1.7e308
     before = _bits(_state(model, opt))
@@ -305,14 +308,18 @@ def test_steps_keep_state_finite_and_rejections_write_nothing(case):
         grad = rng.standard_normal(model.theta.size) * rng.choice([1e-3, 1.0, 1e3])
         rates = np.array(rates)
         if poison == "grad":  # any layer's, zero-rate ones included
-            grad[rng.integers(grad.size)] = bad
+            at = rng.integers(grad.size)
+            grad[at] = bad
+            names = [name for name, cols in model.slices.items() if cols.start <= at < cols.stop]
         elif poison == "rate":
-            rates[rng.integers(rates.size)] = bad
-        rejected = poison is not None
+            at = rng.integers(rates.size)
+            rates[at] = bad
+            names = [list(model.slices)[at]]
         before = _state(model, opt)
-        assert weighted_step(model, grad, rates, optimizer=opt) == (not rejected)
+        with _refused(names) if poison else contextlib.nullcontext():
+            weighted_step(model, grad, rates, optimizer=opt)
         after = _state(model, opt)
-        if rejected:
+        if poison:
             assert _bits(after) == _bits(before)
         # zero-rate layers keep their parameters bit for bit
         for layer, rate in zip(model.weight_layers(), rates):
@@ -340,7 +347,7 @@ def test_nonzero_rates_write_the_bytes_of_the_masked_subtraction(use_adam):
         rate = np.repeat(rates, [cols.stop - cols.start for cols in model.slices.values()])
         with contextlib.nullcontext(grad) if ref_opt is None else ref_opt.update(grad) as direction:
             np.subtract(want, rate * direction, out=want, where=rate != 0.0)
-        assert weighted_step(model, grad, rates, optimizer=opt)
+        weighted_step(model, grad, rates, optimizer=opt)
         assert model.theta.tobytes() == want.tobytes()
 
 
