@@ -76,6 +76,10 @@ class PretrainDiverged(RuntimeError):
     pass
 
 
+class _TooFewRows(Exception):
+    """A batch left with fewer than ``min_batch_rows`` rows: ``adapt_stream`` skips it."""
+
+
 def pretrain(
     model: Model,
     source: Dataset,
@@ -92,7 +96,7 @@ def pretrain(
     which no step, or no descent step, could be taken are rejected before
     the first step. An overflow or a NaN made under ``np.errstate``, a step
     ``weighted_step`` refuses, or a NaN loss (an input NaN raises nothing)
-    raises ``PretrainDiverged`` naming the epoch and step.
+    raises ``PretrainDiverged`` naming the epoch, the step and the cause.
     """
     n = source.inputs.shape[0]
     if not (np.isfinite(eta_pre) and eta_pre > 0):
@@ -114,8 +118,8 @@ def pretrain(
                     pick = order[start : start + PRETRAIN_BATCH]
                     logits, saved = model.forward(source.inputs[pick], batch_stats=True)
                     loss, g = losses.nll_loss(logits, source.labels[pick])
-                    if not np.isfinite(loss):
-                        raise PretrainDiverged(f"pretraining loss became {loss} {where}; aborting")
+                    if not np.isfinite(loss):  # an input NaN raises nothing on its way here
+                        raise FloatingPointError(f"loss is {loss}")
                     scheduler.weighted_step(model, collect_grads(model, saved, g), uniform, optimizer=opt)
             record_source_stats(model, source.inputs)
             logits, _ = model.forward(source.inputs, batch_stats=False)
@@ -169,9 +173,7 @@ def check_weight_layers(method: str, model: Model, where: str) -> None:
         raise ValueError(f"{where}: model has {len(model.slices)} weight layer(s); method 'layerwise' needs at least 2")
 
 
-def adapt_stream(
-    model: Model, stream: ScheduleStream, config: AdaptConfig
-) -> list[MetricsRecord]:
+def adapt_stream(model: Model, stream: ScheduleStream, config: AdaptConfig) -> list[MetricsRecord]:
     """Run the online loop over a single-pass stream, one update per batch.
 
     Per batch: drop the rows with a non-finite feature, predict and record
@@ -181,17 +183,18 @@ def adapt_stream(
     the jittered copy is drawn first, and one grouped forward runs the clean
     batch and the copy. Non-updating methods (source, bn1) stop after the
     prediction. A batch not adapted on in full has one outcome: skipped
-    and counted with one warning, NaN metrics and rates, and nothing
-    written, neither the running traces nor theta nor the Adam state. It
-    is skipped when fewer than ``min_batch_rows`` rows are left once its
+    and counted, with NaN metrics and rates, nothing written (neither the
+    running traces nor theta nor the Adam state) and one warning naming
+    its step, its finite rows of those delivered and the cause. It is
+    skipped when fewer than ``min_batch_rows`` rows are left once its
     non-finite rows are dropped, or when its pass from the jitter draw to
     the step, run under ``np.errstate(over="raise", invalid="raise")``,
     overflows, makes a NaN, yields a NaN entropy or has its step refused
-    by ``weighted_step``; the warning names the cause. The fold returns new
-    totals and the step writes last, so nothing is written until the whole
-    pass has succeeded; the draw comes first, so a skipped batch moves the
-    jitter generator as a kept one does. A batch's caches and gradient are
-    freed before the next batch's forward.
+    by ``weighted_step``. A batch adapted on logs its dropped rows at INFO.
+    The fold returns new totals and the step writes last, so nothing is
+    written until the whole pass has succeeded; the draw comes first, so a
+    skipped batch moves the jitter generator as a kept one does. A batch's
+    caches and gradient are freed before the next batch's forward.
     """
     cfg = config
     n_layers = len(model.slices)
@@ -210,15 +213,10 @@ def adapt_stream(
         rec.dropped_rows = len(inputs) - int(finite.sum())
         if rec.dropped_rows:
             inputs, labels = inputs[finite], labels[finite]
-        rec.skipped = len(inputs) < min_batch_rows(cfg.method)
-        if rec.dropped_rows or rec.skipped:
-            logger.warning(
-                "adapt_stream: step %d keeps %d finite row(s) of %d%s", batch.step, len(inputs),
-                len(batch.inputs), ", too few: skipped" if rec.skipped else "",
-            )
-        if rec.skipped:
-            return rec
-        try:  # the whole batch pass, so that an overflow or a NaN anywhere in it skips the batch
+        rows = batch.step, len(labels), len(batch.inputs)  # as logged: the step, its finite rows, those delivered
+        try:  # the whole batch pass, so that too few rows, or an overflow or a NaN anywhere in it, skips the batch
+            if len(labels) < min_batch_rows(cfg.method):
+                raise _TooFewRows(f"too few rows, method {cfg.method!r} needs {min_batch_rows(cfg.method)}")
             with np.errstate(over="raise", invalid="raise"):
                 if grouped:  # group 0 the rows, group 1 their jittered copy, drawn straight into it
                     pair = np.empty((2, *inputs.shape))
@@ -249,10 +247,12 @@ def adapt_stream(
                         w_bar = scheduler.exp_minmax_scale(w_raw, tau=cfg.tau).tolist()
                 if updating:
                     scheduler.weighted_step(model, grad, scheduler.layer_rates(w_bar, cfg.eta), opt)
-        except FloatingPointError as exc:
+        except (FloatingPointError, _TooFewRows) as exc:  # the one exit of a batch not adapted on
             rec.skipped = True
-            logger.warning("adapt_stream: step %d skipped: %s", batch.step, exc)
+            logger.warning("adapt_stream: step %d keeps %d finite row(s) of %d, skipped: %s", *rows, exc)
             return rec
+        if rec.dropped_rows:
+            logger.info("adapt_stream: step %d keeps %d finite row(s) of %d", *rows)
         running[:] = folded
         rec.error = float(np.count_nonzero(clean.argmax(axis=1) != labels) / len(labels))
         rec.entropy, rec.consistency, rec.w_raw, rec.w_bar = entropy, consistency, w_raw, w_bar

@@ -12,13 +12,15 @@ pretraining. These tests read that table from the benchmark's source and
 patch the same names with counters, so a refactor that moves one of them,
 stops reaching it, or calls it a different number of times, fails here
 instead of silently blinding the benchmark. It counts skipped batches by
-the warnings on the harness's logger, so a refused step warns there once
-and nowhere else.
+the warnings on the harness's logger, so each skipped batch, a refused
+step included, warns there once and nowhere else, and a batch adapted on
+after dropping rows does not warn.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -30,7 +32,7 @@ import numpy as np
 import pytest
 
 from fimtta import harness, scheduler
-from fimtta.harness import PRETRAIN_BATCH, AdaptConfig, adapt_stream, pretrain
+from fimtta.harness import PRETRAIN_BATCH, AdaptConfig, adapt_stream, pretrain, summarize
 from fimtta.model import build_classifier
 from fimtta.stream import ScheduleStream, SourceSpec, gen_source, make_schedule
 
@@ -144,16 +146,7 @@ def test_a_refused_step_logs_one_warning_on_the_logger_the_bench_counts(monkeypa
     assert counted == ["logging.getLogger(harness.__name__)"]
     spec, source, model = _tiny_task()
     pretrain(model, source, epochs=2, seed=0)
-    real_rates = scheduler.layer_rates
-    calls = []
-
-    def rates(w_bar, eta):  # batch 1's step gets a NaN rate, which weighted_step refuses
-        calls.append(real_rates(w_bar, eta))
-        if len(calls) == 2:
-            calls[-1][0] = np.nan
-        return calls[-1]
-
-    monkeypatch.setattr(scheduler, "layer_rates", rates)
+    _refuse_step(monkeypatch, 2)  # batch 1's
     schedule = make_schedule("continual", ["contrast_scale", "gaussian_noise"], 2, 16, seed=0)
     with caplog.at_level(logging.DEBUG):
         records = adapt_stream(model.clone(), ScheduleStream(spec, schedule), AdaptConfig())
@@ -161,6 +154,69 @@ def test_a_refused_step_logs_one_warning_on_the_logger_the_bench_counts(monkeypa
     assert [(r.name, r.levelno) for r in caplog.records if r.levelno >= logging.WARNING] == [
         (harness.__name__, logging.WARNING)
     ]
+
+
+def _refuse_step(monkeypatch, call):
+    """Give the step of the ``call``-th batch to reach its rates a NaN rate, which weighted_step refuses."""
+    real_rates = scheduler.layer_rates
+    calls = []
+
+    def rates(w_bar, eta):
+        calls.append(real_rates(w_bar, eta))
+        if len(calls) == call:
+            calls[-1][0] = np.nan
+        return calls[-1]
+
+    monkeypatch.setattr(scheduler, "layer_rates", rates)
+
+
+class _Faulty:
+    """``inner`` with a NaN in row 0 of batches 0 and 2, batch 1 left one
+    finite row and batch 2's other rows times 1e300."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def labels_for(self, step):
+        return self.inner.labels_for(step)
+
+    def __iter__(self):
+        for batch in self.inner:
+            inputs = batch.inputs.copy()
+            if batch.step in (0, 2):
+                inputs[0, 0] = np.nan
+            if batch.step == 1:
+                inputs[1:, 0] = np.nan
+            if batch.step == 2:
+                inputs[1:] *= 1e300  # squared in a batch variance, it overflows
+            yield dataclasses.replace(batch, inputs=inputs)
+
+
+def test_the_bench_counts_one_warning_per_skipped_batch(monkeypatch):
+    # a WARNING-level handler on the harness's logger, as the benchmark attaches one, counts exactly the skipped
+    # batches: none for batch 0, kept after dropping a row, and one each for batch 1 (too few rows), batch 2 (a
+    # dropped row, then an overflow) and batch 3 (a refused step)
+    spec, source, model = _tiny_task()
+    pretrain(model, source, epochs=2, seed=0)
+    _refuse_step(monkeypatch, 2)  # batch 3's: batches 1 and 2 never reach their rates
+    counter = logging.Handler(logging.WARNING)
+    counter.count = 0
+
+    def emit(record):
+        counter.count += 1
+
+    counter.emit = emit
+    logger = logging.getLogger(harness.__name__)
+    logger.addHandler(counter)
+    schedule = make_schedule("continual", ["contrast_scale", "gaussian_noise"], 3, 16, seed=0)
+    config = AdaptConfig()
+    try:
+        records = adapt_stream(model.clone(), _Faulty(ScheduleStream(spec, schedule)), config)
+    finally:
+        logger.removeHandler(counter)
+    assert [rec.skipped for rec in records] == [False, True, True, True, False, False]
+    assert [rec.dropped_rows for rec in records] == [1, 15, 1, 0, 0, 0]
+    assert counter.count == summarize(records, config)["skipped_batches"] == 3
 
 
 # functions and classes the benchmark calls by name, through the modules it imports

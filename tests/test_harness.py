@@ -131,7 +131,7 @@ def test_pretrain_aborts_on_non_finite_loss():
     spec = SourceSpec(input_dim=6, class_count=3, margin=5.0, seed=0)
     model = build_classifier(6, [8], 3, seed=0)
     model.weight_layers()[0].params[0][0, 0] = np.nan
-    with pytest.raises(PretrainDiverged, match="became nan at epoch 0 step 0;"):
+    with pytest.raises(PretrainDiverged, match="^pretraining diverged at epoch 0 step 0: loss is nan$"):
         pretrain(model, gen_source(spec, 240), epochs=1, seed=0)
     # a NaN source row left out of epoch 0's three 64-row batches and shuffled into epoch 1's second
     rng = np.random.default_rng(0)
@@ -139,7 +139,7 @@ def test_pretrain_aborts_on_non_finite_loss():
     row = next(r for r in first[192:] if 64 <= second.index(r) < 128)
     source = gen_source(spec, 240)
     source.inputs[row, 0] = np.nan
-    with pytest.raises(PretrainDiverged, match="became nan at epoch 1 step 1;"):
+    with pytest.raises(PretrainDiverged, match="^pretraining diverged at epoch 1 step 1: loss is nan$"):
         pretrain(build_classifier(6, [8], 3, seed=0), source, epochs=2, seed=0)
 
 
@@ -544,8 +544,19 @@ def test_rejected_step_leaves_model_intact_and_continues(monkeypatch, caplog):
     assert np.isnan(records[1].error) and records[1].w_raw == [] and records[1].diag is None
     cause = "weighted_step: non-finite rate or gradient in layers ['dense1']"
     assert [(r.name, r.getMessage()) for r in caplog.records if r.levelno >= logging.WARNING] == [
-        (harness.__name__, f"adapt_stream: step 1 skipped: {cause}")
+        (harness.__name__, f"adapt_stream: step 1 keeps 16 finite row(s) of 16, skipped: {cause}")
     ]
+
+
+def test_a_fault_outside_the_skip_rule_propagates():
+    # the skip rule catches FloatingPointError and too few rows alone: the scaler's refusal of a one-weight-layer
+    # model, which run_experiment and the CLI reject before a run, reaches the caller with theta unwritten
+    spec = SourceSpec(input_dim=6, class_count=3, margin=5.0, seed=0)
+    model = build_classifier(6, [], 3, seed=0)
+    before = model.theta.copy()
+    with pytest.raises(ValueError, match=re.escape("exp_minmax_scale: need >= 2 layers, got shape (1,)")):
+        adapt_stream(model, ScheduleStream(spec, tiny_schedule()), AdaptConfig(method="layerwise"))
+    assert model.theta.tobytes() == before.tobytes()
 
 
 def test_source_method_runs_single_row_batches():
@@ -677,10 +688,11 @@ def _adapt_counting(model, spec, method, bad, lam, optimizer):
     Returns the records, the adapted model, the rows of each forward, the
     rows of each jitter draw and whether it overflowed, each fold into the
     running totals (the step of its batch, the total it read and a copy of
-    it, and a copy of the fold it returned), the optimizers, the warnings
-    logged, and the state (theta's bytes, and each optimizer's step count
-    and moments' bytes) before each batch is pulled and after the last."""
-    run = SimpleNamespace(work=model.clone(), forwards=[], jitters=[], folds=[], optimizers=[], warnings=[], states=[])
+    it, and a copy of the fold it returned), the optimizers, the level and
+    message of each record the harness logs at INFO or above, and the
+    state (theta's bytes, and each optimizer's step count and moments'
+    bytes) before each batch is pulled and after the last."""
+    run = SimpleNamespace(work=model.clone(), forwards=[], jitters=[], folds=[], optimizers=[], logs=[], states=[])
     real_forward, real_augment = Model.forward, losses.augment
     real_accumulate, adam = fisher.accumulate, scheduler.AdamState
 
@@ -715,9 +727,11 @@ def _adapt_counting(model, spec, method, bad, lam, optimizer):
                    for opt in run.optimizers]
         run.states.append([run.work.theta.tobytes(), moments])
 
-    handler = logging.Handler(logging.WARNING)
-    handler.emit = lambda record: run.warnings.append(record.getMessage())
+    handler = logging.Handler(logging.INFO)
+    handler.emit = lambda record: run.logs.append((record.levelno, record.getMessage()))
     logger = logging.getLogger(harness.__name__)
+    level = logger.level
+    logger.setLevel(logging.INFO)
     logger.addHandler(handler)
     stream = _Rows(ScheduleStream(spec, tiny_schedule(batches=2, batch_size=8)), bad, on_batch=snapshot)
     config = AdaptConfig(method=method, lam=lam, optimizer=optimizer, seed=0, track_diagonal=True)
@@ -728,6 +742,7 @@ def _adapt_counting(model, spec, method, bad, lam, optimizer):
             run.records = adapt_stream(run.work, stream, config)
     finally:
         logger.removeHandler(handler)
+        logger.setLevel(level)
     snapshot()
     return run
 
@@ -754,7 +769,9 @@ def _check_skipped_and_counted(method, bad, lam=0.1, optimizer="adam", norm_free
     NORM_FREE_BAD). Every other batch, copies of one row, constant columns
     and one-hot logit rows included, is adapted on in full. A skipped batch
     writes nothing: theta, the Adam state and the running totals keep their
-    bytes across it."""
+    bytes across it. Each skipped batch logs one warning, naming its step,
+    its finite rows of those delivered and the cause; a batch adapted on
+    logs no warning, and one INFO record if it dropped rows."""
     least = _least_rows(method)
     updating = method in harness.WEIGHTED_METHODS + ("uniform_tent",)
     weighted = method in harness.WEIGHTED_METHODS
@@ -830,18 +847,23 @@ def _check_skipped_and_counted(method, bad, lam=0.1, optimizer="adam", norm_free
     assert np.isfinite(run.work.theta).all()
     for opt in run.optimizers:
         assert opt.m is None or (np.isfinite(opt.m).all() and np.isfinite(opt.v).all())
-    # one warning for a batch with a dropped row or too few rows, one naming the cause of any other skip,
-    # none for a batch adapted on
+    # one warning per skipped batch, naming its step, its finite rows of those delivered and the cause, so the
+    # warnings map one-to-one onto the skipped steps; a batch adapted on after dropping rows logs them at INFO
     expected = []
     for step, (n, k, s, f) in enumerate(zip(delivered, kept, short, faulty)):
-        if k < n or s:
-            expected.append(re.escape(f"adapt_stream: step {step} keeps {k} finite row(s) of {n}"
-                                      + (", too few: skipped" if s else "")))
-        if f:
+        rows = re.escape(f"adapt_stream: step {step} keeps {k} finite row(s) of {n}")
+        if s:
+            cause = re.escape(f"too few rows, method {method!r} needs {least}")
+            expected.append((logging.WARNING, rf"{rows}, skipped: {cause}"))
+        elif f:
             cause = "overflow .*" if "max" in finite[step] or late[step] else r"\S.*"
-            expected.append(rf"adapt_stream: step {step} skipped: {cause}")
-    assert len(run.warnings) == len(expected), run.warnings
-    assert all(re.fullmatch(pattern, text) for pattern, text in zip(expected, run.warnings)), run.warnings
+            expected.append((logging.WARNING, rf"{rows}, skipped: {cause}"))
+        elif k < n:
+            expected.append((logging.INFO, rows))
+    assert [level for level, _ in run.logs] == [level for level, _ in expected], run.logs
+    assert all(re.fullmatch(pattern, text) for (_, pattern), (_, text) in zip(expected, run.logs)), run.logs
+    warned = [int(text.split()[2]) for level, text in run.logs if level >= logging.WARNING]
+    assert warned == [step for step, skip in enumerate(skipped) if skip]
     # a rerun over the same stream writes the same bytes
     again = _adapt_counting(model, spec, method, bad, lam, optimizer)
     assert metrics_csv(again.records, layers) == metrics_csv(records, layers)
@@ -871,6 +893,11 @@ def _examples(cases):
 @_examples([(method, [[1e200] * 8, [1e150] * 8, FULL, [1e300, *FULL[1:]]], 0.1, "adam") for method in METHODS])
 @_examples([(method, [COPIES, FLAT, FULL, COPIES], 0.1, "sgd") for method in METHODS])
 @_examples([(method, [FULL, ["max"] * 8, FULL, ["max", *FULL[1:]]], 0.1, "adam") for method in METHODS])
+# a batch kept after dropping a NaN row logs at INFO only; one that drops a row and then overflows warns once
+@_examples([(method, [FULL, [np.nan, *FULL[1:]], FULL, FULL], lam, "adam")
+            for method, lam in itertools.product(METHODS, (0.0, 0.1))])
+@_examples([(method, [FULL, [np.nan, *[1e300] * 7], FULL, FULL], lam, "adam")
+            for method, lam in itertools.product(METHODS, (0.0, 0.1))])
 # running traces all equal (0) until a batch scores: under a weighted method theta keeps its bytes
 @_examples([(method, [SURE, SURE, FULL, SURE], lam, optimizer)
             for method, lam, optimizer in itertools.product(METHODS, (0.0, 0.1), ("adam", "sgd"))])
