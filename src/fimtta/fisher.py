@@ -6,9 +6,11 @@ pseudo-labels (argmax of the current predictions) with respect to that
 layer's parameters. The trace of the empirical second-moment matrix of
 per-sample scores is computed directly as the mean squared score norm,
 so the full |theta| x |theta| matrix is never materialized; its square
-root is the layer's raw learning weight. The caller keeps the running
-traces (and diagonal) as plain arrays, and ``accumulate`` returns a
-batch folded into them as a new array: gamma * old + batch.
+root is the layer's raw learning weight. A score block owing its norm's
+scale (only the chunk loop of ``Model.backward`` hands one) is paid it
+by the sink. The caller keeps the running traces (and diagonal) as plain
+arrays, and ``accumulate`` returns a batch folded into them as a new
+array: gamma * old + batch.
 """
 
 from __future__ import annotations
@@ -26,16 +28,19 @@ def _score_pass(model: Model, logits: np.ndarray, saved: list, sink) -> None:
     ls = log_softmax(logits)
     seed = -np.exp(ls)
     seed[np.arange(n), ls.argmax(axis=1)] += 1.0
+    del ls  # not kept through the backward: it would add to the pass's peak memory
     model.backward(saved, seed, sink)
 
 
 def per_sample_scores(model: Model, logits: np.ndarray, saved: list) -> dict[str, np.ndarray]:
     """Per-sample scores, one [batch, param_count] array per layer, over one
-    ``model.forward`` of the batch: the matrix ``layer_fim_trace`` never forms."""
+    ``model.forward`` of the batch: the matrix ``layer_fim_trace`` never forms.
+    A block owing a scale is multiplied by it as it is written."""
     out = np.empty((logits.shape[0], model.theta.size))
 
-    def write(row: int, col: int, block: np.ndarray) -> None:
-        out[row : row + len(block), col : col + block.shape[1]] = block
+    def write(row: int, col: int, block: np.ndarray, scale: np.ndarray | None) -> None:  # column c owes scale[c % f]
+        out[row : row + len(block), col : col + block.shape[1]] = (
+            block if scale is None else (block.reshape(len(block), -1, len(scale)) * scale).reshape(block.shape))
 
     _score_pass(model, logits, saved, write)
     return {name: out[:, cols] for name, cols in model.slices.items()}
@@ -45,18 +50,23 @@ def layer_fim_trace(model: Model, logits: np.ndarray, saved: list) -> tuple[np.n
     """Per-layer traces [L] of the per-sample scores' second-moment matrix,
     and its diagonal [P], over one ``model.forward`` of the batch: each
     layer's trace is the sum of its columns of the diagonal. Score blocks
-    are squared as the reverse pass hands them over, so neither the [n, P]
-    score matrix nor a [P, P] matrix is formed."""
+    are squared as the reverse pass hands them over, an owed scale paid
+    squared once per call, so no [n, P] or [P, P] matrix is formed."""
     n = logits.shape[0]
     if n == 0:
         raise ValueError("layer_fim_trace: no sample scores in an empty batch")
     sums = np.zeros(model.theta.size)
+    owed = {}  # column range -> the scale its blocks owe, paid squared once after the pass
 
-    def square(row: int, col: int, block: np.ndarray) -> None:
+    def square(row: int, col: int, block: np.ndarray, scale: np.ndarray | None) -> None:
         total = sums[col : col + block.shape[1]]
         total += np.einsum("ij,ij->j", block, block)  # in place: ``sums[...] +=`` would copy it back
+        if scale is not None and col not in owed:
+            owed[col] = total.reshape(-1, len(scale)), scale
 
     _score_pass(model, logits, saved, square)
+    for total, scale in owed.values():
+        total *= scale * scale
     sums /= n
     return np.add.reduceat(sums, [cols.start for cols in model.slices.values()]), sums
 

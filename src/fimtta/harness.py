@@ -141,7 +141,7 @@ def collect_grads(model: Model, saved: list, g: np.ndarray) -> np.ndarray:
     """
     grad = np.empty(model.theta.size)
 
-    def add(row: int, col: int, block: np.ndarray) -> None:
+    def add(row: int, col: int, block: np.ndarray, scale: None) -> None:  # the batch pass owes no scale
         if len(block) == 1:  # one group: a copy, the bits a one-row reduce gives, without its call cost
             grad[col : col + block.shape[1]] = block[0]
         else:
@@ -386,10 +386,10 @@ def ablation_grid(base: AdaptConfig, taus: list[float], lams: list[float], gamma
 
 def ablate(model: Model, source: SourceSpec, schedule: DomainSchedule, configs: list[AdaptConfig]) -> list[dict]:
     """One adaptation run per config (``ablation_grid`` builds the full
-    factorial sweep), seeds held fixed, rows sorted by mean error. A stream
-    only reads its schedule, so every config consumes an identical stream
-    of the one ``schedule``. Every config's method is checked against the
-    schedule's batch size and the model's layers before the first run."""
+    factorial sweep), seeds held fixed, rows sorted by mean error, NaN last.
+    A stream only reads its schedule, so every config consumes an identical
+    stream of the one ``schedule``. Every config's method is checked against
+    the schedule's batch size and the model's layers before the first run."""
     for cfg in configs:
         check_batch_rows(cfg.method, schedule.batch_size, "ablate: each batch of the schedule")
         check_weight_layers(cfg.method, model, "ablate")
@@ -397,5 +397,5 @@ def ablate(model: Model, source: SourceSpec, schedule: DomainSchedule, configs: 
     for cfg in configs:
         records = adapt_stream(model.clone(), ScheduleStream(source, schedule), cfg)
         rows.append(summarize(records, cfg))
-    rows.sort(key=lambda r: r["mean_error"])
+    rows.sort(key=lambda r: (np.isnan(r["mean_error"]), r["mean_error"]))  # a run that skipped every batch last
     return rows

@@ -170,24 +170,26 @@ class Model:
         [r, n, C] ``g`` runs the batch pass too, slice k the gradient of
         ``sum(g[k] * logits)`` over the whole batch: identity probes,
         ``eye(n)[:, :, None] * seed``, give slice k sample k's seed gradient,
-        the batch statistics' coupling included. Per parameter array
-        the pass calls ``sink(row, col, block)``: on every path ``block[j]`` is
-        the gradient of ``theta[col:col + block.shape[1]]`` for slice row + j
-        (a norm's scale and shift are one block), one row per slice from its
-        own group alone, so a grouped pass's row k is bit for bit that of a
-        forward of group k alone. A block may be a view the next layer
-        overwrites: read it, do not keep it, and do not re-enter ``backward``
-        on this model from the sink. One reverse loop over the layers serves
-        both. At the first batch-statistic norm from the top the loop hands
-        the seed back, and the rest runs in chunks of ``max(1,
+        the batch statistics' coupling included. Per parameter array the pass
+        calls ``sink(row, col, block, scale)``: on every path ``block[j]``,
+        times ``scale`` where it is not None, is the gradient of ``theta[col:col
+        + block.shape[1]]`` for slice row + j (a norm's scale and shift are one
+        block), one row per slice from its own group alone, so a grouped pass's
+        row k is bit for bit that of a forward of group k alone. The batch and
+        own-row paths owe none; the chunk loop's dense blocks come unscaled,
+        column c owing ``scale[c % f]`` of a fixed [f] scale. A block may be a
+        view the next layer overwrites: read it, do not keep it, and do not
+        re-enter ``backward`` on this model from the sink. One reverse loop over
+        the layers serves both. At the first batch-statistic norm from the top
+        the loop hands the seed back, and the rest runs in chunks of ``max(1,
         _CHUNK_ROWS // n)`` samples in the model's two slabs, where each such
         norm's row coupling ``(xhat * g_scale + g_shift) / n`` is one product
-        ``[xhat | 1] @ D`` (-1/n sits in every batch-statistic norm's
-        ``[xhat | 1]``, and its ``scale * inv_std`` is owed to the dense layer
-        below; a bias-free first layer with input K takes the norm above's as
-        ``(K^T [xhat | 1]) @ D``). Layer facts are set once per model;
-        transposes, lifted operands, D buffers and slab views once per call; a
-        chunk only runs array calls.
+        ``[xhat | 1] @ D`` (-1/n sits in every batch-statistic norm's ``[xhat |
+        1]``, and its ``scale * inv_std`` is owed to the dense layer below,
+        which folds it into its transpose and hands it on; a bias-free first
+        layer with input K takes the norm above's as ``(K^T [xhat | 1]) @ D``).
+        Layer facts are set once per model; transposes, lifted operands, D
+        buffers and slab views once per call; a chunk only runs array calls.
         """
         # nothing below the first weight layer needs a cotangent
         first = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
@@ -212,8 +214,8 @@ class Model:
             # row k; a batch pass's slice k sees cache group k. In the chunk loop
             # ``outs`` holds each layer's outputs in the slabs and ``scale`` (a
             # norm's scale * inv_std, the top norm's on entry) is still owed by g;
-            # the next dense layer folds it in. A norm ``low`` above ``first``
-            # leaves its row coupling to the first layer
+            # the next dense layer folds it into its transpose and hands it to the sink. A
+            # norm ``low`` above ``first`` leaves its row coupling to the first layer
             s, m = g.shape[:2]
             ones = units[:m] if m < len(units) else units  # a view only where needed: it adds to peak memory
             for i in range(top, first - 1, -1):
@@ -226,11 +228,9 @@ class Model:
                     grad_w = np.matmul(kept[:, :, None] if own else kept.swapaxes(-1, -2), g, out=out and out[0])
                     if i < low:  # the norm above left its coupling: + (K^T [xhat | 1]) @ D, into the spent held slab
                         grad_w += couple(lifts[low], g_scale, g_shift, out[1])
-                    if scale is not None:
-                        grad_w *= scale
-                    sink(row, col, grad_w.reshape(-1, size))
+                    sink(row, col, grad_w.reshape(-1, size), scale)  # the sink pays the owed scale
                     if bias:
-                        sink(row, col + size, ones @ g if scale is None else (ones @ g) * scale)
+                        sink(row, col + size, ones @ g, scale)
                     if i > first:  # a contiguous transpose carries the owed scale down
                         if i not in folded:
                             folded[i] = self.layers[i].params[0].T.copy() if scale is None else np.multiply(
@@ -245,7 +245,7 @@ class Model:
                 grads = np.empty((s, 2, size))  # scale's and shift's, adjacent as in theta: one block
                 g_scale = np.einsum("...nf,...nf->...f", g, x, out=grads[:, 0])
                 g_shift = np.matmul(ones, g, out=grads[:, 1])
-                sink(row, col, grads.reshape(s, -1))
+                sink(row, col, grads.reshape(s, -1), None)
                 if i not in folded:
                     folded[i] = self.layers[i].params[0] * inv_std
                 scale = folded[i]

@@ -441,6 +441,9 @@ def _check_per_sample_pass(seed, widths, bias, calls):
 # dense1, in front of the width-1 norm, is a cancellation residue: score norm
 # ~7e-4 against ~15 for the whole, held to the whole's bound
 @example(seed=399674, widths=[10, 1], bias="none", calls=[(6, c, True, True) for c in (1, 7, 9, 64, 200, 1024, 4096)])
+# a dense bias in front of a batch-statistic norm scores what cancellation leaves; paid its norm's owed
+# scale twice, it reads 5.7 and 9.6 times its bound in this draw, against at most 0.005 when paid once
+@example(seed=35, widths=[8, 8, 8], bias="every", calls=[(3, 7, True, True), (9, 7, True, True)])
 def test_reused_workspace_gives_the_results_of_a_fresh_clone(seed, widths, bias, calls):
     _check_per_sample_pass(seed, widths, bias, calls)
 
@@ -474,9 +477,10 @@ def test_first_layer_closed_form_coupling_matches_the_tape_and_a_fresh_clone(see
 
 
 # tracemalloc peaks of one layer_fim_trace call on a fresh clone of the desk
-# model since every batch-statistic norm's scale is owed to the dense layer
-# below it (numpy 2.4); the pass must not outgrow them
-DESK_TRACE_PEAK_BYTES = {64: 805_704, 128: 872_264}
+# model since the trace sink pays each owed norm scale once per call and the
+# seed's log-softmax is freed before the backward (numpy 2.4); the pass must
+# not outgrow them
+DESK_TRACE_PEAK_BYTES = {64: 804_752, 128: 869_776}
 
 
 def _desk_trace_peak(n: int) -> int:

@@ -92,6 +92,18 @@ def test_ablate_validates_every_grid_point_before_the_first_run(monkeypatch):
     assert runs == []
 
 
+def test_ablate_sorts_finite_rows_and_puts_runs_that_skipped_every_batch_last():
+    # lambda = 1e308 overflows every batch's consistency term, so both of its runs skip all 6 batches
+    # and score a NaN mean error, which a plain sort by mean error left where it fell
+    spec, model = tiny_setup()
+    configs = harness.ablation_grid(AdaptConfig(seed=0), [1.0, 0.5], [0.1, 1e308], [1.0])
+    rows = harness.ablate(model, spec, tiny_schedule(), configs)
+    errors = [row["mean_error"] for row in rows]
+    assert [row["skipped_batches"] for row in rows] == [0, 0, 6, 6]
+    assert errors[0] <= errors[1] and np.isnan(errors[2:]).all()
+    assert [(row["tau"], row["lambda"]) for row in rows[2:]] == [(1.0, 1e308), (0.5, 1e308)]  # in config order
+
+
 def test_pretrain_zero_epochs_returns_initialization():
     spec = SourceSpec(input_dim=6, class_count=3, margin=5.0, seed=0)
     source = gen_source(spec, 240)

@@ -504,8 +504,8 @@ def test_identity_probes_over_a_2d_cache_give_the_trace_diagonal(hidden, n):
     seed[np.arange(n), ls.argmax(axis=1)] += 1.0
     sums = np.zeros(m.theta.size)
 
-    def square(row, col, block):
-        assert row == 0 and len(block) == n
+    def square(row, col, block, scale):
+        assert row == 0 and len(block) == n and scale is None
         sums[col : col + block.shape[1]] += np.einsum("ij,ij->j", block, block)
 
     m.backward(saved, np.eye(n)[:, :, None] * seed, square)
