@@ -110,9 +110,8 @@ def _run_setup(args, **fixed):
         raise ValueError(f"{args.checkpoint}: checkpoint lacks source metadata ({exc})") from exc
     except ValueError as exc:  # a malformed metadata value
         raise ValueError(f"{args.checkpoint}: {exc}") from None
-    harness.check_weight_layers(config.method, model, args.checkpoint)
     schedule = parse_schedule_file(args.schedule)
-    harness.check_batch_rows(config.method, schedule.batch_size, f"{args.schedule}: each batch")
+    harness.check_run(config.method, model, schedule.batch_size, f"{args.schedule} on {args.checkpoint}")
     print(describe_schedule(schedule))
     return config, model, source, schedule
 

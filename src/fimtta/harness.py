@@ -159,18 +159,19 @@ def min_batch_rows(method: str) -> int:
     return 1 if method == "source" else 2
 
 
-def check_batch_rows(method: str, rows: int, where: str) -> None:
-    """Reject a schedule whose batch size is below ``min_batch_rows(method)``
-    before its run starts; ``where`` names the schedule checked."""
-    if rows < min_batch_rows(method):
-        raise ValueError(f"{where} has {rows} row(s); method {method!r} needs at least {min_batch_rows(method)}")
-
-
-def check_weight_layers(method: str, model: Model, where: str) -> None:
-    """Reject a ``layerwise`` run on a model of fewer than 2 weight layers:
-    its min-max scaler needs two traces to span; ``where`` names the run."""
+def check_run(method: str, model: Model, batch_size: int, where: str) -> None:
+    """Reject a run that cannot be made, before it starts; ``where`` names it.
+    Its batch size must reach ``min_batch_rows(method)``, a ``layerwise`` run
+    needs two weight layers for its min-max scaler to span, and a ``source``
+    run needs source statistics on every norm layer."""
+    if batch_size < min_batch_rows(method):
+        raise ValueError(f"{where}: each batch of the schedule has {batch_size} row(s); "
+                         f"method {method!r} needs at least {min_batch_rows(method)}")
     if method == "layerwise" and len(model.slices) < 2:
         raise ValueError(f"{where}: model has {len(model.slices)} weight layer(s); method 'layerwise' needs at least 2")
+    bare = [layer.name for layer in model.layers if layer.kind == "norm" and layer.source_mean is None]
+    if method == "source" and bare:
+        raise ValueError(f"{where}: norm layer {bare[0]!r} has no source statistics; method 'source' needs them")
 
 
 def adapt_stream(model: Model, stream: ScheduleStream, config: AdaptConfig) -> list[MetricsRecord]:
@@ -344,11 +345,9 @@ def run_experiment(
     tag: str = "run",
 ) -> ExperimentResult:
     """One adaptation run with CSV metrics, JSON-lines weight dumps and a
-    summary block written under ``out_dir``. The schedule's batch size, the
-    model's layers and the output paths are checked before any adaptation
-    starts."""
-    check_batch_rows(config.method, schedule.batch_size, "run_experiment: each batch of the schedule")
-    check_weight_layers(config.method, model, "run_experiment")
+    summary block written under ``out_dir``. ``check_run`` and then the output
+    paths are checked before any adaptation starts."""
+    check_run(config.method, model, schedule.batch_size, "run_experiment")
     csv_path, weights_path, summary_path = writable_paths(
         out_dir, [f"{tag}_metrics.csv", f"{tag}_weights.jsonl", f"{tag}_summary.json"]
     )
@@ -388,11 +387,10 @@ def ablate(model: Model, source: SourceSpec, schedule: DomainSchedule, configs: 
     """One adaptation run per config (``ablation_grid`` builds the full
     factorial sweep), seeds held fixed, rows sorted by mean error, NaN last.
     A stream only reads its schedule, so every config consumes an identical
-    stream of the one ``schedule``. Every config's method is checked against
-    the schedule's batch size and the model's layers before the first run."""
+    stream of the one ``schedule``. ``check_run`` checks every config before
+    the first run."""
     for cfg in configs:
-        check_batch_rows(cfg.method, schedule.batch_size, "ablate: each batch of the schedule")
-        check_weight_layers(cfg.method, model, "ablate")
+        check_run(cfg.method, model, schedule.batch_size, "ablate")
     rows = []
     for cfg in configs:
         records = adapt_stream(model.clone(), ScheduleStream(source, schedule), cfg)

@@ -386,7 +386,8 @@ def _out_width(layer: LayerParams, width: int) -> int:
         need = f"a [{width}, k] weight, an optional [k] bias and no buffers"
     elif layer.kind == "norm":
         out, fits = width, shapes == [(width,)] * 2 and stats in ([], shapes)
-        need = f"two [{width}] params and no buffers or two of that width"
+        fits = fits and not (stats and (layer.source_var < 0).any())  # a negative variance makes the source path NaN
+        need = f"two [{width}] params and no buffers or two of that width, the source_var not negative"
     else:
         out, fits, need = width, not shapes and not stats, "no params or buffers"
     if not fits:
@@ -418,14 +419,14 @@ def save_checkpoint(model: Model, path, meta: dict[str, str] | None = None) -> N
 
 def load_checkpoint(path) -> tuple[Model, dict[str, str]]:
     """Read a ``save_checkpoint`` file. A malformed line, a repeated
-    dimension or ``meta`` key, a value that is not a finite hex float, a
-    layer marked frozen (``trainable=0``), or layers that do not chain
-    ``input_dim`` features to ``class_count``, raise ``ValueError`` naming
-    the file and line."""
+    dimension or ``meta`` key, a value that is not a finite hex float (one
+    past the float range included), a negative ``source_var``, a layer marked
+    frozen (``trainable=0``), or layers that do not chain ``input_dim``
+    features to ``class_count``, raise ``ValueError`` naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise ValueError(f"{path}: not a recognized checkpoint (bad header)")
+        raise ValueError(f"{path}: line 1: not a recognized checkpoint (bad header)")
     dims: dict[str, tuple[int, int]] = {}  # input_dim / class_count -> (value, line number)
     meta: dict[str, str] = {}
     layers: list[tuple[LayerParams, int]] = []  # with the line number of their layer line
@@ -460,7 +461,7 @@ def load_checkpoint(path) -> tuple[Model, dict[str, str]]:
             i += 1
             try:
                 vals = _parse_vals(lines[i], shape)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # OverflowError: a hex value past the float range
                 raise ValueError(f"{path}: line {i + 1}: bad {kind} values ({exc})") from None
             if kind == "param":
                 layers[-1][0].params.append(vals)
@@ -470,7 +471,7 @@ def load_checkpoint(path) -> tuple[Model, dict[str, str]]:
             raise ValueError(f"{where}: unrecognized checkpoint line {lines[i]!r}")
         i += 1
     if len(dims) < 2:
-        raise ValueError(f"{path}: checkpoint missing dimensions")
+        raise ValueError(f"{path}: line {len(lines)}: checkpoint ends without its input_dim or class_count line")
     width = dims["input_dim"][0]
     for layer, number in layers:
         try:

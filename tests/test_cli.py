@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import re
 
 import pytest
 
@@ -271,7 +272,7 @@ def test_single_row_schedule_aborts_before_any_artifact(pretrained, tmp_path, ca
     out = tmp_path / "run"
     args = [command, "--checkpoint", str(ckpt), "--schedule", str(sched), "--out", str(out)]
     assert main(args + (["--method", method] if method else [])) == 1
-    assert f"{sched}: each batch has 1 row(s)" in caplog.text
+    assert f"{sched} on {ckpt}: each batch of the schedule has 1 row(s)" in caplog.text
     assert not out.exists()
 
 
@@ -347,6 +348,41 @@ def test_checkpoint_without_source_meta_aborts(pretrained, tmp_path):
         "adapt", "--checkpoint", str(bare), "--schedule", str(sched),
         "--out", str(tmp_path / "y"),
     ]) == 1
+
+
+def _overflowing(lines):
+    at = next(i for i, line in enumerate(lines) if line.startswith("param ")) + 1
+    return lines[:at] + [" ".join(["0x1p+1024"] + lines[at].split()[1:])] + lines[at + 1 :]
+
+
+def _swapped_buffer_names(lines):
+    names = {"source_mean": "source_var", "source_var": "source_mean"}
+    return [f"buffer {names[line.split()[1]]} {line.split(maxsplit=2)[2]}" if line.startswith("buffer ") else line
+            for line in lines]
+
+
+def _without_buffers(lines):
+    return [line for i, line in enumerate(lines) if not line.startswith("buffer ")
+            and not (i and lines[i - 1].startswith("buffer "))]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_overflowing, r"line 8: bad param values \(hexadecimal value too large"),
+    (_swapped_buffer_names, r"line 9: norm layer 'norm1' needs .* the source_var not negative"),
+    (_without_buffers, r"norm layer 'norm1' has no source statistics; method 'source' needs them"),
+])
+def test_source_baseline_on_a_checkpoint_it_cannot_use_aborts_before_any_artifact(
+    pretrained, tmp_path, caplog, edit, message
+):
+    # each loaded or aborted with no file or line named; a norm without buffers left three empty files
+    ckpt, sched = pretrained
+    edited = tmp_path / "edited.txt"
+    edited.write_text("\n".join(edit(ckpt.read_text(encoding="utf-8").splitlines())) + "\n", encoding="utf-8")
+    out = tmp_path / "run"
+    args = ["baseline", "--method", "source", "--checkpoint", str(edited), "--schedule", str(sched), "--out", str(out)]
+    assert main(args) == 1
+    assert re.search(re.escape(str(edited)) + ".*" + message, caplog.text)
+    assert not out.exists()
 
 
 def test_checkpoint_with_the_older_dimension_metadata_runs_the_same(pretrained, tmp_path):

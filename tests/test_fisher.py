@@ -4,8 +4,8 @@ import gc
 import os
 import subprocess
 import sys
-import tracemalloc
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -477,43 +477,17 @@ def test_first_layer_closed_form_coupling_matches_the_tape_and_a_fresh_clone(see
 
 
 # tracemalloc peaks of one layer_fim_trace call on a fresh clone of the desk
-# model since the trace sink pays each owed norm scale once per call and the
+# model (``trace_peak.desk_trace_peak``) since the trace sink pays each owed norm scale once per call and the
 # seed's log-softmax is freed before the backward (numpy 2.4); the pass must
 # not outgrow them
 DESK_TRACE_PEAK_BYTES = {64: 804_752, 128: 869_776}
 
 
-def _desk_trace_peak(n: int) -> int:
-    """The tracemalloc peak of one trace pass at n rows, on a fresh clone of
-    the desk model whose forward runs first, then two warm-up passes on
-    throwaway clones. In that order the peak reads the same whatever module
-    imports this one; with fewer warm-ups, or the forward after them, it
-    moved with the importing module's own code."""
-    rng = np.random.default_rng(12)
-    base = build_classifier(16, [32, 32, 32, 32], 3, seed=4)
-    for layer in base.weight_layers():
-        for p in layer.params:
-            p += 0.1 * rng.standard_normal(p.shape)
-    record_source_stats(base, rng.standard_normal((200, 16)))
-    x = np.random.default_rng(n).standard_normal((n, 16))
-    model = base.clone()
-    logits, saved = model.forward(x)
-    for _ in range(2):
-        warm = base.clone()
-        layer_fim_trace(warm, *warm.forward(x))
-    tracemalloc.start()
-    try:
-        layer_fim_trace(model, logits, saved)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("n", sorted(DESK_TRACE_PEAK_BYTES))
 def test_desk_trace_pass_peak_memory_stays_within_its_bound(n):
-    # read in a fresh interpreter: in this one numpy's caches hold what earlier tests left
+    # read in a fresh interpreter that imports no test module: in this one numpy's caches hold what earlier tests left
     proc = subprocess.run(
-        [sys.executable, "-c", f"from test_fisher import _desk_trace_peak; print(_desk_trace_peak({n}))"],
+        [sys.executable, str(Path(__file__).with_name("trace_peak.py")), str(n)],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

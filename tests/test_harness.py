@@ -501,6 +501,22 @@ def test_layerwise_on_a_single_weight_layer_is_rejected_before_any_file_or_run(t
     assert runs == []
 
 
+def test_source_on_a_norm_without_source_statistics_is_rejected_before_any_file_or_run(tmp_path, monkeypatch):
+    # its first forward used to raise, after the run's files existed; the batch-statistic methods run on it
+    spec, bare = SourceSpec(input_dim=6, class_count=3, margin=5.0, seed=0), build_classifier(6, [8, 8], 3, seed=0)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="run_experiment: norm layer 'norm1' has no source statistics"):
+        run_experiment(bare, spec, tiny_schedule(), AdaptConfig(method="source"), out)
+    assert not out.exists()
+    runs = []
+    monkeypatch.setattr(harness, "adapt_stream", lambda *args: runs.append(args) or [])
+    with pytest.raises(ValueError, match="ablate: norm layer 'norm1' has no source statistics; method 'source'"):
+        harness.ablate(bare, spec, tiny_schedule(), [AdaptConfig(method="bn1"), AdaptConfig(method="source")])
+    assert runs == []
+    harness.ablate(bare, spec, tiny_schedule(), [AdaptConfig(method=m) for m in ("bn1", "uniform_tent", "layerwise")])
+    assert len(runs) == 3
+
+
 def test_lambda_sweep_emits_one_row_per_lambda():
     spec, model = tiny_setup()
     lams = [0.0, 0.01, 0.1, 1.0, 10.0, 100.0]
@@ -957,12 +973,13 @@ def test_a_batch_that_overflows_adam_is_skipped_and_counted(method):
 def test_batches_below_the_minimum_raise_or_are_skipped(method, bad):
     # a schedule of a delivered size is refused exactly when a batch
     # delivered at that size is skipped: the two checks share one minimum
+    _, model = _pretrained()
     for rows in {len(batch) for batch in bad}:
         if rows < _least_rows(method):
             with pytest.raises(ValueError, match=rf"has {rows} row"):
-                harness.check_batch_rows(method, rows, "schedule")
+                harness.check_run(method, model, rows, "schedule")
         else:
-            harness.check_batch_rows(method, rows, "schedule")
+            harness.check_run(method, model, rows, "schedule")
     _check_skipped_and_counted(method, bad)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fimtta.fisher import layer_fim_trace
 from fimtta.losses import log_softmax
@@ -20,7 +20,7 @@ from fimtta.model import (
     record_source_stats,
     save_checkpoint,
 )
-from fimtta.harness import pretrain
+from fimtta.harness import check_run, pretrain
 from fimtta.stream import SourceSpec, gen_source
 from oracle import tape_forward, tape_params, with_dense_biases
 
@@ -345,6 +345,10 @@ ZEROS = "0x0p+0 0x0p+0 0x0p+0"
                      id="infinite-value"),
         pytest.param(_put(5, f"nan:7ff8000000000000 {ZEROS} 0x0p+0 0x0p+0"), 6, "bad param values",
                      id="nan-bits-token"),
+        pytest.param(_put(5, f"0x1p+1024 {ZEROS} 0x0p+0 0x0p+0"), 6,
+                     r"bad param values \(hexadecimal value too large to represent as a float\)", id="overflowing-value"),
+        pytest.param(lambda lines: lines[:11] + [lines[13], lines[12], lines[11]] + lines[14:], 7,
+                     r"norm layer 'norm1' needs .*, the source_var not negative", id="swapped-buffer-names"),
     ],
 )
 def test_checkpoint_rejects_malformed_content_with_file_and_line(tmp_path, edit, line, message):
@@ -352,6 +356,61 @@ def test_checkpoint_rejects_malformed_content_with_file_and_line(tmp_path, edit,
     path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"model\.txt: line {line}: .*{message}"):
         load_checkpoint(path)
+
+
+# what a drawn edit may write: a value past the float range, a negative and a
+# non-finite one, the other buffer's name, and other lines' words and sizes
+_TOKENS = ["0x1p+1024", "-0x1p+0", "nan", "inf", "0x0p+0", "source_mean", "source_var", "buffer", "param", "layer",
+           "norm", "relu", "dense", "trainable=1", "input_dim", "class_count", "meta", "0", "2", "3", "x"]
+# an edit: its kind, a line index and a second index (a line, a character or a word), each taken modulo what
+# the file has, and the token it writes
+_EDITS = st.lists(st.tuples(st.sampled_from(["delete", "duplicate", "swap", "truncate", "replace", "insert"]),
+                            st.integers(0, 63), st.integers(0, 63), st.sampled_from(_TOKENS)), min_size=1, max_size=3)
+
+
+def _edited(lines, edits):
+    lines = list(lines)
+    for kind, at, other, token in edits:
+        i = at % len(lines)
+        words = lines[i].split()
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = other % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "truncate":
+            lines[i] = lines[i][: other % (len(lines[i]) + 1)]
+        else:  # replace or insert the word at a drawn position
+            k = other % (len(words) + 1)
+            lines[i] = " ".join(words[:k] + [token] + words[k + (kind == "replace") :])
+        if not lines:
+            break
+    return lines
+
+
+@settings(max_examples=600)
+@given(_EDITS, st.booleans())
+@example([("replace", 5, 0, "0x1p+1024")], True)  # a hex value past the float range once raised OverflowError
+@example([("swap", 11, 13, "")], True)  # swapped buffer names, a negative source_var, once loaded
+def test_a_checkpoint_with_drawn_line_edits_is_refused_by_file_and_line_or_runs_finite(edits, stats):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, lines = _saved_checkpoint_lines(Path(tmp))
+        lines = lines if stats else lines[:11] + lines[15:]  # norm1 saved without its buffers
+        path.write_text("\n".join(_edited(lines, edits)) + "\n", encoding="utf-8")
+        try:
+            model, _ = load_checkpoint(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: line "), exc
+            return
+    x = np.random.default_rng(0).standard_normal((5, model.input_dim))
+    sourced = all(layer.source_mean is not None for layer in model.layers if layer.kind == "norm")
+    for batch_stats in (True, False) if sourced else (True,):  # every path its buffers allow
+        assert np.isfinite(model.forward(x, batch_stats)[0]).all()
+    if not sourced:  # and a run on the one it does not is refused before it starts
+        with pytest.raises(ValueError, match=r"norm layer '\w+' has no source statistics"):
+            check_run("source", model, 8, str(path))
 
 
 def test_checkpoint_with_biases_before_norms_loads_unchanged(tmp_path):
