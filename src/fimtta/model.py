@@ -71,6 +71,20 @@ class LayerParams:
         return sum(p.size for p in self.params)
 
 
+def _couple(lift, g_scale, g_shift, out):
+    """A batch-statistic norm's coupling of each slice j, ``[xhat | 1] @ D_j``
+    with D_j = [diag(g_scale[j]); g_shift[j]], into ``out``, through a D [at
+    most 8 slices, f + 1, f] whose diagonal and last row alone are written:
+    the rest is 0. The lifted operand carries the factor -1/n, so D is filled
+    by copies."""
+    lifted, d, diagonal, last = lift
+    for j in range(0, len(out), len(d)):
+        k = min(len(d), len(out) - j)
+        diagonal[:k], last[:k] = g_scale[j : j + k], g_shift[j : j + k]
+        np.matmul(lifted, d[:k], out=out[j : j + k])
+    return out
+
+
 class Model:
     """Ordered stack of layers mapping [batch, input_dim] to [batch, C].
 
@@ -180,16 +194,18 @@ class Model:
         column c owing ``scale[c % f]`` of a fixed [f] scale. A block may be a
         view the next layer overwrites: read it, do not keep it, and do not
         re-enter ``backward`` on this model from the sink. One reverse loop over
-        the layers serves both. At the first batch-statistic norm from the top
-        the loop hands the seed back, and the rest runs in chunks of ``max(1,
-        _CHUNK_ROWS // n)`` samples in the model's two slabs, where each such
-        norm's row coupling ``(xhat * g_scale + g_shift) / n`` is one product
-        ``[xhat | 1] @ D`` (-1/n sits in every batch-statistic norm's ``[xhat |
-        1]``, and its ``scale * inv_std`` is owed to the dense layer below,
-        which folds it into its transpose and hands it on; a bias-free first
-        layer with input K takes the norm above's as ``(K^T [xhat | 1]) @ D``).
-        Layer facts are set once per model; transposes, lifted operands, D
-        buffers and slab views once per call; a chunk only runs array calls.
+        the layers serves both. At the first batch-statistic norm from the top,
+        i, the loop hands back each slice's own-row cotangent ``gj``; the rest
+        runs in chunks of ``max(1, _CHUNK_ROWS // n)`` samples in the model's
+        two slabs, where each such norm's row coupling ``(xhat * g_scale +
+        g_shift) / n`` is ``[xhat | 1] @ D`` (-1/n sits in ``[xhat | 1]``;
+        ``scale * inv_std`` is owed to the dense layer below, which folds it
+        into its transpose F; a bias-free first layer with input K takes the
+        norm above's as ``(K^T [xhat | 1]) @ D``). A dense layer under norm i
+        with input X narrower than n, in chunks of at most 8 samples, never
+        expands that coupling: it scores ``[X^T xhat / -n | x_j - mean(X)] @
+        D_j`` and hands down ``([xhat | 1] / -n) @ (D_j @ F)`` plus ``gj @ F``
+        on row j. A bias under a norm scores exact zeros in the chunks.
         """
         # nothing below the first weight layer needs a cotangent
         first = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
@@ -197,17 +213,6 @@ class Model:
         folded: dict[int, np.ndarray] = {}
         units = np.ones(g.shape[-2])  # per call: ``units[:m]`` sums a slice's m rows
         batch = g.ndim == 3
-
-        def couple(lift, g_scale, g_shift, out):
-            # a norm's coupling of each slice j, [xhat | 1] @ D_j, D_j = [diag(g_scale[j]); g_shift[j]], in a D
-            # [at most 8 slices, f + 1, f] whose diagonal and last row alone are written: the rest is 0. The
-            # lifted operand carries the factor -1/n, so D is filled by copies
-            lifted, d, diagonal, last = lift
-            for j in range(0, len(out), len(d)):
-                k = min(len(d), len(out) - j)
-                diagonal[:k], last[:k] = g_scale[j : j + k], g_shift[j : j + k]
-                np.matmul(lifted, d[:k], out=out[j : j + k])
-            return out
 
         def reverse(g, top, row, own, low, outs=None, scale=None):
             # [s, m, f] from layer top down; ``own``: m = 1, slice k sees cache
@@ -227,9 +232,11 @@ class Model:
                 if kind == "dense":
                     grad_w = np.matmul(kept[:, :, None] if own else kept.swapaxes(-1, -2), g, out=out and out[0])
                     if i < low:  # the norm above left its coupling: + (K^T [xhat | 1]) @ D, into the spent held slab
-                        grad_w += couple(lifts[low], g_scale, g_shift, out[1])
+                        grad_w += _couple(lifts[low], g_scale, g_shift, out[1])
                     sink(row, col, grad_w.reshape(-1, size), scale)  # the sink pays the owed scale
-                    if bias:
+                    if outs and bias and self._blocks[i + 1][0] == "norm":  # a batch-statistic norm cancels it
+                        sink(row, col + size, np.broadcast_to(0.0, (s, g.shape[-1])), None)  # exact zeros, no memory
+                    elif bias:
                         sink(row, col + size, ones @ g, scale)
                     if i > first:  # a contiguous transpose carries the owed scale down
                         if i not in folded:
@@ -253,7 +260,7 @@ class Model:
                     if own:  # the caller expands the coupling
                         return i, g[:, 0]  # slice k's cotangent on its own row k, = g_shift
                     if outs:  # the chunk loop: one product for all its slices
-                        g += couple(lifts[i], g_scale, g_shift, out)
+                        g += _couple(lifts[i], g_scale, g_shift, out)
                     else:  # the batch pass, at most 2 groups: two broadcasts cost less than the product
                         c = grads / -m
                         g += x * c[:, :1]
@@ -283,6 +290,11 @@ class Model:
         need = k * max([n * size] + [max(w.size, n * max(w.shape)) for w in dense])
         if self._slabs[0].size < need:  # grown, never shrunk; a clone starts without
             self._slabs = [np.empty(need), np.empty(need)]
+        # a dense layer t here takes fewer multiply-adds lifted when the batch outnumbers its inputs, and fewer array
+        # calls when one D group holds a chunk (not at n = 64 with 16 slices a chunk); per call, F owes norm i's scale
+        t, (_, col, wsize, bias) = i - 1, self._blocks[i - 1]
+        if (lifted := self.layers[t].kind == "dense" and n > saved[t].shape[1] and k == len(ds[size][0])) and t > first:
+            folded[t] = np.multiply(self.layers[t].params[0].T, folded[i][:, None], order="C")
 
         def views(s):  # each layer's outputs for s slices, one view per buffer and shape; g's buffer and the spare swap
             held, spare, made = *self._slabs, {}
@@ -302,9 +314,25 @@ class Model:
         for row in range(0, n, chunk):  # slice j: its own row minus (shift + xhat * scale score) / n, scale owed
             gj = g[row : row + chunk]  # slice j's cotangent on its own row
             outs = full if len(gj) == k else views(len(gj))
-            coupled = couple(lifts[i], gj * xhat[row : row + chunk], gj, outs[i])
-            coupled.reshape(-1, size)[row :: n + 1] += gj  # row row + j of slice j
-            reverse(coupled, i - 1, row, False, low, outs, folded[i])
+            if not lifted:  # a ReLU or a norm under norm i, a small batch or two D groups: expand it to [s, n, f]
+                coupled = _couple(lifts[i], gj * xhat[row : row + chunk], gj, outs[i])
+                coupled.reshape(-1, size)[row :: n + 1] += gj  # row row + j of slice j
+                reverse(coupled, t, row, False, low, outs, folded[i])
+                continue
+            (grad_w, _, down), (d, diagonal, last), m = outs[t], ds[size], len(gj)
+            diagonal[:m], last[:m] = gj * xhat[row : row + chunk], gj  # D_j = [diag(gj * xhat_j); gj]
+            a = np.ndarray((m, saved[t].shape[1], size + 1), buffer=self._slabs[0])  # in place of outs[i]
+            a[...] = saved[t].T @ lifts[i][0]  # X^T [xhat | 1] / -n = [X^T xhat / -n | -mean(X)]; slice j's
+            a[:, :, size] += saved[t][row : row + chunk]  # [.. | x_j - mean(X)] holds its own row's outer product
+            sink(row, col, np.matmul(a, d[:m], out=grad_w).reshape(m, -1), folded[i])  # the sink pays the owed scale
+            if bias:  # norm i cancels it
+                sink(row, col + wsize, np.broadcast_to(0.0, gj.shape), None)
+            if t > first:  # layer t - 1 gets ([xhat | 1] / -n) @ (D_j @ F), plus gj @ F, D_j @ F's last row, on row j
+                df = np.matmul(d[:m], folded[t], out=np.ndarray((m, size + 1, a.shape[1]), buffer=self._slabs[0]))
+                np.matmul(lifts[i][0], df, out=down)
+                down.reshape(-1, df.shape[2])[row :: n + 1] += df[:, size]
+                del a, df  # not kept through the layers below: they would add to the pass's peak memory
+                reverse(down, t - 1, row, False, low, outs)
 
     def clone(self) -> "Model":
         """Deep copy: parameters packed into a new ``theta``, buffers duplicated."""
