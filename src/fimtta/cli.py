@@ -42,16 +42,21 @@ def _parsed(convert, many: bool = False, low: int | None = None):
     return parse
 
 
-def _add_adapt_flags(p: argparse.ArgumentParser, methods: tuple[str, ...] | None, seeds: bool = False) -> None:
-    """The run flags; ``--method`` only with ``methods``, and required when
-    the config's default method is not among them."""
+def _add_adapt_flags(p: argparse.ArgumentParser, methods: tuple[str, ...] | None, seeds=False, unread=(), swept=()) -> None:
+    """The run flags of the config fields a command reads: none of ``unread``, each ``swept`` one as a
+    grid flag, and ``--method`` only with ``methods``, required when the default method is not among them."""
     p.add_argument("--checkpoint", required=True, help="pretrained model checkpoint")
     p.add_argument("--schedule", required=True, help="schedule description file")
     p.add_argument("--out", required=True, help="output directory")
     choices = {**harness.CHOICES, "method": methods}
     for flag, name in ADAPT_FLAGS.items():
         default, allowed = getattr(AdaptConfig, name), choices.get(name)
-        if name != "method" or methods:
+        if name in swept:
+            p.add_argument(
+                flag + "s", type=_parsed(type(default), many=True), default=str(default),
+                help=f"comma-separated {flag[2:]} grid (default: %(default)s)",
+            )
+        elif name not in unread and (name != "method" or methods):
             p.add_argument(
                 flag, dest=name, type=type(default), choices=allowed, default=default,
                 required=allowed is not None and default not in allowed,
@@ -82,13 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_adapt_flags(p, harness.WEIGHTED_METHODS, seeds=True)
 
     p = sub.add_parser("baseline", help="run a non-weighted reference method")
-    _add_adapt_flags(p, harness.BASELINE_METHODS, seeds=True)
+    _add_adapt_flags(p, harness.BASELINE_METHODS, seeds=True, unread=("tau", "gamma"))  # no scaler, no trace fold
 
-    p = sub.add_parser("ablate", help="factorial sweep over tau, lambda, gamma")
-    _add_adapt_flags(p, harness.WEIGHTED_METHODS)
-    p.add_argument("--taus", type=_parsed(float, many=True), default="1.0", help="comma-separated tau grid")
-    p.add_argument("--lambdas", type=_parsed(float, many=True), default="0.1", help="comma-separated lambda grid")
-    p.add_argument("--gammas", type=_parsed(float, many=True), default="1.0", help="comma-separated gamma grid")
+    # no abbreviations, or --tau, --lambda and --gamma would still parse as --taus, --lambdas and --gammas
+    p = sub.add_parser("ablate", help="factorial sweep over tau, lambda, gamma", allow_abbrev=False)
+    _add_adapt_flags(p, harness.WEIGHTED_METHODS, swept=("tau", "lam", "gamma"))
 
     p = sub.add_parser("dump-weights", help="layerwise run that also dumps trace diagonals")
     _add_adapt_flags(p, None)

@@ -71,6 +71,8 @@ class SourceSpec:
             )
         if not np.isfinite(self.margin):
             raise ValueError(f"margin must be finite, got {self.margin}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import itertools
 import json
 import logging
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +186,70 @@ def test_seeds_flag_refused_where_it_would_be_ignored(pretrained, tmp_path, caps
     assert not out.exists()
 
 
+def _command_flags(command: str) -> dict[str, argparse.Action]:
+    """Each flag ``command`` offers, but the help and the three file flags."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.option_strings[0]: a for a in commands.choices[command]._actions
+            if a.option_strings and a.option_strings[0] not in ("-h", "--checkpoint", "--schedule", "--out")}
+
+
+# one valid value other than the default for each run flag; a flag missing here fails the test below
+OTHER_VALUES = {
+    "--eta": "0.05", "--tau": "3", "--lambda": "0", "--gamma": "0.5", "--opt": "sgd", "--seed": "1", "--seeds": "2",
+    "--taus": "3", "--lambdas": "0", "--gammas": "0.5",
+}
+
+
+@pytest.mark.parametrize("command", ["adapt", "baseline", "ablate", "dump-weights"])
+def test_every_flag_a_run_command_offers_changes_what_it_runs(pretrained, tmp_path, command):
+    # baseline once took --tau and --gamma, and ablate --tau, --lambda and --gamma, and ran the same without them;
+    # summary.json echoes every setting, read or not, so an outcome leaves it out
+    ckpt, sched = pretrained
+    flags = _command_flags(command)
+    methods = flags.pop("--method").choices if "--method" in flags else [None]
+    runs = itertools.count()
+
+    def outcome(method, *extra):
+        out = tmp_path / str(next(runs))
+        args = [command, "--checkpoint", str(ckpt), "--schedule", str(sched), "--out", str(out), *extra]
+        assert main(args + (["--method", method] if method else [])) == 0
+        if command == "ablate":
+            rows = json.loads((out / "ablation.json").read_text())
+            return json.dumps([{k: v for k, v in r.items() if "error" in k or "entropy" in k} for r in rows])
+        return tuple((f.name, f.read_bytes()) for f in sorted(out.iterdir()) if not f.name.endswith("summary.json"))
+
+    defaults = {method: outcome(method) for method in methods}
+    assert len(set(defaults.values())) == len(methods)  # --method
+    inert = [flag for flag in flags if all(outcome(m, flag, OTHER_VALUES[flag]) == defaults[m] for m in methods)]
+    assert inert == []
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("baseline", "--tau", "5"), ("baseline", "--gamma", "0.2"),  # no baseline scales or folds traces
+    ("ablate", "--tau", "3"), ("ablate", "--lambda", "7"), ("ablate", "--gamma", "0.1"),  # its grid sets all three
+])
+def test_setting_a_command_does_not_read_is_refused(pretrained, tmp_path, capsys, command, flag, value):
+    ckpt, sched = pretrained
+    out = tmp_path / "none"
+    method = "bn1" if command == "baseline" else "layerwise"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--checkpoint", str(ckpt), "--schedule", str(sched), "--method", method, "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_grid_defaults_to_the_config_defaults(capsys):
+    parser = build_parser()
+    args = parser.parse_args(["ablate", "--checkpoint", "c", "--schedule", "s", "--out", "o"])
+    assert (args.taus, args.lambdas, args.gammas) == ([AdaptConfig.tau], [AdaptConfig.lam], [AdaptConfig.gamma])
+    with pytest.raises(SystemExit):
+        parser.parse_args(["ablate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, default in (("--taus", AdaptConfig.tau), ("--lambdas", AdaptConfig.lam), ("--gammas", AdaptConfig.gamma)):
+        assert re.search(f"{flag} [A-Z]+ comma-separated [a-z]+ grid \\(default: {default}\\)", text), flag
+
+
 def test_fixed_settings_have_no_flag(pretrained, tmp_path, capsys):
     ckpt, sched = pretrained
     for flag, value in (("--epsilon", "1e-8"), ("--noise-scale", "0.1"), ("--consistency", "sigmoid")):
@@ -337,17 +405,21 @@ def test_missing_checkpoint_aborts_nonzero(pretrained, tmp_path):
     assert code == 1
 
 
-def test_checkpoint_without_source_meta_aborts(pretrained, tmp_path):
+@pytest.mark.parametrize("meta", [
+    None, {"margin": "abc", "source_seed": "1"}, {"margin": "5.0", "source_seed": "x"},
+    {"margin": "5.0", "source_seed": "-1"},  # once created the run's files and failed in numpy, naming no file
+], ids=["no_meta", "margin_abc", "source_seed_x", "source_seed_-1"])
+def test_checkpoint_without_source_meta_aborts(pretrained, tmp_path, caplog, meta):
     ckpt, sched = pretrained
     from fimtta.model import load_checkpoint, save_checkpoint
 
     model, _ = load_checkpoint(ckpt)
     bare = tmp_path / "bare.txt"
-    save_checkpoint(model, bare)  # no source metadata
-    assert main([
-        "adapt", "--checkpoint", str(bare), "--schedule", str(sched),
-        "--out", str(tmp_path / "y"),
-    ]) == 1
+    save_checkpoint(model, bare, meta=meta)
+    out = tmp_path / "y"
+    assert main(["adapt", "--checkpoint", str(bare), "--schedule", str(sched), "--out", str(out)]) == 1
+    assert f"{bare}: " in caplog.text
+    assert not out.exists()
 
 
 def _overflowing(lines):
@@ -488,3 +560,21 @@ def test_cross_process_determinism(pretrained, tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append((out / "layerwise_metrics.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def _readme_commands() -> list[str]:
+    """Every ``fimtta ...`` line of README's fenced blocks, ``\\`` continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("fimtta ")]
+
+
+def test_readme_shows_every_command():
+    commands = {shlex.split(line)[1] for line in _readme_commands()}
+    assert commands == {"pretrain", "adapt", "baseline", "ablate", "dump-weights"}
+
+
+@pytest.mark.parametrize("line", _readme_commands(), ids=lambda line: line.split()[1])
+def test_readme_command_parses(line):
+    build_parser().parse_args(shlex.split(line)[1:])

@@ -65,6 +65,8 @@ def test_gen_source_validation():
     for margin in (float("nan"), float("inf")):  # NaN class means: pretraining diverged at its first step
         with pytest.raises(ValueError, match="margin"):
             SourceSpec(margin=margin)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):  # numpy refused it, naming no setting
+        SourceSpec(seed=-1)
     SourceSpec(input_dim=2, class_count=3)  # planar three-blob task is valid
 
 
