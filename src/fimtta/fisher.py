@@ -6,11 +6,11 @@ pseudo-labels (argmax of the current predictions) with respect to that
 layer's parameters. The trace of the empirical second-moment matrix of
 per-sample scores is computed directly as the mean squared score norm,
 so the full |theta| x |theta| matrix is never materialized; its square
-root is the layer's raw learning weight. A score block owing its norm's
-scale (only the chunk loop of ``Model.backward`` hands one) is paid it
-by the sink. The caller keeps the running traces (and diagonal) as plain
-arrays, and ``accumulate`` returns a batch folded into them as a new
-array: gamma * old + batch.
+root is the layer's raw learning weight. ``per_sample_scores`` forms the
+scores by another route, the batch pass on identity probes, for the tests.
+The caller keeps the running traces (and diagonal) as plain arrays, and
+``accumulate`` returns a batch folded into them as a new array:
+gamma * old + batch.
 """
 
 from __future__ import annotations
@@ -21,28 +21,25 @@ from .losses import log_softmax
 from .model import Model
 
 
-def _score_pass(model: Model, logits: np.ndarray, saved: list, sink) -> None:
-    """Per-sample ``model.backward``: sample i's seed is the gradient of its
-    pseudo-label log-likelihood w.r.t. its logits, onehot(argmax) - softmax."""
-    n = logits.shape[0]
+def _seed(logits: np.ndarray) -> np.ndarray:
+    """[n, C] per-sample seeds: row i is the gradient of sample i's pseudo-label
+    log-likelihood w.r.t. its logits, onehot(argmax) - softmax."""
     ls = log_softmax(logits)
     seed = -np.exp(ls)
-    seed[np.arange(n), ls.argmax(axis=1)] += 1.0
-    del ls  # not kept through the backward: it would add to the pass's peak memory
-    model.backward(saved, seed, sink)
+    seed[np.arange(len(ls)), ls.argmax(axis=1)] += 1.0
+    return seed
 
 
 def per_sample_scores(model: Model, logits: np.ndarray, saved: list) -> dict[str, np.ndarray]:
-    """Per-sample scores, one [batch, param_count] array per layer, over one
-    ``model.forward`` of the batch: the matrix ``layer_fim_trace`` never forms.
-    A block owing a scale is multiplied by it as it is written."""
-    out = np.empty((logits.shape[0], model.theta.size))
+    """Per-sample scores, one [batch, param_count] array per layer, over one 2-D
+    ``model.forward``: the matrix ``layer_fim_trace`` never forms, from the batch
+    pass on identity probes ``eye(n)[:, :, None] * seed`` (no chunk loop)."""
+    out = np.empty((len(logits), model.theta.size))
 
-    def write(row: int, col: int, block: np.ndarray, scale: np.ndarray | None) -> None:  # column c owes scale[c % f]
-        out[row : row + len(block), col : col + block.shape[1]] = (
-            block if scale is None else (block.reshape(len(block), -1, len(scale)) * scale).reshape(block.shape))
+    def write(col: int, block: np.ndarray, scale: None) -> None:  # the batch pass owes no scale
+        out[:, col : col + block.shape[1]] = block
 
-    _score_pass(model, logits, saved, write)
+    model.backward(saved, np.eye(len(logits))[:, :, None] * _seed(logits), write)
     return {name: out[:, cols] for name, cols in model.slices.items()}
 
 
@@ -58,13 +55,13 @@ def layer_fim_trace(model: Model, logits: np.ndarray, saved: list) -> tuple[np.n
     sums = np.zeros(model.theta.size)
     owed = {}  # column range -> the scale its blocks owe, paid squared once after the pass
 
-    def square(row: int, col: int, block: np.ndarray, scale: np.ndarray | None) -> None:
+    def square(col: int, block: np.ndarray, scale: np.ndarray | None) -> None:
         total = sums[col : col + block.shape[1]]
         total += np.einsum("ij,ij->j", block, block)  # in place: ``sums[...] +=`` would copy it back
         if scale is not None and col not in owed:
             owed[col] = total.reshape(-1, len(scale)), scale
 
-    _score_pass(model, logits, saved, square)
+    model.backward(saved, _seed(logits), square)  # held by no name here, the seed is freed before the chunk loop
     for total, scale in owed.values():
         total *= scale * scale
     sums /= n

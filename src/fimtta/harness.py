@@ -141,7 +141,7 @@ def collect_grads(model: Model, saved: list, g: np.ndarray) -> np.ndarray:
     """
     grad = np.empty(model.theta.size)
 
-    def add(row: int, col: int, block: np.ndarray, scale: None) -> None:  # the batch pass owes no scale
+    def add(col: int, block: np.ndarray, scale: None) -> None:  # the batch pass owes no scale
         if len(block) == 1:  # one group: a copy, the bits a one-row reduce gives, without its call cost
             grad[col : col + block.shape[1]] = block[0]
         else:

@@ -184,12 +184,13 @@ class Model:
         [r, n, C] ``g`` runs the batch pass too, slice k the gradient of
         ``sum(g[k] * logits)`` over the whole batch: identity probes,
         ``eye(n)[:, :, None] * seed``, give slice k sample k's seed gradient,
-        the batch statistics' coupling included. Per parameter array the pass
-        calls ``sink(row, col, block, scale)``: on every path ``block[j]``,
-        times ``scale`` where it is not None, is the gradient of ``theta[col:col
-        + block.shape[1]]`` for slice row + j (a norm's scale and shift are one
-        block), one row per slice from its own group alone, so a grouped pass's
-        row k is bit for bit that of a forward of group k alone. The batch and
+        the batch statistics' coupling included (``fisher.per_sample_scores``;
+        the trace pass takes the per-sample seed). Per parameter array the
+        pass calls ``sink(col, block, scale)``: each row of ``block``, times
+        ``scale`` where it is not None, is one slice's gradient of ``theta[col:
+        col + block.shape[1]]`` (a norm's scale and shift are one block), slices
+        in order, each from its own group alone, so a grouped pass's row k is
+        bit for bit that of a forward of group k alone. The batch and
         own-row paths owe none; the chunk loop's dense blocks come unscaled,
         column c owing ``scale[c % f]`` of a fixed [f] scale. A block may be a
         view the next layer overwrites: read it, do not keep it, and do not
@@ -205,7 +206,7 @@ class Model:
         with input X narrower than n, in chunks of at most 8 samples, never
         expands that coupling: it scores ``[X^T xhat / -n | x_j - mean(X)] @
         D_j`` and hands down ``([xhat | 1] / -n) @ (D_j @ F)`` plus ``gj @ F``
-        on row j. A bias under a norm scores exact zeros in the chunks.
+        on row j. The chunk loop hands no block for a dense bias a norm cancels.
         """
         # nothing below the first weight layer needs a cotangent
         first = next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
@@ -214,7 +215,7 @@ class Model:
         units = np.ones(g.shape[-2])  # per call: ``units[:m]`` sums a slice's m rows
         batch = g.ndim == 3
 
-        def reverse(g, top, row, own, low, outs=None, scale=None):
+        def reverse(g, top, own, low, outs=None, scale=None):
             # [s, m, f] from layer top down; ``own``: m = 1, slice k sees cache
             # row k; a batch pass's slice k sees cache group k. In the chunk loop
             # ``outs`` holds each layer's outputs in the slabs and ``scale`` (a
@@ -233,11 +234,9 @@ class Model:
                     grad_w = np.matmul(kept[:, :, None] if own else kept.swapaxes(-1, -2), g, out=out and out[0])
                     if i < low:  # the norm above left its coupling: + (K^T [xhat | 1]) @ D, into the spent held slab
                         grad_w += _couple(lifts[low], g_scale, g_shift, out[1])
-                    sink(row, col, grad_w.reshape(-1, size), scale)  # the sink pays the owed scale
-                    if outs and bias and self._blocks[i + 1][0] == "norm":  # a batch-statistic norm cancels it
-                        sink(row, col + size, np.broadcast_to(0.0, (s, g.shape[-1])), None)  # exact zeros, no memory
-                    elif bias:
-                        sink(row, col + size, ones @ g, scale)
+                    sink(col, grad_w.reshape(-1, size), scale)  # the sink pays the owed scale
+                    if bias and not (outs and self._blocks[i + 1][0] == "norm"):  # the chunk loop's norms cancel it
+                        sink(col + size, ones @ g, scale)
                     if i > first:  # a contiguous transpose carries the owed scale down
                         if i not in folded:
                             folded[i] = self.layers[i].params[0].T.copy() if scale is None else np.multiply(
@@ -252,7 +251,7 @@ class Model:
                 grads = np.empty((s, 2, size))  # scale's and shift's, adjacent as in theta: one block
                 g_scale = np.einsum("...nf,...nf->...f", g, x, out=grads[:, 0])
                 g_shift = np.matmul(ones, g, out=grads[:, 1])
-                sink(row, col, grads.reshape(s, -1), None)
+                sink(col, grads.reshape(s, -1), None)
                 if i not in folded:
                     folded[i] = self.layers[i].params[0] * inv_std
                 scale = folded[i]
@@ -268,7 +267,7 @@ class Model:
                 if not outs:  # own rows keep their rounding; a batch pass's (per-group) scale costs less here
                     g, scale = np.multiply(g, scale[..., None, :], out=g), None
 
-        coupling = reverse(g if batch else g[:, None], len(self.layers) - 1, 0, not batch, first)
+        coupling = reverse(g if batch else g[:, None], len(self.layers) - 1, not batch, first)
         if coupling is None:  # the batch pass, or no batch-statistic norm below the seed
             return
         i, g = coupling
@@ -292,7 +291,7 @@ class Model:
             self._slabs = [np.empty(need), np.empty(need)]
         # a dense layer t here takes fewer multiply-adds lifted when the batch outnumbers its inputs, and fewer array
         # calls when one D group holds a chunk (not at n = 64 with 16 slices a chunk); per call, F owes norm i's scale
-        t, (_, col, wsize, bias) = i - 1, self._blocks[i - 1]
+        t, col = i - 1, self._blocks[i - 1][1]
         if (lifted := self.layers[t].kind == "dense" and n > saved[t].shape[1] and k == len(ds[size][0])) and t > first:
             folded[t] = np.multiply(self.layers[t].params[0].T, folded[i][:, None], order="C")
 
@@ -317,22 +316,20 @@ class Model:
             if not lifted:  # a ReLU or a norm under norm i, a small batch or two D groups: expand it to [s, n, f]
                 coupled = _couple(lifts[i], gj * xhat[row : row + chunk], gj, outs[i])
                 coupled.reshape(-1, size)[row :: n + 1] += gj  # row row + j of slice j
-                reverse(coupled, t, row, False, low, outs, folded[i])
+                reverse(coupled, t, False, low, outs, folded[i])
                 continue
             (grad_w, _, down), (d, diagonal, last), m = outs[t], ds[size], len(gj)
             diagonal[:m], last[:m] = gj * xhat[row : row + chunk], gj  # D_j = [diag(gj * xhat_j); gj]
             a = np.ndarray((m, saved[t].shape[1], size + 1), buffer=self._slabs[0])  # in place of outs[i]
             a[...] = saved[t].T @ lifts[i][0]  # X^T [xhat | 1] / -n = [X^T xhat / -n | -mean(X)]; slice j's
             a[:, :, size] += saved[t][row : row + chunk]  # [.. | x_j - mean(X)] holds its own row's outer product
-            sink(row, col, np.matmul(a, d[:m], out=grad_w).reshape(m, -1), folded[i])  # the sink pays the owed scale
-            if bias:  # norm i cancels it
-                sink(row, col + wsize, np.broadcast_to(0.0, gj.shape), None)
+            sink(col, np.matmul(a, d[:m], out=grad_w).reshape(m, -1), folded[i])  # the sink pays the owed scale
             if t > first:  # layer t - 1 gets ([xhat | 1] / -n) @ (D_j @ F), plus gj @ F, D_j @ F's last row, on row j
                 df = np.matmul(d[:m], folded[t], out=np.ndarray((m, size + 1, a.shape[1]), buffer=self._slabs[0]))
                 np.matmul(lifts[i][0], df, out=down)
                 down.reshape(-1, df.shape[2])[row :: n + 1] += df[:, size]
                 del a, df  # not kept through the layers below: they would add to the pass's peak memory
-                reverse(down, t - 1, row, False, low, outs)
+                reverse(down, t - 1, False, low, outs)
 
     def clone(self) -> "Model":
         """Deep copy: parameters packed into a new ``theta``, buffers duplicated."""

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fimtta import harness, scheduler
+from fimtta import fisher, harness, scheduler
 from fimtta.harness import PRETRAIN_BATCH, AdaptConfig, adapt_stream, pretrain, summarize
 from fimtta.model import build_classifier
 from fimtta.stream import ScheduleStream, SourceSpec, gen_source, make_schedule
@@ -243,3 +243,20 @@ def test_bench_calls_bind_to_the_package_signatures():
             raise AssertionError(f"{BENCH_RUN.name} line {node.lineno}: {name}(...) does not bind: {exc}") from None
         bound[name] += 1
     assert {"AdaptConfig", "pretrain", "build_classifier", "make_schedule", "SourceSpec"} <= set(bound)
+
+
+def test_per_sample_scores_keeps_the_shape_the_benchmark_reads():
+    # ``bench/run.py --trace 1`` wraps ``fisher.per_sample_scores`` as its ``fisher.scores`` span and sums the
+    # ``.nbytes`` of the arrays it returns: float64 [n, layer size] arrays keyed like ``model.slices``, whose mean
+    # squares are the trace pass's diagonal, formed without the chunk loop (a fresh clone's slabs stay empty)
+    rng = np.random.default_rng(7)
+    model = build_classifier(16, [32, 32, 32, 32], 3, seed=4).clone()
+    logits, saved = model.forward(rng.standard_normal((64, 16)))
+    scores = fisher.per_sample_scores(model, logits, saved)
+    assert not any(slab.size for slab in model._slabs)
+    assert list(scores) == list(model.slices)
+    for name, cols in model.slices.items():
+        assert scores[name].dtype == np.float64 and scores[name].shape == (64, cols.stop - cols.start), name
+    _, diagonal = fisher.layer_fim_trace(model, logits, saved)
+    squares = np.concatenate([(s * s).mean(axis=0) for s in scores.values()])
+    assert np.abs(squares - diagonal).max() <= 1e-12 * np.abs(diagonal).max()

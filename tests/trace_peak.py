@@ -1,13 +1,24 @@
 """The tracemalloc peak of one trace pass on the desk model, and the bytes the
 first pass leaves allocated beyond the model's workspace, for the memory
 guards in ``test_fisher``. The guards read them in a fresh interpreter, and
-this module imports only numpy and fimtta, so no test module's code moves them.
+this module imports only numpy, fimtta and the standard library, so no test
+module's code moves them.
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tests/trace_peak.py 64
+
+prints the two readings of one pass at 64 rows. With ``--runs R`` it reads
+them in R fresh interpreters, one after another, each under
+``PYTHONHASHSEED=0``, and prints the highest peak and the highest kept
+bytes, the figures a bound in ``test_fisher`` is set to:
+
+    PYTHONPATH=src python tests/trace_peak.py 64 --runs 10
 """
 
 from __future__ import annotations
 
+import argparse
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -58,4 +69,16 @@ def desk_trace_peak(n: int) -> tuple[int, int]:
 
 
 if __name__ == "__main__":
-    print(*desk_trace_peak(int(sys.argv[1])))
+    if len(sys.argv) == 2 and sys.argv[1].isdecimal():  # read before argparse runs: its work moves the kept bytes
+        print(*desk_trace_peak(int(sys.argv[1])))
+        sys.exit()
+    parser = argparse.ArgumentParser(description="Trace-pass memory readings on the desk model.")
+    parser.add_argument("n", type=int, help="batch rows")
+    parser.add_argument("--runs", type=int, default=1, help="fresh interpreters to read in; prints the highest reading")
+    args = parser.parse_args()
+    if args.runs < 1:
+        parser.error(f"--runs must be >= 1, got {args.runs}")
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    readings = [subprocess.run([sys.executable, __file__, str(args.n)], env=env, capture_output=True, text=True,
+                               check=True).stdout.split() for _ in range(args.runs)]
+    print(*(max(int(reading[k]) for reading in readings) for k in (0, 1)))
